@@ -2,8 +2,7 @@
 # Tier-1 CI gate: static analysis first (fastest, and it proves graph/plan
 # invariants before anything executes), then the conformance/fault suites
 # (they guard the run-rule correctness the whole benchmark's credibility
-# rests on), then the optimizer/arena suites, then the full test suite,
-# then the executor and arena smoke benchmarks.
+# rests on), then the full test suite, then the executor smoke benchmark.
 # The smoke benchmark re-asserts plan-vs-legacy bit-exactness on INT8
 # MobileNetEdgeTPU and fails if the planned path loses its speedup.
 set -euo pipefail
@@ -30,14 +29,5 @@ python -m repro.staticcheck --ranges --baseline tools/ranges_baseline.json \
 
 python -m pytest -x -q tests/test_conformance.py tests/test_faults.py
 
-# graph optimizer + arena: the zoo-wide optimize-equivalence sweep (every
-# model x four numerics, rewritten graph vs legacy interpreter) and the
-# arena-parity/PL007 layout checks must pass before the full suite runs
-python -m pytest -x -q tests/test_optimize.py tests/test_arena.py
-
 python -m pytest -x -q tests
 python benchmarks/bench_executor.py --smoke
-
-# arena smoke: re-asserts bit-exact arena-vs-legacy parity on INT8
-# MobileNetEdgeTPU + DeepLabv3+ and gates the >=3x peak-memory reduction
-python benchmarks/bench_arena.py --smoke

@@ -4,55 +4,43 @@ On-device runtimes do not malloc per tensor per inference: they compute
 each intermediate's live interval ahead of time and pack all of them into
 one preallocated arena, reusing the bytes of tensors whose lifetimes do
 not overlap (Lee et al. 2019, §"memory management"; TFLite's
-``GreedyBySize`` planner). This module is that planner for our IR:
+``GreedyBySize`` planner). This module models that planner for our IR; the
+NumPy executor itself allocates per op and never uses these layouts.
 
 * :func:`plan_layout` packs abstract ``(size, [first, last])`` records with
   the greedy best-fit-by-decreasing-size algorithm;
-* :func:`plan_arena` derives the static layout of an
-  :class:`~repro.graph.plan.ExecutionPlan`'s arena-managed tensors from
-  tensor specs (no execution needed);
-* :func:`graph_arena_bytes` computes the planned activation footprint of a
-  (possibly symbolic) graph for the hardware DRAM/footprint model —
-  replacing the naive every-intermediate-resident estimate.
+* :func:`graph_arena_layout` lays out every op-produced intermediate of a
+  (possibly symbolic) graph from its tensor specs;
+* :func:`graph_arena_bytes` summarizes that layout as the planned activation
+  footprint the hardware DRAM/footprint model charges — replacing the naive
+  every-intermediate-resident estimate.
 
 Intervals are **inclusive** on both ends: a tensor is live from the step
 that defines it through the last step that reads it. Two records may share
 bytes only when their intervals are disjoint — which in particular keeps a
 step's inputs and outputs in disjoint regions (their intervals both cover
-the step itself), so in-place ``out=`` kernel writes can never clobber an
-operand.
+the step itself).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..kernels.numerics import Numerics
 from .graph import Graph
 
 __all__ = [
-    "ALIAS_OP_TYPES",
     "ARENA_ALIGNMENT",
     "ArenaSlot",
     "ArenaLayout",
     "TensorRecord",
-    "alias_roots",
-    "effective_liveness",
     "plan_layout",
-    "plan_arena",
+    "tensor_nbytes",
+    "graph_arena_layout",
     "graph_arena_bytes",
 ]
 
 ARENA_ALIGNMENT = 64  # bytes; cache-line alignment, matching TFLite's default
-
-# Op types whose output may be a *view* of their input (zero-copy data
-# movement). An aliased tensor keeps its source's bytes live: the source's
-# interval must extend through every alias's last read, and a source whose
-# alias escapes as a graph output cannot be arena-managed at all (the result
-# would be clobbered by the next inference).
-ALIAS_OP_TYPES = frozenset({"reshape"})
 
 
 @dataclass(frozen=True)
@@ -164,7 +152,7 @@ def plan_layout(
     return ArenaLayout(slots=slots, arena_bytes=arena_bytes, alignment=alignment)
 
 
-# -- deriving records from plans and graphs -----------------------------------
+# -- deriving records from graphs -------------------------------------------
 
 
 def _spec_elements(shape, batch: int) -> int:
@@ -174,100 +162,30 @@ def _spec_elements(shape, batch: int) -> int:
     return n
 
 
-def _spec_dtype(graph: Graph, name: str):
-    """The stored dtype of a tensor at runtime (codes or float32)."""
+def tensor_nbytes(graph: Graph, name: str, numerics: Numerics, batch: int = 1) -> int:
+    """Bytes of tensor ``name`` at ``batch`` when ``graph`` runs in ``numerics``.
+
+    Quantized tensors take their own format's width; everything else takes
+    the execution format's (so FP16 activations count two bytes).
+    """
     spec = graph.spec(name)
-    if graph.numerics.is_quantized and spec.qparams is not None:
-        return spec.qparams.numerics.np_dtype
-    return np.dtype(np.float32)
+    if numerics.is_quantized and spec.qparams is not None:
+        per = spec.qparams.numerics.bytes_per_element
+    else:
+        per = numerics.bytes_per_element
+    return int(_spec_elements(spec.shape, batch) * per)
 
 
-def alias_roots(steps) -> dict[str, str]:
-    """Map each potentially-view-producing tensor to its ultimate source.
-
-    ``steps`` is any sequence with ``op_type`` / ``inputs`` / ``outputs``
-    attributes in topological order; chains of aliases resolve to the root.
-    """
-    root: dict[str, str] = {}
-    for step in steps:
-        if step.op_type in ALIAS_OP_TYPES and step.inputs and len(step.outputs) == 1:
-            src = step.inputs[0]
-            root[step.outputs[0]] = root.get(src, src)
-    return root
-
-
-def effective_liveness(
-    steps, output_names, root: dict[str, str] | None = None
-) -> tuple[dict[str, int], set[str]]:
-    """Per-tensor last-read step, with alias lifetimes folded into roots.
-
-    Returns ``(last_use, escaped)``: ``last_use[t]`` is the last step index
-    reading ``t`` or any alias of it; ``escaped`` holds roots whose alias
-    chain reaches a graph output (those tensors must not live in the arena).
-    """
-    if root is None:
-        root = alias_roots(steps)
-    last_use: dict[str, int] = {}
-    for i, step in enumerate(steps):
-        for t in step.inputs:
-            last_use[t] = i
-    escaped: set[str] = set()
-    outputs = set(output_names)
-    for t, r in root.items():
-        if t in outputs:
-            escaped.add(r)
-        if t in last_use:
-            last_use[r] = max(last_use.get(r, -1), last_use[t])
-    return last_use, escaped
-
-
-def plan_arena(plan, batch: int = 1) -> ArenaLayout:
-    """Static layout of a plan's arena-managed tensors, from specs alone.
-
-    Managed tensors are the outputs of single-output steps that compile an
-    ``out=``-capable kernel (``fn_out``), excluding graph outputs (results
-    must survive into the caller) and tensors whose bytes escape through a
-    view-producing alias chain. The runtime layout built on first execution
-    places the same set — this function exists so ``describe()`` and the
-    PL007 cross-check need no execution.
-    """
-    graph = plan.graph
-    records = []
-    last_use, escaped = effective_liveness(plan._steps, graph.output_names)
-    outputs = set(graph.output_names)
-    for i, step in enumerate(plan._steps):
-        if getattr(step, "fn_out", None) is None or len(step.outputs) != 1:
-            continue
-        t = step.outputs[0]
-        if t in outputs or t in escaped or t not in last_use:
-            continue
-        dtype = _spec_dtype(graph, t)
-        nbytes = _spec_elements(graph.spec(t).shape, batch) * dtype.itemsize
-        records.append(TensorRecord(t, int(nbytes), i, last_use[t], key=str(dtype)))
-    return plan_layout(records)
-
-
-def graph_arena_bytes(
+def graph_arena_layout(
     graph: Graph, numerics: Numerics | None = None, batch: int = 1
-) -> dict:
-    """Planned activation footprint of a graph (works on symbolic graphs).
+) -> ArenaLayout:
+    """Static layout of every op-produced intermediate (symbolic graphs too).
 
-    Packs *every* op-produced intermediate with the arena planner — the
-    memory model of an ideal runtime — and reports the planned peak next to
-    the no-reuse footprint and the resident I/O bytes. The hardware
-    simulator consumes ``arena_bytes + io_bytes`` as the per-sample
-    activation working set.
+    Graph outputs (they must survive into the caller) and tensors no op
+    reads are not placed. Each tensor is live from its producing op through
+    its last reader, in ``graph.ops`` order.
     """
     numerics = numerics or graph.numerics
-
-    def tensor_bytes(name: str) -> int:
-        spec = graph.spec(name)
-        if numerics.is_quantized and spec.qparams is not None:
-            per = spec.qparams.numerics.bytes_per_element
-        else:
-            per = numerics.bytes_per_element
-        return int(_spec_elements(spec.shape, batch) * per)
-
     last_use: dict[str, int] = {}
     for i, op in enumerate(graph.ops):
         for t in op.inputs:
@@ -278,10 +196,26 @@ def graph_arena_bytes(
         for t in op.outputs:
             if t in outputs or t not in last_use:
                 continue
-            records.append(TensorRecord(t, tensor_bytes(t), i, last_use[t]))
-    layout = plan_layout(records)
-    io_bytes = sum(tensor_bytes(s.name) for s in graph.inputs) + sum(
-        tensor_bytes(n) for n in graph.output_names
+            nbytes = tensor_nbytes(graph, t, numerics, batch)
+            records.append(TensorRecord(t, nbytes, i, last_use[t]))
+    return plan_layout(records)
+
+
+def graph_arena_bytes(
+    graph: Graph, numerics: Numerics | None = None, batch: int = 1
+) -> dict:
+    """Planned activation footprint of a graph (works on symbolic graphs).
+
+    Packs *every* op-produced intermediate with the arena planner — the
+    memory model of an ideal runtime (:func:`graph_arena_layout`) — and
+    reports the planned peak next to the no-reuse footprint and the resident
+    I/O bytes. The hardware simulator consumes ``arena_bytes + io_bytes`` as
+    the per-sample activation working set.
+    """
+    numerics = numerics or graph.numerics
+    layout = graph_arena_layout(graph, numerics, batch)
+    io_bytes = sum(tensor_nbytes(graph, s.name, numerics, batch) for s in graph.inputs) + sum(
+        tensor_nbytes(graph, n, numerics, batch) for n in graph.output_names
     )
     return {
         "arena_bytes": layout.total_bytes,

@@ -112,18 +112,8 @@ def fuse_activations(graph: Graph) -> Graph:
     return g
 
 
-def export_mobile(
-    graph: Graph,
-    optimize: bool = False,
-    passes: tuple[str, ...] | list[str] | None = None,
-) -> Graph:
+def export_mobile(graph: Graph) -> Graph:
     """Full export: fold BN, fuse activations, freeze, stamp provenance.
-
-    ``optimize=True`` additionally runs the graph-rewrite pipeline
-    (:mod:`repro.graph.optimize`) ahead of time, baking the rewrites into
-    the exported artifact instead of leaving them to plan compile time; the
-    rewrite counts land in ``metadata["optimize"]``. It defaults off so the
-    exported checksum of the reference path stays the historical one.
 
     The exported graph also carries a static-verification attestation
     (``metadata["staticcheck"]``): the exporter runs the dataflow,
@@ -134,10 +124,6 @@ def export_mobile(
     source_checksum = graph.checksum()
     g = fold_batch_norms(graph)
     g = fuse_activations(g)
-    if optimize:
-        from .optimize import optimize_graph
-
-        g = optimize_graph(g, passes)
     g.metadata["source_checksum"] = source_checksum
     g.metadata["export_format"] = "mobile-v1"
     g.freeze()

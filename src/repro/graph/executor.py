@@ -59,9 +59,13 @@ class Executor:
         feeds: dict[str, np.ndarray],
         profiler: ExecutionProfiler | None = None,
     ) -> dict[str, np.ndarray]:
-        """Execute through the plan's static memory arena (bit-identical to
-        :meth:`run`; zero transient output allocations once warmed up)."""
-        return self.plan.run_arena(feeds, profiler=profiler)
+        """Execute one accuracy batch; the entry point ``AccuracySUT`` calls.
+
+        Identical to :meth:`run` without an observer. The benchmark's traced
+        per-layer run (``perfbench/layers.py``) wraps this method by name, so
+        the name must stay until the benchmark changes with it.
+        """
+        return self.plan.run(feeds, profiler=profiler)
 
     def run_unplanned(
         self,

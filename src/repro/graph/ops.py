@@ -878,12 +878,11 @@ class LSTM(Op):
 class Constant(Op):
     """Materialize a parameter as a tensor (leading broadcast dim of 1).
 
-    The optimizer's constant-folding pass replaces fully-constant subgraphs
-    with these. With ``raw=True`` the stored parameter already holds the
-    *runtime representation* (quantized codes in quantized graphs, fp16-cast
-    floats in FP16 graphs) and is emitted verbatim — that is what makes
-    folding bit-exact by construction. With ``raw=False`` the parameter is a
-    real-valued array quantized on the way out like any other tensor.
+    With ``raw=True`` the stored parameter already holds the *runtime
+    representation* (quantized codes in quantized graphs, fp16-cast floats
+    in FP16 graphs) and is emitted verbatim. With ``raw=False`` the
+    parameter is a real-valued array quantized on the way out like any
+    other tensor.
 
     The output shape carries a symbolic batch dim (-1) and the value
     broadcasts along it; consumers that do not broadcast over the batch
@@ -926,8 +925,7 @@ class Pad(Op):
     """Explicit spatial constant-padding of an NHWC tensor.
 
     Mirrors the TFLite PAD operator that mobile converters emit in front of
-    stride-2 convolutions; the optimizer folds zero-padding back into a
-    following conv when the amounts match that conv's SAME padding.
+    stride-2 convolutions.
     """
 
     op_type = "pad"

@@ -22,11 +22,16 @@ caches three things:
 Plans are bit-exact with the legacy interpreter (``Executor.run_unplanned``)
 in all four numerics modes: the prepacked kernels perform the identical
 operation sequence, merely hoisted out of the per-query path.
+
+Every kernel returns a freshly allocated array. A fused epilogue (bias add,
+relu/relu6 clamp) writes in place only into that fresh array, never into an
+operand, so a plan never mutates its feeds or its graph's parameters. A
+compiled plan holds no mutable state, which makes one plan safe to share
+across threads.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import weakref
 from typing import Callable
@@ -35,18 +40,16 @@ import numpy as np
 
 from .. import kernels as K
 from ..kernels.numerics import Numerics, cast_fp16, dequantize, quantize
-from .arena import ArenaLayout, TensorRecord, effective_liveness, plan_arena, plan_layout
+from .arena import graph_arena_layout
 from .graph import Graph
 from .ops import (
     ACTIVATION_FUNCTIONS,
     Activation,
-    Add,
     Conv2D,
     DepthwiseConv2D,
     FullyConnected,
     Op,
 )
-from .optimize import optimize_graph
 from .profiler import ExecutionProfiler
 
 __all__ = ["ExecutionPlan", "PlannedStep"]
@@ -78,14 +81,9 @@ def _graph_fingerprint(graph: Graph) -> tuple:
 
 
 class PlannedStep:
-    """One prepared op call: bound kernel closure plus liveness bookkeeping.
+    """One prepared op call: bound kernel closure plus liveness bookkeeping."""
 
-    ``fn_out``, when not None, performs the identical computation as ``fn``
-    but writes the (single) output into a caller-provided buffer — the hook
-    arena execution dispatches through so the hot path allocates nothing.
-    """
-
-    __slots__ = ("name", "op_type", "inputs", "outputs", "fn", "fn_out", "release", "prepacked")
+    __slots__ = ("name", "op_type", "inputs", "outputs", "fn", "release", "prepacked")
 
     def __init__(
         self,
@@ -95,14 +93,12 @@ class PlannedStep:
         outputs: tuple[str, ...],
         fn: Callable[[list[np.ndarray]], list[np.ndarray]],
         prepacked: bool,
-        fn_out: Callable[[list[np.ndarray], np.ndarray], None] | None = None,
     ):
         self.name = name
         self.op_type = op_type
         self.inputs = inputs
         self.outputs = outputs
         self.fn = fn
-        self.fn_out = fn_out
         self.release: tuple[str, ...] = ()
         self.prepacked = prepacked
 
@@ -112,38 +108,13 @@ class PlannedStep:
 
 
 class ExecutionPlan:
-    """A compiled, reusable execution schedule for one materialized graph.
+    """A compiled, reusable execution schedule for one materialized graph."""
 
-    ``liveness=False`` keeps every intermediate resident (the legacy
-    behaviour); it exists so the memory benefit can be measured and tested.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        *,
-        liveness: bool = True,
-        optimize: bool = True,
-        passes: tuple[str, ...] | list[str] | None = None,
-    ):
+    def __init__(self, graph: Graph):
         if graph.is_symbolic:
             raise ValueError(f"graph {graph.name!r} is symbolic and cannot execute")
-        self.source_graph = graph
         self.graph = graph
-        self.optimize_stats: dict = {"passes": {}, "total": 0}
-        if optimize:
-            optimized = optimize_graph(graph, passes)
-            self.optimize_stats = optimized.metadata["optimize"]
-            if self.optimize_stats["total"] > 0:
-                # only swap in the rewritten clone when something changed, so
-                # unrewritable graphs compile the exact same plan as before
-                self.graph = optimized
         self.numerics = graph.numerics
-        self.liveness = liveness
-        self._observer_plan: "ExecutionPlan | None" = None
-        self._arena_lock = threading.Lock()
-        self._arena_states: dict[tuple, _ArenaState] = {}
-        self._static_arena: ArenaLayout | None = None
         self._compile()
 
     @classmethod
@@ -169,45 +140,37 @@ class ExecutionPlan:
 
         steps: list[PlannedStep] = []
         for op in g.ops:
-            fn, prepacked, fn_out = self._bind(op)
+            fn, prepacked = self._bind(op)
             if self.numerics == Numerics.FP16:
                 fn = _fp16_wrap(fn)
-                fn_out = None  # per-op half rounding is incompatible with in-place writes
             steps.append(
-                PlannedStep(
-                    op.name, op.op_type, tuple(op.inputs), tuple(op.outputs), fn, prepacked,
-                    fn_out,
-                )
+                PlannedStep(op.name, op.op_type, tuple(op.inputs), tuple(op.outputs), fn, prepacked)
             )
         self._steps = steps
 
-        if self.liveness:
-            protected = set(g.output_names)
-            last_use: dict[str, int] = {}
-            for i, step in enumerate(steps):
-                for t in step.inputs:
-                    last_use[t] = i
-            for i, step in enumerate(steps):
-                step.release = tuple(
-                    sorted({t for t in step.inputs if last_use[t] == i and t not in protected})
-                )
+        protected = set(g.output_names)
+        last_use: dict[str, int] = {}
+        for i, step in enumerate(steps):
+            for t in step.inputs:
+                last_use[t] = i
+        for i, step in enumerate(steps):
+            step.release = tuple(
+                sorted({t for t in step.inputs if last_use[t] == i and t not in protected})
+            )
 
-    def _bind(self, op: Op) -> tuple[Callable, bool, Callable | None]:
-        """Bind ``op`` to a prepared closure (and out-buffer variant) for this
-        plan's numerics."""
+    def _bind(self, op: Op) -> tuple[Callable, bool]:
+        """Bind ``op`` to a prepared closure for this plan's numerics."""
         if self.numerics.is_quantized:
             return self._bind_quantized(op)
         return self._bind_float(op)
 
     # The fast paths below must replicate the exact operation sequence of the
     # corresponding ``Op.execute_*`` methods (ops.py): same casts, same
-    # rounding, same clamp constants — only hoisted to compile time. The
-    # fn_out variants additionally write through the kernels' ``out=``
-    # parameters and apply relu/relu6 epilogues in place; activations without
-    # an in-place form leave fn_out unset (those ops simply stay unmanaged by
-    # the arena).
+    # rounding, same clamp constants — only hoisted to compile time. Their
+    # epilogues may write in place into the kernel's fresh output, never into
+    # an input.
 
-    def _bind_float(self, op: Op) -> tuple[Callable, bool, Callable | None]:
+    def _bind_float(self, op: Op) -> tuple[Callable, bool]:
         g = self.graph
         if type(op) is Conv2D:
             pack = K.prepack_conv2d(
@@ -222,17 +185,7 @@ class ExecutionPlan:
                     ins[0], pack, stride=stride, padding=padding, dilation=dilation
                 )
                 return [act(out) if act is not None else out]
-            act_out = _float_act_inplace(op)
-            conv_out = None
-            if act is None or act_out is not None:
-                def conv_out(ins, out, pack=pack, act_out=act_out):
-                    K.conv2d_prepacked(
-                        ins[0], pack, stride=stride, padding=padding, dilation=dilation,
-                        out=out,
-                    )
-                    if act_out is not None:
-                        act_out(out)
-            return conv_fn, True, conv_out
+            return conv_fn, True
         if type(op) is DepthwiseConv2D:
             pack = K.prepack_depthwise_conv2d(
                 g.params[op.attrs["weight"]], g.params.get(op.attrs.get("bias"))
@@ -243,16 +196,7 @@ class ExecutionPlan:
             def dw_fn(ins, pack=pack, act=act):
                 out = K.depthwise_conv2d_prepacked(ins[0], pack, stride=stride, padding=padding)
                 return [act(out) if act is not None else out]
-            act_out = _float_act_inplace(op)
-            dw_out = None
-            if act is None or act_out is not None:
-                def dw_out(ins, out, pack=pack, act_out=act_out):
-                    K.depthwise_conv2d_prepacked(
-                        ins[0], pack, stride=stride, padding=padding, out=out
-                    )
-                    if act_out is not None:
-                        act_out(out)
-            return dw_fn, True, dw_out
+            return dw_fn, True
         if type(op) is FullyConnected:
             pack = K.prepack_fully_connected(
                 g.params[op.attrs["weight"]], g.params.get(op.attrs.get("bias"))
@@ -261,36 +205,13 @@ class ExecutionPlan:
             def fc_fn(ins, pack=pack, act=act):
                 out = K.fully_connected_prepacked(ins[0], pack)
                 return [act(out) if act is not None else out]
-            act_out = _float_act_inplace(op)
-            fc_out = None
-            if act is None or act_out is not None:
-                def fc_out(ins, out, pack=pack, act_out=act_out):
-                    K.fully_connected_prepacked(ins[0], pack, out=out)
-                    if act_out is not None:
-                        act_out(out)
-            return fc_fn, True, fc_out
-        if type(op) is Add:
-            act = _float_activation(op)
-            act_out = _float_act_inplace(op)
-            add_out = None
-            if act is None or act_out is not None:
-                def add_out(ins, out, act_out=act_out):
-                    np.add(ins[0], ins[1], out=out)
-                    if act_out is not None:
-                        act_out(out)
-            return (lambda ins, op=op, g=g: op.execute_float(ins, g)), False, add_out
+            return fc_fn, True
         if type(op) is Activation:
-            kind = op.attrs["kind"]
-            act_fn = ACTIVATION_FUNCTIONS[kind]
-            fn = lambda ins, act_fn=act_fn: [act_fn(ins[0])]  # noqa: E731
-            if kind == "relu":
-                return fn, False, lambda ins, out: np.maximum(ins[0], 0.0, out=out)
-            if kind == "relu6":
-                return fn, False, lambda ins, out: np.clip(ins[0], 0.0, 6.0, out=out)
-            return fn, False, None
-        return (lambda ins, op=op, g=g: op.execute_float(ins, g)), False, None
+            act_fn = ACTIVATION_FUNCTIONS[op.attrs["kind"]]
+            return (lambda ins, act_fn=act_fn: [act_fn(ins[0])]), False
+        return (lambda ins, op=op, g=g: op.execute_float(ins, g)), False
 
-    def _bind_quantized(self, op: Op) -> tuple[Callable, bool, Callable | None]:
+    def _bind_quantized(self, op: Op) -> tuple[Callable, bool]:
         g = self.graph
         if type(op) in (Conv2D, DepthwiseConv2D):
             qparams = _conv_qparams(op, g)
@@ -301,7 +222,6 @@ class ExecutionPlan:
                 stride = op.attrs["stride"]
                 padding = op.attrs["padding"]
                 post = _quantized_conv_post(op, out_qp)
-                post_out = _quantized_conv_post_inplace(op, out_qp)
                 if type(op) is Conv2D:
                     pack = K.prepack_conv2d_quantized(wq, bq, x_qp, w_qp)
                     dilation = op.attrs.get("dilation", 1)
@@ -311,27 +231,14 @@ class ExecutionPlan:
                             stride=stride, padding=padding, dilation=dilation,
                         )
                         return [post(out) if post is not None else out]
-                    def qconv_out(ins, out, pack=pack, post_out=post_out):
-                        K.conv2d_quantized_prepacked(
-                            ins[0], pack, out_qp,
-                            stride=stride, padding=padding, dilation=dilation, out=out,
-                        )
-                        if post_out is not None:
-                            post_out(out)
-                    return qconv_fn, True, qconv_out
+                    return qconv_fn, True
                 pack = K.prepack_depthwise_conv2d_quantized(wq, bq, x_qp, w_qp)
                 def qdw_fn(ins, pack=pack, post=post):
                     out = K.depthwise_conv2d_quantized_prepacked(
                         ins[0], pack, out_qp, stride=stride, padding=padding
                     )
                     return [post(out) if post is not None else out]
-                def qdw_out(ins, out, pack=pack, post_out=post_out):
-                    K.depthwise_conv2d_quantized_prepacked(
-                        ins[0], pack, out_qp, stride=stride, padding=padding, out=out
-                    )
-                    if post_out is not None:
-                        post_out(out)
-                return qdw_fn, True, qdw_out
+                return qdw_fn, True
         if type(op) is FullyConnected:
             qparams = _conv_qparams(op, g)
             if qparams is not None:
@@ -350,11 +257,7 @@ class ExecutionPlan:
                     if lut is not None:
                         out = K.apply_quantized_lut(out, lut, out_qp)
                     return [out]
-                def qfc_out(ins, out, pack=pack, lut=lut):
-                    K.fully_connected_quantized_prepacked(ins[0], pack, out_qp, out=out)
-                    if lut is not None:
-                        K.apply_quantized_lut(out, lut, out_qp, out=out)
-                return qfc_fn, True, qfc_out
+                return qfc_fn, True
         if type(op) is Activation:
             in_qp = g.spec(op.inputs[0]).qparams
             out_qp = g.spec(op.outputs[0]).qparams
@@ -363,10 +266,8 @@ class ExecutionPlan:
                 return (
                     (lambda ins, lut=lut, in_qp=in_qp: [K.apply_quantized_lut(ins[0], lut, in_qp)]),
                     True,
-                    (lambda ins, out, lut=lut, in_qp=in_qp:
-                        K.apply_quantized_lut(ins[0], lut, in_qp, out=out)),
                 )
-        return (lambda ins, op=op, g=g: op.execute_quantized(ins, g)), False, None
+        return (lambda ins, op=op, g=g: op.execute_quantized(ins, g)), False
 
     # -- execution -----------------------------------------------------------
     def run(
@@ -384,10 +285,6 @@ class ExecutionPlan:
         numerics = self.numerics
         if observer is not None and numerics != Numerics.FP32:
             raise ValueError("calibration observers require an FP32 graph")
-        if observer is not None and self.graph is not self.source_graph:
-            # calibration must see every *original* intermediate; rewritten
-            # graphs delegate observer runs to an unoptimized sibling plan
-            return self._unoptimized().run(feeds, observer=observer, profiler=profiler)
         env: dict[str, np.ndarray] = {}
         for name, qp in self._input_prep:
             if name not in feeds:
@@ -447,186 +344,25 @@ class ExecutionPlan:
     def __call__(self, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         return self.run(feeds)
 
-    def _unoptimized(self) -> "ExecutionPlan":
-        if self._observer_plan is None:
-            self._observer_plan = ExecutionPlan(
-                self.source_graph, liveness=self.liveness, optimize=False
-            )
-        return self._observer_plan
-
-    # -- arena execution -----------------------------------------------------
-    def run_arena(
-        self,
-        feeds: dict[str, np.ndarray],
-        profiler: ExecutionProfiler | None = None,
-    ) -> dict[str, np.ndarray]:
-        """Execute with every managed intermediate written into a static arena.
-
-        The first call per (thread, input-shape signature) is a *recording*
-        run through the ordinary allocating closures; it captures each
-        managed tensor's concrete dtype/shape, plans the arena layout
-        (:mod:`repro.graph.arena`) and materializes one buffer per dtype
-        class. Subsequent calls dispatch ``fn_out`` into preallocated views,
-        so the steady-state hot path performs zero transient output
-        allocations for managed ops. Results are bit-identical to
-        :meth:`run` — same closures, same buffers' contents.
-        """
-        env: dict[str, np.ndarray] = {}
-        for name, qp in self._input_prep:
-            if name not in feeds:
-                raise KeyError(f"missing feed for input {name!r}")
-            arr = np.asarray(feeds[name])
-            if qp is not None:
-                arr = quantize(arr, qp)
-            env[name] = arr
-
-        key = (threading.get_ident(),) + tuple(
-            (name, env[name].shape, env[name].dtype.str) for name, _ in self._input_prep
-        )
-        with self._arena_lock:
-            state = self._arena_states.get(key)
-        if state is None:
-            state, results = self._record_arena(env, profiler)
-            with self._arena_lock:
-                self._arena_states[key] = state
-            return results
-
-        for step, view in zip(self._steps, state.views):
-            ins = [env[t] for t in step.inputs]
-            t0 = time.perf_counter() if profiler is not None else 0.0
-            if view is not None:
-                step.fn_out(ins, view)
-                env[step.outputs[0]] = view
-                outs = (view,)
-            else:
-                outs = step.fn(ins)
-                for t, arr in zip(step.outputs, outs):
-                    env[t] = arr
-            if profiler is not None:
-                elapsed = time.perf_counter() - t0
-                moved = sum(a.nbytes for a in ins) + sum(a.nbytes for a in outs)
-                profiler.record(step.name, step.op_type, elapsed, moved)
-            for t in step.release:
-                del env[t]
-        return self._collect_outputs(env)
-
-    def _record_arena(
-        self, env: dict[str, np.ndarray], profiler: ExecutionProfiler | None
-    ) -> "tuple[_ArenaState, dict[str, np.ndarray]]":
-        """Allocating first run: executes, records shapes, plans the layout.
-
-        Alias detection is empirical here — any step output that shares
-        memory with one of its inputs (reshape views etc.) folds its
-        lifetime into the source tensor's, and a source whose alias escapes
-        as a graph output is left unmanaged entirely.
-        """
-        protected = set(self.graph.output_names)
-        root: dict[str, str] = {}
-        candidates: dict[str, tuple[int, np.ndarray]] = {}
-        for i, step in enumerate(self._steps):
-            ins = [env[t] for t in step.inputs]
-            outs = step.fn(ins)
-            for t, arr in zip(step.outputs, outs):
-                env[t] = arr
-                for t_in in step.inputs:
-                    if np.may_share_memory(arr, env[t_in]):
-                        root[t] = root.get(t_in, t_in)
-                        break
-            if (
-                step.fn_out is not None
-                and len(step.outputs) == 1
-                and step.outputs[0] not in protected
-            ):
-                candidates[step.outputs[0]] = (i, outs[0])
-            if profiler is not None:
-                profiler.record(step.name, step.op_type, 0.0, 0)
-        last_use, escaped = effective_liveness(self._steps, protected, root)
-        records: list[TensorRecord] = []
-        specs: dict[str, tuple] = {}
-        for t, (i, arr) in candidates.items():
-            if t in escaped or t not in last_use:
-                continue
-            records.append(
-                TensorRecord(t, int(arr.nbytes), i, last_use[t], key=arr.dtype.str)
-            )
-            specs[t] = (arr.dtype, arr.shape)
-        layout = plan_layout(records)
-        buffers = {
-            k: np.empty(nbytes, dtype=np.uint8) for k, nbytes in layout.arena_bytes.items()
-        }
-        views: list[np.ndarray | None] = []
-        for step in self._steps:
-            slot = layout.slots.get(step.outputs[0]) if len(step.outputs) == 1 else None
-            if slot is None:
-                views.append(None)
-                continue
-            dtype, shape = specs[step.outputs[0]]
-            view = buffers[slot.key][slot.offset : slot.offset + slot.nbytes]
-            views.append(view.view(dtype).reshape(shape))
-        state = _ArenaState(layout=layout, buffers=buffers, views=views)
-        results = self._collect_outputs(env)
-        return state, results
-
-    def _collect_outputs(self, env: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        results = {}
-        for name in self.graph.output_names:
-            arr = env[name]
-            qp = self._output_qp[name]
-            if (
-                self.numerics.is_quantized
-                and qp is not None
-                and not np.issubdtype(arr.dtype, np.floating)
-            ):
-                arr = dequantize(arr, qp)
-            results[name] = arr
-        return results
-
     # -- introspection -------------------------------------------------------
     @property
     def num_prepacked(self) -> int:
         return sum(1 for s in self._steps if s.prepacked)
 
-    def arena_layout(self, batch: int = 1) -> ArenaLayout:
-        """Static (spec-derived) layout of the managed tensors at ``batch``."""
-        if batch == 1:
-            if self._static_arena is None:
-                self._static_arena = plan_arena(self, batch=1)
-            return self._static_arena
-        return plan_arena(self, batch=batch)
-
     def describe(self) -> dict:
-        """Summary of what compilation cached (docs/debugging aid)."""
+        """Summary of what compilation cached (docs/debugging aid).
+
+        ``arena`` is the static batch-1 layout the hardware DRAM model
+        charges (:func:`repro.graph.arena.graph_arena_layout`).
+        """
         return {
             "graph": self.graph.name,
             "numerics": self.numerics.value,
             "ops": len(self._steps),
             "prepacked_ops": self.num_prepacked,
-            "liveness": self.liveness,
             "released_tensors": sum(len(s.release) for s in self._steps),
-            "optimize": {
-                "total": self.optimize_stats["total"],
-                "passes": {
-                    k: v for k, v in self.optimize_stats.get("passes", {}).items() if v
-                },
-            },
-            "arena": self.arena_layout(batch=1).describe(),
+            "arena": graph_arena_layout(self.graph).describe(),
         }
-
-
-class _ArenaState:
-    """Per-(thread, input-signature) arena buffers and per-step output views."""
-
-    __slots__ = ("layout", "buffers", "views")
-
-    def __init__(
-        self,
-        layout: ArenaLayout,
-        buffers: dict[str, np.ndarray],
-        views: list[np.ndarray | None],
-    ):
-        self.layout = layout
-        self.buffers = buffers
-        self.views = views
 
 
 def _fp16_wrap(fn: Callable) -> Callable:
@@ -639,19 +375,17 @@ def _fp16_wrap(fn: Callable) -> Callable:
 
 
 def _float_activation(op: Op):
-    act = op.attrs.get("activation")
-    return ACTIVATION_FUNCTIONS[act] if act is not None else None
+    """The fused float activation, applied to a kernel's fresh output.
 
-
-def _float_act_inplace(op: Op):
-    """In-place form of a fused float activation, or None when no such form
-    exists (sigmoid etc. — those ops stay unmanaged by the arena)."""
+    relu and relu6 clamp that array in place; the other activations
+    allocate their result.
+    """
     act = op.attrs.get("activation")
     if act == "relu":
         return lambda out: np.maximum(out, 0.0, out=out)
     if act == "relu6":
         return lambda out: np.clip(out, 0.0, 6.0, out=out)
-    return None
+    return ACTIVATION_FUNCTIONS[act] if act is not None else None
 
 
 def _conv_qparams(op: Op, g: Graph):
@@ -665,7 +399,11 @@ def _conv_qparams(op: Op, g: Graph):
 
 
 def _quantized_conv_post(op: Op, out_qp):
-    """Compile the integer-domain activation epilogue of a quantized conv."""
+    """Compile the integer-domain activation epilogue of a quantized conv.
+
+    relu/relu6 clamp the kernel's fresh codes in place; other activations
+    gather through a LUT into a new array.
+    """
     act = op.attrs.get("activation")
     if act is None:
         return None
@@ -676,25 +414,6 @@ def _quantized_conv_post(op: Op, out_qp):
         hi = out_qp.numerics.qmax
         if act == "relu6":
             hi = min(hi, int(round(6.0 / float(out_qp.scale[0])) + zp))
-        dtype = out_qp.numerics.np_dtype
-        return lambda out: np.clip(out, lo, hi).astype(dtype)
-    lut = K.quantized_lut(ACTIVATION_FUNCTIONS[act], out_qp, out_qp)
-    return lambda out: K.apply_quantized_lut(out, lut, out_qp)
-
-
-def _quantized_conv_post_inplace(op: Op, out_qp):
-    """In-place variant of :func:`_quantized_conv_post` — identical clamp
-    constants / LUT, but writing back into the caller's buffer. The buffer
-    already carries the output dtype, so the clip's astype is a no-op."""
-    act = op.attrs.get("activation")
-    if act is None:
-        return None
-    if act in ("relu", "relu6"):
-        zp = int(out_qp.zero_point[0])
-        lo = zp
-        hi = out_qp.numerics.qmax
-        if act == "relu6":
-            hi = min(hi, int(round(6.0 / float(out_qp.scale[0])) + zp))
         return lambda out: np.clip(out, lo, hi, out=out)
     lut = K.quantized_lut(ACTIVATION_FUNCTIONS[act], out_qp, out_qp)
-    return lambda out: K.apply_quantized_lut(out, lut, out_qp, out=out)
+    return lambda out: K.apply_quantized_lut(out, lut, out_qp)

@@ -79,20 +79,7 @@ def quantized_lut(fn, in_qp: QuantParams, out_qp: QuantParams) -> np.ndarray:
     return quantize(fn(real), out_qp)
 
 
-def apply_quantized_lut(
-    xq: np.ndarray,
-    lut: np.ndarray,
-    in_qp: QuantParams,
-    *,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Index the LUT with integer inputs shifted to start at qmin.
-
-    ``out``, when given, receives the gathered codes (arena execution); the
-    values are identical to the allocating path.
-    """
+def apply_quantized_lut(xq: np.ndarray, lut: np.ndarray, in_qp: QuantParams) -> np.ndarray:
+    """Index the LUT with integer inputs shifted to start at qmin."""
     idx = xq.astype(np.int64) - in_qp.numerics.qmin
-    if out is None:
-        return lut[idx]
-    np.take(lut, idx, out=out)
-    return out
+    return lut[idx]

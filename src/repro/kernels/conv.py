@@ -21,13 +21,7 @@ import numpy as np
 
 from .numerics import QuantParams, requantize
 
-# Toggle for the 1x1/stride-1 fast path (pure reshape + matmul, no im2col
-# materialization). Module-level so tests can force the general path and
-# assert the two are bit-exact.
-FAST_1X1 = True
-
 __all__ = [
-    "FAST_1X1",
     "pad_input",
     "im2col",
     "conv2d",
@@ -141,15 +135,14 @@ def conv2d_prepacked(
     stride: int = 1,
     padding: str = "same",
     dilation: int = 1,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Float convolution against prepacked constants; bit-exact with :func:`conv2d`.
 
-    ``out``, when given, must be a float32 (N, out_h, out_w, Cout) buffer; the
-    matmul and bias add write into it directly (arena execution) and it is
-    returned. A 1x1/stride-1 convolution skips padding and im2col entirely:
-    the input *is* the patch matrix, so the BLAS call sees the identical
-    operand without materializing a copy.
+    Returns a freshly allocated float32 (N, out_h, out_w, Cout) array (the
+    bias is added into the matmul result in place). A 1x1/stride-1
+    convolution skips padding and im2col entirely: the input *is* the patch
+    matrix, so the BLAS call sees the identical operand without
+    materializing a copy.
     """
     n, in_h, in_w, c_in = x.shape
     if pack.c_in != c_in:
@@ -157,22 +150,16 @@ def conv2d_prepacked(
     out_h, out_w, pads_h, pads_w = conv_output_shape(
         in_h, in_w, pack.k_h, pack.k_w, stride, padding, dilation
     )
-    if FAST_1X1 and pack.k_h == 1 and pack.k_w == 1 and stride == 1:
+    if pack.k_h == 1 and pack.k_w == 1 and stride == 1:
         cols = np.ascontiguousarray(x, dtype=np.float32).reshape(-1, c_in)
     else:
         xp = pad_input(np.ascontiguousarray(x, dtype=np.float32), pads_h, pads_w)
         cols = im2col(xp, pack.k_h, pack.k_w, stride, out_h, out_w, dilation).reshape(
             -1, pack.k_h * pack.k_w * c_in
         )
-    if out is None:
-        res = cols @ pack.w_mat
-        res = res.reshape(n, out_h, out_w, pack.c_out)
-        if pack.bias is not None:
-            res = res + pack.bias
-        return res.astype(np.float32)
-    np.matmul(cols, pack.w_mat, out=out.reshape(-1, pack.c_out))
+    out = (cols @ pack.w_mat).reshape(n, out_h, out_w, pack.c_out)
     if pack.bias is not None:
-        np.add(out, pack.bias, out=out)
+        out += pack.bias
     return out
 
 
@@ -218,7 +205,6 @@ def depthwise_conv2d_prepacked(
     *,
     stride: int = 1,
     padding: str = "same",
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     n, in_h, in_w, c = x.shape
     if pack.c != c:
@@ -226,15 +212,10 @@ def depthwise_conv2d_prepacked(
     out_h, out_w, pads_h, pads_w = conv_output_shape(in_h, in_w, pack.k_h, pack.k_w, stride, padding)
     xp = pad_input(np.ascontiguousarray(x, dtype=np.float32), pads_h, pads_w)
     patches = _dw_patches(xp, pack.k_h, pack.k_w, stride, out_h, out_w)
-    if out is None:
-        # einsum over the kernel window, per channel
-        res = np.einsum("nhwklc,klc->nhwc", patches, pack.w)
-        if pack.bias is not None:
-            res = res + pack.bias
-        return res.astype(np.float32)
-    np.einsum("nhwklc,klc->nhwc", patches, pack.w, out=out)
+    # einsum over the kernel window, per channel
+    out = np.einsum("nhwklc,klc->nhwc", patches, pack.w)
     if pack.bias is not None:
-        np.add(out, pack.bias, out=out)
+        out += pack.bias
     return out
 
 
@@ -315,21 +296,19 @@ def conv2d_quantized_prepacked(
     stride: int = 1,
     padding: str = "same",
     dilation: int = 1,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Integer convolution with int32 accumulation against prepacked constants.
 
     float64 BLAS matmul is exact here: |acc| <= 255 * 127 * K << 2**53,
     and is an order of magnitude faster than NumPy's integer matmul.
     The 1x1/stride-1 fast path feeds the widened input straight into the
-    matmul (no padding, no im2col patch copy). ``out``, when given, receives
-    the requantized codes in place (the f64 accumulator workspace remains).
+    matmul (no padding, no im2col patch copy).
     """
     n, in_h, in_w, c_in = xq.shape
     out_h, out_w, pads_h, pads_w = conv_output_shape(
         in_h, in_w, pack.k_h, pack.k_w, stride, padding, dilation
     )
-    if FAST_1X1 and pack.k_h == 1 and pack.k_w == 1 and stride == 1:
+    if pack.k_h == 1 and pack.k_w == 1 and stride == 1:
         cols = xq.astype(np.float64).reshape(-1, c_in)
     else:
         xp = pad_input(xq.astype(np.float64), pads_h, pads_w, value=pack.x_zp)
@@ -344,11 +323,7 @@ def conv2d_quantized_prepacked(
         acc -= (col_sums - pack.x_zp * cols.shape[1]) * pack.w_zp
     if pack.bias is not None:
         acc = acc + pack.bias
-    if out is None:
-        codes = requantize(acc, pack.eff_scale, out_qp)
-        return codes.reshape(n, out_h, out_w, pack.c_out)
-    requantize(acc, pack.eff_scale, out_qp, out=out.reshape(-1, pack.c_out))
-    return out
+    return requantize(acc, pack.eff_scale, out_qp).reshape(n, out_h, out_w, pack.c_out)
 
 
 def conv2d_quantized(
@@ -416,7 +391,6 @@ def depthwise_conv2d_quantized_prepacked(
     *,
     stride: int = 1,
     padding: str = "same",
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Integer depthwise convolution with int32 accumulation."""
     n, in_h, in_w, c = xq.shape
@@ -426,7 +400,7 @@ def depthwise_conv2d_quantized_prepacked(
     acc = np.rint(np.einsum("nhwklc,klc->nhwc", patches - pack.x_zp, pack.w)).astype(np.int64)
     if pack.bias is not None:
         acc = acc + pack.bias
-    return requantize(acc, pack.eff_scale, out_qp, out=out)
+    return requantize(acc, pack.eff_scale, out_qp)
 
 
 def depthwise_conv2d_quantized(

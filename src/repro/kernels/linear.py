@@ -41,18 +41,11 @@ def prepack_fully_connected(weight: np.ndarray, bias: np.ndarray | None = None) 
     )
 
 
-def fully_connected_prepacked(
-    x: np.ndarray, pack: LinearPack, *, out: np.ndarray | None = None
-) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float32)
-    if out is None:
-        res = x @ pack.w
-        if pack.bias is not None:
-            res = res + pack.bias
-        return res.astype(np.float32)
-    np.matmul(np.ascontiguousarray(x), pack.w, out=out)
+def fully_connected_prepacked(x: np.ndarray, pack: LinearPack) -> np.ndarray:
+    """Float fully-connected; returns a fresh float32 array (bias added in place)."""
+    out = np.asarray(x, dtype=np.float32) @ pack.w
     if pack.bias is not None:
-        np.add(out, pack.bias, out=out)
+        out += pack.bias
     return out
 
 
@@ -101,11 +94,7 @@ def prepack_fully_connected_quantized(
 
 
 def fully_connected_quantized_prepacked(
-    xq: np.ndarray,
-    pack: QuantLinearPack,
-    out_qp: QuantParams,
-    *,
-    out: np.ndarray | None = None,
+    xq: np.ndarray, pack: QuantLinearPack, out_qp: QuantParams
 ) -> np.ndarray:
     """Integer fully-connected with int32 accumulation and requantization."""
     lead = xq.shape[:-1]
@@ -119,11 +108,7 @@ def fully_connected_quantized_prepacked(
         ) * pack.w_zp
     if pack.bias is not None:
         acc = acc + pack.bias
-    if out is None:
-        codes = requantize(acc, pack.eff_scale, out_qp)
-        return codes.reshape(*lead, pack.f_out)
-    requantize(acc, pack.eff_scale, out_qp, out=out.reshape(-1, pack.f_out))
-    return out
+    return requantize(acc, pack.eff_scale, out_qp).reshape(*lead, pack.f_out)
 
 
 def fully_connected_quantized(

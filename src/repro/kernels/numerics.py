@@ -158,25 +158,15 @@ def choose_qparams(
     return QuantParams(scale=scale, zero_point=zero_point, numerics=numerics, axis=axis)
 
 
-def quantize(
-    values: np.ndarray, qp: QuantParams, *, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Quantize float values to the integer domain of ``qp``.
-
-    ``out``, when given, receives the result (a cast-assign into a
-    preallocated integer buffer, e.g. an arena view) and is returned; the
-    stored codes are bit-identical to the allocating path.
-    """
+def quantize(values: np.ndarray, qp: QuantParams) -> np.ndarray:
+    """Quantize float values to the integer domain of ``qp``."""
     values = np.asarray(values, dtype=np.float64)
     shape = qp.broadcast_shape(values.ndim)
     scale = qp.scale.reshape(shape)
     zp = qp.zero_point.reshape(shape)
     q = np.round(values / scale) + zp
     np.clip(q, qp.numerics.qmin, qp.numerics.qmax, out=q)
-    if out is None:
-        return q.astype(qp.numerics.np_dtype)
-    out[...] = q.reshape(out.shape)
-    return out
+    return q.astype(qp.numerics.np_dtype)
 
 
 def dequantize(q: np.ndarray, qp: QuantParams) -> np.ndarray:
@@ -188,21 +178,14 @@ def dequantize(q: np.ndarray, qp: QuantParams) -> np.ndarray:
     return ((q - zp) * scale).astype(np.float32)
 
 
-def requantize(
-    acc: np.ndarray,
-    in_scale: np.ndarray,
-    out_qp: QuantParams,
-    *,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def requantize(acc: np.ndarray, in_scale: np.ndarray, out_qp: QuantParams) -> np.ndarray:
     """Rescale an int32 accumulator into the output quantized domain.
 
     ``in_scale`` is the effective accumulator scale (input_scale * weight_scale,
     possibly per output channel and already broadcast against ``acc``).
-    ``out`` optionally receives the quantized codes (see :func:`quantize`).
     """
     real = np.asarray(acc, dtype=np.float64) * in_scale
-    return quantize(real, out_qp, out=out)
+    return quantize(real, out_qp)
 
 
 def fake_quant(values: np.ndarray, qp: QuantParams) -> np.ndarray:

@@ -47,16 +47,9 @@ class AccuracySUT(SystemUnderTest):
 
     ``workers > 1`` splits each batched query across a thread pool, one
     planned execution per chunk (the offline accuracy path). The compiled
-    plan is shared — prepacked constants are read-only — and every sample's
+    plan is shared — it holds no mutable state — and every sample's
     prediction is computed independently, so results are identical to the
     sequential path regardless of worker count.
-
-    ``use_arena`` (default on) executes every batch through the plan's
-    static memory arena (:meth:`ExecutionPlan.run_arena`): one arena-backed
-    plan is reused across all batches of the run, and the steady-state hot
-    path allocates no transient outputs. Results are bit-identical to the
-    generic path, so the flag exists only so the equivalence can be
-    asserted and the benefit measured.
     """
 
     def __init__(
@@ -65,7 +58,6 @@ class AccuracySUT(SystemUnderTest):
         dataset: TaskDataset,
         name: str = "accuracy-sut",
         workers: int = 1,
-        use_arena: bool = True,
     ):
         if workers < 1:
             raise ValueError("workers must be positive")
@@ -74,16 +66,12 @@ class AccuracySUT(SystemUnderTest):
         self.executor = Executor(graph)
         self.name = name
         self.workers = workers
-        self.use_arena = use_arena
         self.predictions: dict[int, object] = {}
         self._pool = None
 
     def _predict_chunk(self, indices: np.ndarray) -> list[tuple[int, object]]:
         feeds = self.dataset.input_batch(indices)
-        if self.use_arena:
-            outputs = self.executor.run_arena(feeds)
-        else:
-            outputs = self.executor.run(feeds)
+        outputs = self.executor.run_arena(feeds)
         results = []
         for j, i in enumerate(indices):
             per_sample = {k: v[j] for k, v in outputs.items()}

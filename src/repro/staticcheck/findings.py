@@ -26,7 +26,7 @@ __all__ = [
 
 # bump when rule semantics change: attestations record the ruleset they
 # were produced under, so stale "verified" stamps are detectable
-RULESET_VERSION = 3
+RULESET_VERSION = 4
 
 
 class Severity(enum.Enum):
@@ -117,16 +117,17 @@ RULE_CATALOG: dict[str, Rule] = {r.rule_id: r for r in [
     Rule("PL003", _E, "plan", "unbound dispatch",
          "every planned step carries a callable kernel closure"),
     Rule("PL004", _W, "plan", "leaked intermediate",
-         "liveness-enabled plans release every non-output intermediate"),
+         "plans release every consumed non-output intermediate"),
     Rule("PL005", _E, "plan", "graph output released",
          "no declared graph output is ever freed by the schedule"),
     Rule("PL006", _E, "plan", "read of undefined tensor",
          "every step reads only graph inputs or earlier steps' outputs"),
     Rule("PL007", _E, "plan", "arena slot collision",
-         "no two arena slots with overlapping live intervals (replayed "
-         "independently from the step list, alias lifetimes folded in) "
-         "share bytes in the same arena, and every slot holds the spec-"
-         "derived size of its tensor"),
+         "in the static arena layout the DRAM model charges, no two slots "
+         "with overlapping live intervals (replayed from the graph's op "
+         "list) share bytes in the same arena, every slot holds the spec-"
+         "derived size of its tensor, and every charged intermediate has "
+         "a slot"),
     # -- value-range engine (abstract interpretation) ----------------------
     Rule("VR001", _E, "ranges", "range-aware accumulator overflow",
          "no integer kernel's accumulator can exceed int32 given the *proven* "

@@ -7,39 +7,51 @@ independent account — a buffer freed before its final consumer, freed twice,
 or never freed at all is a scheduling bug that dynamic tests only catch when
 a specific graph shape happens to trip it.
 
-PL007 extends the same double-entry discipline to the static memory arena:
-the planner's slot offsets are cross-validated against an *independent*
-liveness replay (including alias-lifetime folding), proving no two live
-tensors can ever share bytes and every slot is large enough for its spec.
+PL007 extends the same double-entry discipline to the static memory arena
+the hardware DRAM model charges (:func:`repro.graph.arena.graph_arena_layout`):
+its slots are cross-validated against a liveness replay over ``graph.ops``,
+proving no two live tensors share bytes, every slot is large enough for its
+spec, and every intermediate the model charges has a slot.
 """
 
 from __future__ import annotations
 
-from ..graph.arena import ArenaLayout, _spec_dtype, _spec_elements, effective_liveness
+from ..graph.arena import ArenaLayout, graph_arena_layout, tensor_nbytes
+from ..graph.graph import Graph
 from ..graph.plan import ExecutionPlan
 from .findings import Finding
 
 __all__ = ["check_plan", "check_arena_layout"]
 
 
-def check_arena_layout(plan: ExecutionPlan, layout: "ArenaLayout | None" = None) -> list[Finding]:
-    """Rule PL007: the arena layout against an independent liveness replay.
+def check_arena_layout(graph: Graph, layout: "ArenaLayout | None" = None) -> list[Finding]:
+    """Rule PL007: the batch-1 arena layout against a liveness replay.
 
-    ``layout`` defaults to the plan's own static layout; passing one in lets
-    tests (and the seeded-fault harness) validate corrupted layouts.
+    ``layout`` defaults to :func:`graph_arena_layout` of ``graph``; passing
+    one in lets tests (and the seeded-fault harness) validate corrupted
+    layouts.
     """
     out: list[Finding] = []
-    graph = plan.graph
     gname = graph.name
     if layout is None:
-        layout = plan.arena_layout(batch=1)
+        layout = graph_arena_layout(graph)
 
-    # independent replay: define/last-read step per tensor, aliases folded
-    last_read, _ = effective_liveness(plan._steps, graph.output_names)
+    # replay: the defining op and the last reading op of every tensor
     defined_at: dict[str, int] = {}
-    for i, step in enumerate(plan._steps):
-        for t in step.outputs:
+    last_read: dict[str, int] = {}
+    for i, op in enumerate(graph.ops):
+        for t in op.inputs:
+            last_read[t] = i
+        for t in op.outputs:
             defined_at.setdefault(t, i)
+    outputs = set(graph.output_names)
+
+    for t in defined_at:
+        if t not in outputs and t in last_read and t not in layout.slots:
+            out.append(Finding(
+                "PL007", gname, tensor=t,
+                message=f"intermediate {t!r} (live [{defined_at[t]}, "
+                        f"{last_read[t]}]) has no arena slot"))
 
     slots = list(layout.slots.values())
     for s in slots:
@@ -47,25 +59,23 @@ def check_arena_layout(plan: ExecutionPlan, layout: "ArenaLayout | None" = None)
             out.append(Finding(
                 "PL007", gname, tensor=s.name,
                 message=f"arena slot {s.name!r} does not correspond to any "
-                        f"step output"))
+                        f"op output"))
             continue
         lo, hi = defined_at[s.name], last_read.get(s.name, defined_at[s.name])
         if (s.first, s.last) != (lo, hi):
             out.append(Finding(
                 "PL007", gname, tensor=s.name,
                 message=f"arena slot {s.name!r} records live interval "
-                        f"[{s.first}, {s.last}] but the independent replay "
+                        f"[{s.first}, {s.last}] but the replay "
                         f"finds [{lo}, {hi}]",
                 details={"recorded": [s.first, s.last], "replayed": [lo, hi]}))
-        spec = graph.tensor_specs.get(s.name)
-        if spec is not None:
-            need = _spec_elements(spec.shape, 1) * _spec_dtype(graph, s.name).itemsize
-            if s.nbytes < need:
-                out.append(Finding(
-                    "PL007", gname, tensor=s.name,
-                    message=f"arena slot {s.name!r} holds {s.nbytes} bytes but "
-                            f"its spec needs {need}",
-                    details={"slot_bytes": s.nbytes, "spec_bytes": int(need)}))
+        need = tensor_nbytes(graph, s.name, graph.numerics)
+        if s.nbytes < need:
+            out.append(Finding(
+                "PL007", gname, tensor=s.name,
+                message=f"arena slot {s.name!r} holds {s.nbytes} bytes but "
+                        f"its spec needs {need}",
+                details={"slot_bytes": s.nbytes, "spec_bytes": need}))
     for i, a in enumerate(slots):
         lo_a, hi_a = defined_at.get(a.name, a.first), last_read.get(a.name, a.last)
         for b in slots[i + 1:]:
@@ -143,15 +153,14 @@ def check_plan(plan: ExecutionPlan) -> list[Finding]:
             released[t] = i
             defined.discard(t)
 
-    if plan.liveness:
-        for t in sorted(ever_defined):
-            if t in outputs or t in released:
-                continue
-            if t not in last_read:
-                continue  # never consumed: a dataflow problem (DF001), not liveness
-            out.append(Finding(
-                "PL004", gname, tensor=t,
-                message=f"tensor {t!r} is consumed (last at step {last_read[t]}) "
-                        f"but never released; it stays resident for the whole run"))
-    out.extend(check_arena_layout(plan))
+    for t in sorted(ever_defined):
+        if t in outputs or t in released:
+            continue
+        if t not in last_read:
+            continue  # never consumed: a dataflow problem (DF001), not liveness
+        out.append(Finding(
+            "PL004", gname, tensor=t,
+            message=f"tensor {t!r} is consumed (last at step {last_read[t]}) "
+                    f"but never released; it stays resident for the whole run"))
+    out.extend(check_arena_layout(graph))
     return out

@@ -1,50 +1,14 @@
-"""Static memory arena: packing, alias liveness, runtime parity, SUT reuse."""
+"""Static memory arena: best-fit packing and the layout the DRAM model charges."""
 
-from types import SimpleNamespace
-
-import numpy as np
-import pytest
-
-from repro.graph import ExecutionPlan, ExecutionProfiler, Executor
+from repro.graph import ExecutionPlan
 from repro.graph.arena import (
-    ALIAS_OP_TYPES,
     ARENA_ALIGNMENT,
     TensorRecord,
-    alias_roots,
-    effective_liveness,
     graph_arena_bytes,
+    graph_arena_layout,
     plan_layout,
 )
-from repro.kernels import Numerics
-from repro.kernels import conv as conv_kernels
-from repro.loadgen import (
-    AccuracySUT,
-    LoadGenerator,
-    Mode,
-    QuerySampleLibrary,
-    TestSettings,
-)
-from repro.quantization import calibrate, quantize_graph
 from repro.staticcheck import check_arena_layout
-
-
-@pytest.fixture()
-def perf_sut():
-    from repro.analysis import full_graph_cache
-    from repro.backends import default_backend_for
-    from repro.hardware import SimulatedDevice, get_soc
-    from repro.loadgen import PerformanceSUT
-
-    soc = get_soc("dimensity_1100")
-    be = default_backend_for(soc)
-    g = full_graph_cache("mobilenet_edgetpu")
-    cm = be.compile_single_stream(g, "image_classification")
-    pipes = be.compile_offline(g, "image_classification")
-    return PerformanceSUT(SimulatedDevice(soc), cm, pipes)
-
-
-def _step(op_type, inputs, outputs):
-    return SimpleNamespace(op_type=op_type, inputs=list(inputs), outputs=list(outputs))
 
 
 class TestPlanLayout:
@@ -124,211 +88,32 @@ class TestPlanLayout:
         }
 
 
-class TestAliasLiveness:
-    def test_reshape_is_alias_op(self):
-        assert "reshape" in ALIAS_OP_TYPES
-
-    def test_alias_chain_resolves_to_root(self):
-        steps = [
-            _step("conv2d", ["x"], ["a"]),
-            _step("reshape", ["a"], ["b"]),
-            _step("reshape", ["b"], ["c"]),
-        ]
-        assert alias_roots(steps) == {"b": "a", "c": "a"}
-
-    def test_root_lifetime_extends_through_alias_reads(self):
-        steps = [
-            _step("conv2d", ["x"], ["a"]),
-            _step("reshape", ["a"], ["b"]),
-            _step("fully_connected", ["b"], ["c"]),
-            _step("softmax", ["c"], ["d"]),
-        ]
-        last_use, escaped = effective_liveness(steps, ["d"])
-        # 'a' is read only at step 1, but its bytes live through step 2 via 'b'
-        assert last_use["a"] == 2
-        assert escaped == set()
-
-    def test_escaping_alias_unmanages_root(self):
-        steps = [
-            _step("conv2d", ["x"], ["a"]),
-            _step("reshape", ["a"], ["b"]),
-        ]
-        _, escaped = effective_liveness(steps, ["b"])
-        assert escaped == {"a"}
-
-
-class TestRunArenaParity:
-    def test_toy_parity_recording_and_steady(self, toy_exported, toy_inputs):
-        exported, _ = toy_exported
-        plan = ExecutionPlan(exported)
-        ref = Executor(exported).run_unplanned(toy_inputs)
-        recording = plan.run_arena(toy_inputs)
-        steady_1 = plan.run_arena(toy_inputs)
-        steady_2 = plan.run_arena(toy_inputs)
-        for name in ref:
-            np.testing.assert_array_equal(ref[name], recording[name])
-            np.testing.assert_array_equal(ref[name], steady_1[name])
-            np.testing.assert_array_equal(ref[name], steady_2[name])
-
-    def test_quantized_parity_bit_exact(self, toy_exported, toy_inputs):
-        exported, _ = toy_exported
-        stats = calibrate(exported, [toy_inputs])
-        q = quantize_graph(exported, stats, Numerics.INT8)
-        plan = ExecutionPlan(q)
-        ref = plan.run(toy_inputs)
-        plan.run_arena(toy_inputs)
-        steady = plan.run_arena(toy_inputs)
-        for name in ref:
-            np.testing.assert_array_equal(ref[name], steady[name])
-            assert ref[name].dtype == steady[name].dtype
-
-    def test_results_survive_next_run(self, toy_exported, toy_inputs):
-        """Returned outputs must not alias arena bytes: a later run with
-        different data cannot clobber an earlier run's results."""
-        exported, out = toy_exported
-        plan = ExecutionPlan(exported)
-        plan.run_arena(toy_inputs)  # recording
-        first = plan.run_arena(toy_inputs)
-        saved = {k: v.copy() for k, v in first.items()}
-        other = {"images": toy_inputs["images"] * -1.0}
-        plan.run_arena(other)
-        for name in saved:
-            np.testing.assert_array_equal(saved[name], first[name])
-
-    def test_distinct_batch_shapes_get_distinct_states(self, toy_exported, toy_inputs):
-        exported, out = toy_exported
-        plan = ExecutionPlan(exported)
-        full = plan.run_arena(toy_inputs)
-        half_feed = {"images": toy_inputs["images"][:3]}
-        half = plan.run_arena(half_feed)
-        assert len(plan._arena_states) == 2
-        np.testing.assert_array_equal(full[out][:3], half[out])
-
-    def test_executor_delegates_run_arena(self, toy_exported, toy_inputs):
-        exported, _ = toy_exported
-        ex = Executor(exported)
-        a = ex.run(toy_inputs)
-        b = ex.run_arena(toy_inputs)
-        for name in a:
-            np.testing.assert_array_equal(a[name], b[name])
-
-    def test_profiler_covers_arena_runs(self, toy_exported, toy_inputs):
-        exported, _ = toy_exported
-        plan = ExecutionPlan(exported)
-        plan.run_arena(toy_inputs)
-        prof = ExecutionProfiler()
-        plan.run_arena(toy_inputs, profiler=prof)
-        assert set(prof.ops) == {s.name for s in plan._steps}
-
-    def test_missing_feed_raises(self, toy_exported):
-        exported, _ = toy_exported
-        with pytest.raises(KeyError):
-            ExecutionPlan(exported).run_arena({})
-
-
 class TestStaticArena:
     def test_layout_excludes_outputs_and_validates(self, cls_exported):
-        plan = ExecutionPlan(cls_exported)
-        layout = plan.arena_layout()
-        assert layout.slots  # conv-heavy graph: plenty of managed tensors
+        layout = graph_arena_layout(cls_exported)
+        assert layout.slots  # conv-heavy graph: plenty of placed tensors
         for name in cls_exported.output_names:
             assert name not in layout.slots
-        assert check_arena_layout(plan, layout) == []
+        assert check_arena_layout(cls_exported, layout) == []
 
-    def test_reuse_ratio_significant_on_deep_graph(self, cls_exported):
-        layout = ExecutionPlan(cls_exported).arena_layout()
-        assert layout.reuse_ratio >= 3.0  # ISSUE acceptance floor
-
-    def test_describe_includes_arena_and_optimize(self, toy_exported):
+    def test_describe_includes_arena(self, toy_exported):
         exported, _ = toy_exported
         d = ExecutionPlan(exported).describe()
-        assert {"tensors", "peak_bytes", "reuse_ratio"} <= set(d["arena"])
-        assert {"total", "passes"} <= set(d["optimize"])
+        assert d["arena"] == graph_arena_layout(exported).describe()
+        assert "optimize" not in d
 
     def test_batch_scales_footprint(self, cls_exported):
-        plan = ExecutionPlan(cls_exported)
-        b1 = plan.arena_layout(batch=1).total_bytes
-        b4 = plan.arena_layout(batch=4).total_bytes
-        assert b1 < b4 <= 4 * b1 + ARENA_ALIGNMENT * len(plan.arena_layout().slots)
+        b1 = graph_arena_layout(cls_exported, batch=1)
+        b4 = graph_arena_layout(cls_exported, batch=4)
+        assert b1.total_bytes < b4.total_bytes
+        assert b4.total_bytes <= 4 * b1.total_bytes + ARENA_ALIGNMENT * len(b1.slots)
 
     def test_graph_arena_bytes_consistent(self, cls_exported):
         info = graph_arena_bytes(cls_exported)
+        layout = graph_arena_layout(cls_exported)
+        assert info["arena_bytes"] == layout.total_bytes
+        assert info["reuse_ratio"] == layout.reuse_ratio
         assert info["planned_bytes"] == info["arena_bytes"] + info["io_bytes"]
         assert info["planned_bytes"] < info["naive_bytes"]
-        assert info["reuse_ratio"] > 3.0
-
-    def test_fp16_plans_manage_nothing(self, toy_exported, toy_inputs):
-        """Per-op half rounding is incompatible with in-place writes, so the
-        FP16 path must keep every fn_out unset and the arena empty."""
-        from repro.quantization import convert_fp16
-
-        exported, _ = toy_exported
-        plan = ExecutionPlan(convert_fp16(exported))
-        assert all(s.fn_out is None for s in plan._steps)
-        assert plan.arena_layout().slots == {}
-        ref = Executor(plan.source_graph).run_unplanned(toy_inputs)
-        plan.run_arena(toy_inputs)
-        got = plan.run_arena(toy_inputs)
-        for name in ref:
-            np.testing.assert_array_equal(ref[name], got[name])
-
-
-class TestFast1x1:
-    def _graph(self):
-        from repro.graph.builder import GraphBuilder
-
-        b = GraphBuilder("pw", seed=11)
-        x = b.input("x", (-1, 6, 6, 8))
-        c = b.conv(x, 16, k=1, stride=1, activation="relu", name="pw")
-        b.outputs(c)
-        return b.build()
-
-    def test_pointwise_fast_path_bit_exact(self, monkeypatch):
-        g = self._graph()
-        rng = np.random.default_rng(5)
-        feeds = {"x": rng.normal(0, 1, (3, 6, 6, 8)).astype(np.float32)}
-        stats = calibrate(g, [feeds])
-        q = quantize_graph(g, stats, Numerics.INT8)
-        for graph in (g, q):
-            fast = ExecutionPlan(graph).run(feeds)
-            monkeypatch.setattr(conv_kernels, "FAST_1X1", False)
-            slow = ExecutionPlan(graph).run(feeds)
-            monkeypatch.setattr(conv_kernels, "FAST_1X1", True)
-            for name in fast:
-                np.testing.assert_array_equal(fast[name], slow[name])
-
-
-class TestSUTArenaReuse:
-    def test_accuracy_sut_arena_matches_generic(self, cls_exported, cls_dataset):
-        settings = TestSettings(mode=Mode.ACCURACY)
-        log_arena = LoadGenerator(settings).run(
-            AccuracySUT(cls_exported, cls_dataset, use_arena=True),
-            QuerySampleLibrary(cls_dataset),
-        )
-        log_plain = LoadGenerator(settings).run(
-            AccuracySUT(cls_exported, cls_dataset, use_arena=False),
-            QuerySampleLibrary(cls_dataset),
-        )
-        # sequence-identical logs: same query order, same per-sample results
-        assert [tuple(r.sample_indices) for r in log_arena.records] == [
-            tuple(r.sample_indices) for r in log_plain.records
-        ]
-        assert log_arena.accuracy == log_plain.accuracy
-
-    def test_accuracy_sut_reuses_one_arena_state(self, cls_exported, cls_dataset):
-        sut = AccuracySUT(cls_exported, cls_dataset)
-        n = len(cls_dataset)
-        for lo in range(0, n, 8):
-            sut.issue_query(np.arange(lo, min(lo + 8, n)))
-        states = sut.executor.plan._arena_states
-        # one state per distinct batch shape (full chunks + the tail), not
-        # one per issued batch
-        assert 1 <= len(states) <= 2
-
-    def test_performance_sut_memoizes_offline_throughput(self, perf_sut):
-        r1 = perf_sut.run_offline(1024, batch=128)
-        assert set(perf_sut._offline_fps) == {128}
-        r2 = perf_sut.run_offline(1024, batch=128)
-        assert r1.throughput_fps == r2.throughput_fps
-        perf_sut.run_offline(1024, batch=64)
-        assert set(perf_sut._offline_fps) == {64, 128}
+        # deep graph: the planned arena reuses its bytes at least 3x over
+        assert info["reuse_ratio"] >= 3.0

@@ -168,6 +168,29 @@ class TestQuantizedConv:
         np.testing.assert_allclose(outs[0], outs[1], atol=float(out_qp.scale[0]) * 2)
 
 
+class TestFast1x1:
+    def test_pointwise_fast_path_bit_exact(self, rng):
+        """The 1x1 stride-1 path (no im2col) equals the general im2col path.
+
+        A 1x1 conv at stride 2 over a 2x nearest-upsampled input reads exactly
+        the original pixels, but it has to go through padding and im2col.
+        """
+        x = rng.normal(0, 1, (3, 6, 6, 8)).astype(np.float32)
+        w = rng.normal(0, 0.3, (1, 1, 8, 16)).astype(np.float32)
+        b = rng.normal(0, 0.1, 16).astype(np.float32)
+        up = x.repeat(2, axis=1).repeat(2, axis=2)
+        fast = conv2d(x, w, b)
+        np.testing.assert_array_equal(fast, conv2d(up, w, b, stride=2))
+
+        xq, wq, bq, x_qp, w_qp = _quantize_setup(rng, x, w, b, Numerics.INT8)
+        out_qp = choose_qparams(float(fast.min()), float(fast.max()), Numerics.INT8)
+        upq = xq.repeat(2, axis=1).repeat(2, axis=2)
+        fast_q = conv2d_quantized(xq, wq, bq, x_qp, w_qp, out_qp)
+        general_q = conv2d_quantized(upq, wq, bq, x_qp, w_qp, out_qp, stride=2)
+        assert fast_q.dtype == np.int8
+        np.testing.assert_array_equal(fast_q, general_q)
+
+
 class TestPooling:
     def test_avg_pool(self, rng):
         x = rng.normal(size=(1, 4, 4, 2)).astype(np.float32)

@@ -1,6 +1,8 @@
-"""Planned execution engine: bit-exactness, liveness, profiler, RNG blocks."""
+"""Planned execution engine: bit-exactness, liveness, threads, profiler, RNG blocks."""
 
+import sys
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -37,6 +39,10 @@ def zoo_artifacts(request):
     exported = export_mobile(bundle.graph)
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     feeds = _random_feeds(exported, rng)
+    # read-only feeds: a plan that ever writes into an array it does not own
+    # (e.g. an in-place epilogue on an operand) raises instead of passing
+    for arr in feeds.values():
+        arr.flags.writeable = False
     stats = calibrate(exported, [feeds])
     return exported, feeds, stats
 
@@ -54,6 +60,7 @@ class TestBitExactness:
     def test_plan_matches_legacy_executor(self, zoo_artifacts, numerics):
         """ExecutionPlan output == legacy interpreting loop, bit for bit."""
         exported, feeds, stats = zoo_artifacts
+        assert not any(arr.flags.writeable for arr in feeds.values())
         graph = _deployment(exported, stats, numerics)
         ex = Executor(graph)
         legacy = ex.run_unplanned(feeds)
@@ -114,6 +121,13 @@ class TestPlanCompilation:
         produced = {t for op in exported.ops for t in op.outputs}
         assert produced <= seen
 
+    def test_executor_run_arena_is_run(self, toy_exported, toy_inputs):
+        ex = Executor(toy_exported[0])
+        a = ex.run(toy_inputs)
+        b = ex.run_arena(toy_inputs)
+        for name in a:
+            np.testing.assert_array_equal(a[name], b[name])
+
     def test_observer_rejected_off_fp32(self, toy_exported, toy_inputs):
         exported, _ = toy_exported
         g = convert_fp16(exported)
@@ -123,23 +137,47 @@ class TestPlanCompilation:
 
 class TestLiveness:
     def test_peak_live_bytes_drops(self, cls_exported):
-        """Liveness release must shrink the peak activation working set."""
+        """Liveness release must shrink the peak activation working set well
+        below the no-reuse footprint (every tensor resident at once)."""
         rng = np.random.default_rng(0)
         shape = tuple(4 if d == -1 else d for d in cls_exported.inputs[0].shape)
         feeds = {"images": rng.normal(0, 0.5, shape).astype(np.float32)}
-        prof_live = ExecutionProfiler()
-        ExecutionPlan(cls_exported, liveness=True).run(feeds, profiler=prof_live)
-        prof_keep = ExecutionProfiler()
-        ExecutionPlan(cls_exported, liveness=False).run(feeds, profiler=prof_keep)
-        assert prof_live.peak_live_bytes < prof_keep.peak_live_bytes
-        # the unplanned executor retains everything: same peak as liveness=False
-        assert prof_live.peak_live_bytes < 0.6 * prof_keep.peak_live_bytes
+        prof = ExecutionProfiler()
+        ExecutionPlan(cls_exported).run(feeds, profiler=prof)
+        seen: dict[str, int] = {}
+        Executor(cls_exported).run_unplanned(
+            feeds, tap=lambda name, arr: seen.__setitem__(name, arr.nbytes)
+        )
+        no_reuse = sum(seen.values())
+        assert prof.peak_live_bytes < 0.6 * no_reuse
 
     def test_outputs_never_released(self, toy_exported, toy_inputs):
         exported, out = toy_exported
         plan = ExecutionPlan(exported)
         released = {t for s in plan._steps for t in s.release}
         assert out not in released
+
+
+class TestSharedPlan:
+    def test_threads_sharing_one_plan_match_sequential(self, cls_exported):
+        """One plan run by more threads than cores: every result equals the
+        sequential one bit for bit (a plan holds no mutable run state)."""
+        plan = ExecutionPlan(cls_exported)
+        rng = np.random.default_rng(3)
+        shape = cls_exported.inputs[0].with_batch(4)
+        feeds = [{"images": rng.normal(0, 0.5, shape).astype(np.float32)} for _ in range(8)]
+        expected = [plan.run(f) for f in feeds]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(plan.run, feeds[i % 8]) for i in range(32)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        for i, got in enumerate(results):
+            for name, arr in expected[i % 8].items():
+                np.testing.assert_array_equal(arr, got[name])
 
 
 class TestProfiler:

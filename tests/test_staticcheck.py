@@ -489,11 +489,17 @@ def _corrupt_slot(layout, name, **overrides):
                        alignment=layout.alignment)
 
 
+def _toy_layout():
+    from repro.graph.arena import graph_arena_layout
+
+    graph = _toy_plan().graph
+    return graph, graph_arena_layout(graph)
+
+
 def test_pl007_overlapping_live_slots():
     from repro.staticcheck import check_arena_layout
 
-    plan = _toy_plan()
-    layout = plan.arena_layout(batch=1)
+    graph, layout = _toy_layout()
     a = next(iter(layout.slots.values()))
     victim = next(
         n for n, b in layout.slots.items()
@@ -501,34 +507,47 @@ def test_pl007_overlapping_live_slots():
         and a.first <= b.last and b.first <= a.last
     )
     broken = _corrupt_slot(layout, victim, offset=a.offset)
-    assert check_arena_layout(plan, layout) == []
-    assert "PL007" in _ids(check_arena_layout(plan, broken))
+    assert check_arena_layout(graph, layout) == []
+    assert "PL007" in _ids(check_arena_layout(graph, broken))
 
 
 def test_pl007_interval_disagrees_with_replay():
     from repro.staticcheck import check_arena_layout
 
-    plan = _toy_plan()
-    layout = plan.arena_layout(batch=1)
+    graph, layout = _toy_layout()
     name = next(iter(layout.slots))
     s = layout.slots[name]
     broken = _corrupt_slot(layout, name, last=s.last + 1)
     assert any(
         f.rule_id == "PL007" and f.tensor == name
-        for f in check_arena_layout(plan, broken)
+        for f in check_arena_layout(graph, broken)
     )
 
 
 def test_pl007_undersized_slot():
     from repro.staticcheck import check_arena_layout
 
-    plan = _toy_plan()
-    layout = plan.arena_layout(batch=1)
+    graph, layout = _toy_layout()
     name = next(iter(layout.slots))
     broken = _corrupt_slot(layout, name, nbytes=layout.slots[name].nbytes // 2)
     assert any(
         f.rule_id == "PL007" and "bytes" in f.message
-        for f in check_arena_layout(plan, broken)
+        for f in check_arena_layout(graph, broken)
+    )
+
+
+def test_pl007_uncharged_intermediate():
+    from repro.graph.arena import ArenaLayout
+    from repro.staticcheck import check_arena_layout
+
+    graph, layout = _toy_layout()
+    name = next(iter(layout.slots))
+    slots = {n: s for n, s in layout.slots.items() if n != name}
+    broken = ArenaLayout(slots=slots, arena_bytes=layout.arena_bytes,
+                         alignment=layout.alignment)
+    assert any(
+        f.rule_id == "PL007" and f.tensor == name and "no arena slot" in f.message
+        for f in check_arena_layout(graph, broken)
     )
 
 
