@@ -96,6 +96,10 @@ class TestStaticArena:
             assert name not in layout.slots
         assert check_arena_layout(cls_exported, layout) == []
 
+    def test_reuse_ratio_significant_on_deep_graph(self, cls_exported):
+        layout = graph_arena_layout(cls_exported)
+        assert layout.reuse_ratio >= 3.0
+
     def test_describe_includes_arena(self, toy_exported):
         exported, _ = toy_exported
         d = ExecutionPlan(exported).describe()
@@ -115,5 +119,4 @@ class TestStaticArena:
         assert info["reuse_ratio"] == layout.reuse_ratio
         assert info["planned_bytes"] == info["arena_bytes"] + info["io_bytes"]
         assert info["planned_bytes"] < info["naive_bytes"]
-        # deep graph: the planned arena reuses its bytes at least 3x over
-        assert info["reuse_ratio"] >= 3.0
+        assert info["reuse_ratio"] > 3.0
