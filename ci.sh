@@ -2,9 +2,9 @@
 # Tier-1 CI gate: static analysis first (fastest, and it proves graph/plan
 # invariants before anything executes), then the conformance/fault suites
 # (they guard the run-rule correctness the whole benchmark's credibility
-# rests on), then the full test suite, then the executor smoke benchmark.
-# The smoke benchmark re-asserts plan-vs-legacy bit-exactness on INT8
-# MobileNetEdgeTPU and fails if the planned path loses its speedup.
+# rests on), then the full test suite. The test suite includes the golden
+# output digest check (tools/golden_outputs.py --check): every zoo model in
+# FP32/FP16/INT8/UINT8 must reproduce its checked-in output digest.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -30,4 +30,3 @@ python -m repro.staticcheck --ranges --baseline tools/ranges_baseline.json \
 python -m pytest -x -q tests/test_conformance.py tests/test_faults.py
 
 python -m pytest -x -q tests
-python benchmarks/bench_executor.py --smoke

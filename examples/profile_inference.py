@@ -30,7 +30,8 @@ def main() -> None:
     plan = ExecutionPlan.for_graph(graph)
     info = plan.describe()
     print(f"model: {graph.name}")
-    print(f"plan : {info['ops']} ops, {info['prepacked_ops']} prepacked kernels")
+    print(f"plan : {info['ops']} ops prepared once, "
+          f"{info['released_tensors']} intermediates released early")
 
     profiler = ExecutionProfiler()
     single = tuple(1 if d == -1 else d for d in exported.inputs[0].shape)

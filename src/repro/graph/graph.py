@@ -165,9 +165,16 @@ class Graph:
         return g
 
     def freeze(self) -> str:
-        """Mark immutable and return the structural checksum (audit anchor)."""
+        """Mark immutable and return the structural checksum (audit anchor).
+
+        Every parameter array becomes read-only, so an in-place edit raises
+        instead of silently diverging from a cached plan's prepacked copy.
+        """
         self.validate()
         self.frozen = True
+        for arr in self.params.values():
+            if arr is not None:
+                arr.flags.writeable = False
         return self.checksum()
 
     def checksum(self) -> str:

@@ -1,21 +1,28 @@
 """Operator set of the graph IR.
 
-Each operator knows how to (1) infer output shapes, (2) execute in float,
-(3) execute in the quantized domain, and (4) report an analytical cost
-(:class:`OpCost`) consumed by the hardware performance model.
+Each operator knows how to (1) infer output shapes, (2) infer sound value
+ranges, (3) prepare its kernel for a graph's numerics, and (4) report an
+analytical cost (:class:`OpCost`) consumed by the hardware performance model.
+
+Execution semantics are written once per op, as ``prepare(graph)``: like a
+TFLite kernel's prepare/invoke pair, it does all compile-time work (weight
+prepacking, LUTs, qparam and attribute lookups) and returns the per-call
+closure. The execution plan, BN calibration and every instrumented run go
+through it.
 
 The op vocabulary mirrors the TFLite subset the five MLPerf Mobile reference
 models require. Quantized execution uses true integer kernels for the
 MAC-dominated ops (conv / depthwise / fully-connected) and LUTs for unary
-activations; the remaining ops fall back to dequantize -> float -> quantize,
-exactly as TFLite does for its "float fallback" islands.
+activations; data-movement ops move integer codes unchanged; the remaining
+ops fall back to dequantize -> float -> quantize, exactly as TFLite does for
+its "float fallback" islands.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -64,7 +71,11 @@ __all__ = [
     "Constant",
     "Pad",
     "ACTIVATION_FUNCTIONS",
+    "Kernel",
 ]
+
+# a prepared op: input arrays in, freshly computed output arrays out
+Kernel = Callable[[list[np.ndarray]], list[np.ndarray]]
 
 
 ACTIVATION_FUNCTIONS = {
@@ -105,6 +116,44 @@ class ShapeError(ValueError):
             f"{self.op_type} op {op.name!r}: {reason} "
             f"(input shapes: {self.in_shapes})"
         )
+
+
+def _identity(x: np.ndarray) -> np.ndarray:
+    return x
+
+
+def _float_epilogue(act: str | None) -> Callable[[np.ndarray], np.ndarray]:
+    """The fused float activation, applied to a kernel's fresh output.
+
+    relu and relu6 clamp that array in place; the other activations
+    allocate their result.
+    """
+    if act == "relu":
+        return lambda out: np.maximum(out, 0.0, out=out)
+    if act == "relu6":
+        return lambda out: np.clip(out, 0.0, 6.0, out=out)
+    return ACTIVATION_FUNCTIONS[act] if act is not None else _identity
+
+
+def _quantized_epilogue(
+    act: str | None, out_qp: QuantParams
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The fused activation of an integer kernel, in its output code domain.
+
+    relu/relu6 clamp the kernel's fresh codes in place at the quantized
+    representation of 0 and 6 (the same codes their LUT would give); other
+    activations gather through a LUT into a new array.
+    """
+    if act is None:
+        return _identity
+    if act in ("relu", "relu6"):
+        lo = int(out_qp.zero_point[0])
+        hi = out_qp.numerics.qmax
+        if act == "relu6":
+            hi = min(hi, int(round(6.0 / float(out_qp.scale[0])) + lo))
+        return lambda out: np.clip(out, lo, hi, out=out)
+    lut = K.quantized_lut(ACTIVATION_FUNCTIONS[act], out_qp, out_qp)
+    return lambda out: K.apply_quantized_lut(out, lut, out_qp)
 
 
 def _shape_elems(shape: Sequence[int]) -> int:
@@ -201,7 +250,9 @@ class Op:
     """Base operator. Subclasses set ``op_type`` and implement the hooks."""
 
     op_type = "base"
-    integer_kernel = False  # True if execute_quantized is a real integer path
+    # pure data movement: quantized codes pass through unchanged, so the
+    # quantized kernel is the float one and the output shares input qparams
+    pass_through = False
 
     def __init__(self, name: str, inputs: Sequence[str], outputs: Sequence[str], **attrs):
         self.name = name
@@ -228,21 +279,33 @@ class Op:
         float32 rounding). The base op knows nothing and returns ⊤."""
         return [_iv().Interval.top() for _ in self.outputs]
 
-    def execute_float(self, inputs: list[np.ndarray], graph: "Graph") -> list[np.ndarray]:
+    def prepare(self, graph: "Graph") -> Kernel:
+        """Compile this op for ``graph``'s numerics into a per-call closure.
+
+        The closure never writes into its inputs; a fused epilogue writes
+        only into the kernel's freshly allocated output. FP16 rounding of
+        the outputs is the caller's job (the plan applies it to every op).
+        """
+        if graph.numerics.is_quantized:
+            return self._prepare_quantized(graph)
+        return self._prepare_float(graph)
+
+    def _prepare_float(self, graph: "Graph") -> Kernel:
         raise NotImplementedError
 
-    def execute_quantized(self, inputs: list[np.ndarray], graph: "Graph") -> list[np.ndarray]:
-        """Default float-fallback: dequantize -> float kernel -> quantize."""
-        deq = []
-        for name, arr in zip(self.inputs, inputs):
-            qp = graph.spec(name).qparams
-            deq.append(dequantize(arr, qp) if qp is not None else arr)
-        outs = self.execute_float(deq, graph)
-        result = []
-        for name, arr in zip(self.outputs, outs):
-            qp = graph.spec(name).qparams
-            result.append(quantize(arr, qp) if qp is not None else arr)
-        return result
+    def _prepare_quantized(self, graph: "Graph") -> Kernel:
+        """The float kernel as-is for a pass-through op; otherwise the float
+        fallback: dequantize inputs -> float kernel -> quantize outputs."""
+        fn = self._prepare_float(graph)
+        if self.pass_through:
+            return fn
+        in_qps = [graph.spec(t).qparams for t in self.inputs]
+        out_qps = [graph.spec(t).qparams for t in self.outputs]
+
+        def fallback(ins):
+            outs = fn([x if qp is None else dequantize(x, qp) for x, qp in zip(ins, in_qps)])
+            return [y if qp is None else quantize(y, qp) for y, qp in zip(outs, out_qps)]
+        return fallback
 
     def cost(
         self,
@@ -263,22 +326,53 @@ class Op:
     def macs(self, in_shapes, out_shapes, graph: "Graph") -> int:
         return 0
 
-    def _apply_activation(self, x: np.ndarray) -> np.ndarray:
-        act = self.attrs.get("activation")
-        if act is None:
-            return x
-        return ACTIVATION_FUNCTIONS[act](x)
 
+class _WeightedOp(Op):
+    """An op whose weight (and optional bias) feed a prepacked kernel.
 
-class Conv2D(Op):
-    op_type = "conv2d"
-    integer_kernel = True
+    Subclasses name their ``(prepack, run)`` kernel pair per numerics domain
+    and the geometry keywords the run kernel takes (:meth:`_window`).
+    """
+
+    _float_kernel: tuple[Callable, Callable]
+    _quantized_kernel: tuple[Callable, Callable]
 
     def param_names(self) -> list[str]:
         names = [self.attrs["weight"]]
         if self.attrs.get("bias"):
             names.append(self.attrs["bias"])
         return names
+
+    def _window(self) -> dict:
+        return {}
+
+    def _params(self, graph: "Graph") -> tuple[np.ndarray, np.ndarray | None]:
+        return graph.params[self.attrs["weight"]], graph.params.get(self.attrs.get("bias"))
+
+    def _prepare_float(self, graph):
+        prepack, run = self._float_kernel
+        pack = prepack(*self._params(graph))
+        window = self._window()
+        post = _float_epilogue(self.attrs.get("activation"))
+        return lambda ins: [post(run(ins[0], pack, **window))]
+
+    def _prepare_quantized(self, graph):
+        x_qp = graph.spec(self.inputs[0]).qparams
+        w_qp = graph.param_qparams.get(self.attrs["weight"])
+        out_qp = graph.spec(self.outputs[0]).qparams
+        if x_qp is None or w_qp is None or out_qp is None:
+            return super()._prepare_quantized(graph)
+        prepack, run = self._quantized_kernel
+        pack = prepack(*self._params(graph), x_qp, w_qp)
+        window = self._window()
+        post = _quantized_epilogue(self.attrs.get("activation"), out_qp)
+        return lambda ins: [post(run(ins[0], pack, out_qp, **window))]
+
+
+class Conv2D(_WeightedOp):
+    op_type = "conv2d"
+    _float_kernel = (K.prepack_conv2d, K.conv2d_prepacked)
+    _quantized_kernel = (K.prepack_conv2d_quantized, K.conv2d_quantized_prepacked)
 
     def infer_shapes(self, in_shapes, graph):
         n, h, w, c = in_shapes[0]
@@ -292,39 +386,12 @@ class Conv2D(Op):
         )
         return [(n, oh, ow, cout)]
 
-    def execute_float(self, inputs, graph):
-        w = graph.params[self.attrs["weight"]]
-        b = graph.params.get(self.attrs.get("bias"))
-        out = K.conv2d(
-            inputs[0], w, b, stride=self.attrs["stride"], padding=self.attrs["padding"],
-            dilation=self.attrs.get("dilation", 1),
-        )
-        return [self._apply_activation(out)]
-
-    def execute_quantized(self, inputs, graph):
-        wq = graph.params[self.attrs["weight"]]
-        bq = graph.params.get(self.attrs.get("bias"))
-        x_qp = graph.spec(self.inputs[0]).qparams
-        w_qp = graph.param_qparams[self.attrs["weight"]]
-        out_qp = graph.spec(self.outputs[0]).qparams
-        out = K.conv2d_quantized(
-            inputs[0], wq, bq, x_qp, w_qp, out_qp,
-            stride=self.attrs["stride"], padding=self.attrs["padding"],
-            dilation=self.attrs.get("dilation", 1),
-        )
-        act = self.attrs.get("activation")
-        if act in ("relu", "relu6"):
-            # clamp in the integer domain at the quantized representation of 0/6
-            zp = int(out_qp.zero_point[0])
-            lo = zp
-            hi = out_qp.numerics.qmax
-            if act == "relu6":
-                hi = min(hi, int(round(6.0 / float(out_qp.scale[0])) + zp))
-            out = np.clip(out, lo, hi).astype(out_qp.numerics.np_dtype)
-        elif act is not None:
-            lut = K.quantized_lut(ACTIVATION_FUNCTIONS[act], out_qp, out_qp)
-            out = K.apply_quantized_lut(out, lut, out_qp)
-        return [out]
+    def _window(self) -> dict:
+        return {
+            "stride": self.attrs["stride"],
+            "padding": self.attrs["padding"],
+            "dilation": self.attrs.get("dilation", 1),
+        }
 
     def macs(self, in_shapes, out_shapes, graph):
         kh, kw, cin, cout = graph.param_shape(self.attrs["weight"])
@@ -356,6 +423,9 @@ class Conv2D(Op):
 
 class DepthwiseConv2D(Conv2D):
     op_type = "depthwise_conv2d"
+    _float_kernel = (K.prepack_depthwise_conv2d, K.depthwise_conv2d_prepacked)
+    _quantized_kernel = (
+        K.prepack_depthwise_conv2d_quantized, K.depthwise_conv2d_quantized_prepacked)
 
     def infer_shapes(self, in_shapes, graph):
         n, h, w, c = in_shapes[0]
@@ -369,35 +439,8 @@ class DepthwiseConv2D(Conv2D):
         oh, ow, _, _ = K.conv_output_shape(h, w, kh, kw, self.attrs["stride"], self.attrs["padding"])
         return [(n, oh, ow, c)]
 
-    def execute_float(self, inputs, graph):
-        w = graph.params[self.attrs["weight"]]
-        b = graph.params.get(self.attrs.get("bias"))
-        out = K.depthwise_conv2d(
-            inputs[0], w, b, stride=self.attrs["stride"], padding=self.attrs["padding"]
-        )
-        return [self._apply_activation(out)]
-
-    def execute_quantized(self, inputs, graph):
-        wq = graph.params[self.attrs["weight"]]
-        bq = graph.params.get(self.attrs.get("bias"))
-        x_qp = graph.spec(self.inputs[0]).qparams
-        w_qp = graph.param_qparams[self.attrs["weight"]]
-        out_qp = graph.spec(self.outputs[0]).qparams
-        out = K.depthwise_conv2d_quantized(
-            inputs[0], wq, bq, x_qp, w_qp, out_qp,
-            stride=self.attrs["stride"], padding=self.attrs["padding"],
-        )
-        act = self.attrs.get("activation")
-        if act in ("relu", "relu6"):
-            zp = int(out_qp.zero_point[0])
-            hi = out_qp.numerics.qmax
-            if act == "relu6":
-                hi = min(hi, int(round(6.0 / float(out_qp.scale[0])) + zp))
-            out = np.clip(out, zp, hi).astype(out_qp.numerics.np_dtype)
-        elif act is not None:
-            lut = K.quantized_lut(ACTIVATION_FUNCTIONS[act], out_qp, out_qp)
-            out = K.apply_quantized_lut(out, lut, out_qp)
-        return [out]
+    def _window(self) -> dict:
+        return {"stride": self.attrs["stride"], "padding": self.attrs["padding"]}
 
     def macs(self, in_shapes, out_shapes, graph):
         kh, kw, c, _ = graph.param_shape(self.attrs["weight"])
@@ -413,15 +456,11 @@ class DepthwiseConv2D(Conv2D):
         return kh * kw
 
 
-class FullyConnected(Op):
+class FullyConnected(_WeightedOp):
     op_type = "fully_connected"
-    integer_kernel = True
-
-    def param_names(self) -> list[str]:
-        names = [self.attrs["weight"]]
-        if self.attrs.get("bias"):
-            names.append(self.attrs["bias"])
-        return names
+    _float_kernel = (K.prepack_fully_connected, K.fully_connected_prepacked)
+    _quantized_kernel = (
+        K.prepack_fully_connected_quantized, K.fully_connected_quantized_prepacked)
 
     def infer_shapes(self, in_shapes, graph):
         fin, fout = graph.param_shape(self.attrs["weight"])
@@ -430,24 +469,6 @@ class FullyConnected(Op):
             raise ShapeError(
                 self, f"feature dim {shape[-1]} != weight input dim {fin}", in_shapes)
         return [shape[:-1] + (fout,)]
-
-    def execute_float(self, inputs, graph):
-        w = graph.params[self.attrs["weight"]]
-        b = graph.params.get(self.attrs.get("bias"))
-        return [self._apply_activation(K.fully_connected(inputs[0], w, b))]
-
-    def execute_quantized(self, inputs, graph):
-        wq = graph.params[self.attrs["weight"]]
-        bq = graph.params.get(self.attrs.get("bias"))
-        x_qp = graph.spec(self.inputs[0]).qparams
-        w_qp = graph.param_qparams[self.attrs["weight"]]
-        out_qp = graph.spec(self.outputs[0]).qparams
-        out = K.fully_connected_quantized(inputs[0], wq, bq, x_qp, w_qp, out_qp)
-        act = self.attrs.get("activation")
-        if act is not None:
-            lut = K.quantized_lut(ACTIVATION_FUNCTIONS[act], out_qp, out_qp)
-            out = K.apply_quantized_lut(out, lut, out_qp)
-        return [out]
 
     def macs(self, in_shapes, out_shapes, graph):
         fin, fout = graph.param_shape(self.attrs["weight"])
@@ -469,6 +490,7 @@ class FullyConnected(Op):
 
 class AvgPool2D(Op):
     op_type = "avg_pool2d"
+    _pool = staticmethod(K.avg_pool2d)
 
     def infer_shapes(self, in_shapes, graph):
         n, h, w, c = in_shapes[0]
@@ -477,8 +499,10 @@ class AvgPool2D(Op):
         )
         return [(n, oh, ow, c)]
 
-    def execute_float(self, inputs, graph):
-        return [K.avg_pool2d(inputs[0], self.attrs["k"], self.attrs["stride"], self.attrs["padding"])]
+    def _prepare_float(self, graph):
+        pool = self._pool
+        k, stride, padding = self.attrs["k"], self.attrs["stride"], self.attrs["padding"]
+        return lambda ins: [pool(ins[0], k, stride, padding)]
 
     def infer_ranges(self, in_ranges, in_shapes, graph):
         iv = in_ranges[0]
@@ -494,9 +518,7 @@ class AvgPool2D(Op):
 
 class MaxPool2D(AvgPool2D):
     op_type = "max_pool2d"
-
-    def execute_float(self, inputs, graph):
-        return [K.max_pool2d(inputs[0], self.attrs["k"], self.attrs["stride"], self.attrs["padding"])]
+    _pool = staticmethod(K.max_pool2d)
 
     def infer_ranges(self, in_ranges, in_shapes, graph):
         # exact selection of an existing element (padding uses -inf taps)
@@ -512,8 +534,9 @@ class GlobalAvgPool(Op):
             return [(n, 1, 1, c)]
         return [(n, c)]
 
-    def execute_float(self, inputs, graph):
-        return [K.global_avg_pool(inputs[0], keepdims=self.attrs.get("keepdims", True))]
+    def _prepare_float(self, graph):
+        keepdims = self.attrs.get("keepdims", True)
+        return lambda ins: [K.global_avg_pool(ins[0], keepdims=keepdims)]
 
     def infer_ranges(self, in_ranges, in_shapes, graph):
         iv = in_ranges[0]
@@ -531,15 +554,10 @@ class ResizeBilinear(Op):
         n, _, _, c = in_shapes[0]
         return [(n, self.attrs["out_h"], self.attrs["out_w"], c)]
 
-    def execute_float(self, inputs, graph):
-        return [
-            K.resize_bilinear(
-                inputs[0],
-                self.attrs["out_h"],
-                self.attrs["out_w"],
-                self.attrs.get("align_corners", False),
-            )
-        ]
+    def _prepare_float(self, graph):
+        out_h, out_w = self.attrs["out_h"], self.attrs["out_w"]
+        align_corners = self.attrs.get("align_corners", False)
+        return lambda ins: [K.resize_bilinear(ins[0], out_h, out_w, align_corners)]
 
     def infer_ranges(self, in_ranges, in_shapes, graph):
         # convex combination of existing samples, plus interpolation rounding
@@ -556,8 +574,9 @@ class Add(Op):
             raise ShapeError(self, "operand shapes disagree beyond the batch dim", in_shapes)
         return [in_shapes[0]]
 
-    def execute_float(self, inputs, graph):
-        return [self._apply_activation((inputs[0] + inputs[1]).astype(np.float32))]
+    def _prepare_float(self, graph):
+        post = _float_epilogue(self.attrs.get("activation"))
+        return lambda ins: [post((ins[0] + ins[1]).astype(np.float32))]
 
     def infer_ranges(self, in_ranges, in_shapes, graph):
         iv = in_ranges[0] + in_ranges[1]
@@ -587,19 +606,25 @@ class Concat(Op):
         base[axis] = sum(s[axis] for s in in_shapes)
         return [tuple(base)]
 
-    def execute_float(self, inputs, graph):
-        return [np.concatenate(inputs, axis=self.attrs["axis"]).astype(np.float32)]
+    def _prepare_float(self, graph):
+        axis = self.attrs["axis"]
+        return lambda ins: [np.concatenate(ins, axis=axis).astype(np.float32)]
 
-    def execute_quantized(self, inputs, graph):
+    def _prepare_quantized(self, graph):
         # requantize every input into the shared output domain, then concat
+        axis = self.attrs["axis"]
         out_qp = graph.spec(self.outputs[0]).qparams
         if out_qp is None:
-            return [np.concatenate(inputs, axis=self.attrs["axis"])]
-        parts = []
-        for name, arr in zip(self.inputs, inputs):
-            qp = graph.spec(name).qparams
-            parts.append(quantize(dequantize(arr, qp), out_qp) if qp is not None else arr)
-        return [np.concatenate(parts, axis=self.attrs["axis"])]
+            return lambda ins: [np.concatenate(ins, axis=axis)]
+        in_qps = [graph.spec(t).qparams for t in self.inputs]
+
+        def concat(ins):
+            parts = [
+                x if qp is None else quantize(dequantize(x, qp), out_qp)
+                for x, qp in zip(ins, in_qps)
+            ]
+            return [np.concatenate(parts, axis=axis)]
+        return concat
 
     def infer_ranges(self, in_ranges, in_shapes, graph):
         iv = in_ranges[0]
@@ -610,21 +635,21 @@ class Concat(Op):
 
 class Activation(Op):
     op_type = "activation"
-    integer_kernel = True
 
     def infer_shapes(self, in_shapes, graph):
         return [in_shapes[0]]
 
-    def execute_float(self, inputs, graph):
-        return [ACTIVATION_FUNCTIONS[self.attrs["kind"]](inputs[0])]
+    def _prepare_float(self, graph):
+        fn = ACTIVATION_FUNCTIONS[self.attrs["kind"]]
+        return lambda ins: [fn(ins[0])]
 
-    def execute_quantized(self, inputs, graph):
+    def _prepare_quantized(self, graph):
         in_qp = graph.spec(self.inputs[0]).qparams
         out_qp = graph.spec(self.outputs[0]).qparams
         if in_qp is None or out_qp is None:
-            return super().execute_quantized(inputs, graph)
+            return super()._prepare_quantized(graph)
         lut = K.quantized_lut(ACTIVATION_FUNCTIONS[self.attrs["kind"]], in_qp, out_qp)
-        return [K.apply_quantized_lut(inputs[0], lut, in_qp)]
+        return lambda ins: [K.apply_quantized_lut(ins[0], lut, in_qp)]
 
     def infer_ranges(self, in_ranges, in_shapes, graph):
         return [_iv().activation_transfer(self.attrs["kind"], in_ranges[0])]
@@ -636,8 +661,9 @@ class Softmax(Op):
     def infer_shapes(self, in_shapes, graph):
         return [in_shapes[0]]
 
-    def execute_float(self, inputs, graph):
-        return [K.softmax(inputs[0], axis=self.attrs.get("axis", -1))]
+    def _prepare_float(self, graph):
+        axis = self.attrs.get("axis", -1)
+        return lambda ins: [K.softmax(ins[0], axis=axis)]
 
     def infer_ranges(self, in_ranges, in_shapes, graph):
         return [_iv().Interval(0.0, 1.0)]
@@ -645,6 +671,7 @@ class Softmax(Op):
 
 class Reshape(Op):
     op_type = "reshape"
+    pass_through = True
 
     def infer_shapes(self, in_shapes, graph):
         target = self.attrs["shape"]  # per-sample shape
@@ -656,12 +683,9 @@ class Reshape(Op):
                 in_shapes)
         return [(in_shapes[0][0],) + tuple(target)]
 
-    def execute_float(self, inputs, graph):
-        batch = inputs[0].shape[0]
-        return [np.ascontiguousarray(inputs[0]).reshape(batch, *self.attrs["shape"])]
-
-    def execute_quantized(self, inputs, graph):
-        return self.execute_float(inputs, graph)
+    def _prepare_float(self, graph):
+        shape = tuple(self.attrs["shape"])
+        return lambda ins: [np.ascontiguousarray(ins[0]).reshape(ins[0].shape[0], *shape)]
 
     def infer_ranges(self, in_ranges, in_shapes, graph):
         return [in_ranges[0]]  # pure data movement
@@ -678,18 +702,10 @@ class BatchNorm(Op):
     def infer_shapes(self, in_shapes, graph):
         return [in_shapes[0]]
 
-    def execute_float(self, inputs, graph):
-        p = graph.params
-        return [
-            K.batch_norm(
-                inputs[0],
-                p[self.attrs["mean"]],
-                p[self.attrs["variance"]],
-                p[self.attrs["gamma"]],
-                p[self.attrs["beta"]],
-                self.attrs.get("eps", 1e-3),
-            )
-        ]
+    def _prepare_float(self, graph):
+        stats = [graph.params[self.attrs[k]] for k in ("mean", "variance", "gamma", "beta")]
+        eps = self.attrs.get("eps", 1e-3)
+        return lambda ins: [K.batch_norm(ins[0], *stats, eps)]
 
     def infer_ranges(self, in_ranges, in_shapes, graph):
         Interval = _iv().Interval
@@ -717,15 +733,11 @@ class LayerNorm(Op):
     def infer_shapes(self, in_shapes, graph):
         return [in_shapes[0]]
 
-    def execute_float(self, inputs, graph):
-        return [
-            K.layer_norm(
-                inputs[0],
-                graph.params[self.attrs["gamma"]],
-                graph.params[self.attrs["beta"]],
-                self.attrs.get("eps", 1e-6),
-            )
-        ]
+    def _prepare_float(self, graph):
+        gamma = graph.params[self.attrs["gamma"]]
+        beta = graph.params[self.attrs["beta"]]
+        eps = self.attrs.get("eps", 1e-6)
+        return lambda ins: [K.layer_norm(ins[0], gamma, beta, eps)]
 
     def infer_ranges(self, in_ranges, in_shapes, graph):
         Interval = _iv().Interval
@@ -750,9 +762,13 @@ class MultiHeadAttention(Op):
     def infer_shapes(self, in_shapes, graph):
         return [in_shapes[0]]
 
-    def execute_float(self, inputs, graph):
-        mask = inputs[3] if len(inputs) > 3 else None
-        return [K.multi_head_attention(inputs[0], inputs[1], inputs[2], self.attrs["num_heads"], mask)]
+    def _prepare_float(self, graph):
+        heads = self.attrs["num_heads"]
+
+        def attention(ins):
+            mask = ins[3] if len(ins) > 3 else None
+            return [K.multi_head_attention(ins[0], ins[1], ins[2], heads, mask)]
+        return attention
 
     def macs(self, in_shapes, out_shapes, graph):
         _, s, hidden = in_shapes[0]
@@ -784,20 +800,18 @@ class Embedding(Op):
         _, d = graph.param_shape(self.attrs["table"])
         return [(n, s, d)]
 
-    def execute_float(self, inputs, graph):
-        ids = inputs[0].astype(np.int64)
+    def _prepare_float(self, graph):
         table = graph.params[self.attrs["table"]]
-        out = table[np.clip(ids, 0, table.shape[0] - 1)]
-        pos = self.attrs.get("position_table")
-        if pos:
-            out = out + graph.params[pos][None, : ids.shape[1]]
-        return [out.astype(np.float32)]
+        pos_name = self.attrs.get("position_table")
+        pos = graph.params[pos_name] if pos_name else None
 
-    def execute_quantized(self, inputs, graph):
-        # ids are never quantized; only the output gets quantized
-        outs = self.execute_float(inputs, graph)
-        qp = graph.spec(self.outputs[0]).qparams
-        return [quantize(outs[0], qp) if qp is not None else outs[0]]
+        def embed(ins):
+            ids = ins[0].astype(np.int64)
+            out = table[np.clip(ids, 0, table.shape[0] - 1)]
+            if pos is not None:
+                out = out + pos[None, : ids.shape[1]]
+            return [out.astype(np.float32)]
+        return embed
 
     def infer_ranges(self, in_ranges, in_shapes, graph):
         Interval = _iv().Interval
@@ -818,6 +832,7 @@ class Split(Op):
     """Split the last axis into equal parts (e.g. start/end QA logits)."""
 
     op_type = "split"
+    pass_through = True
 
     def infer_shapes(self, in_shapes, graph):
         parts = self.attrs["parts"]
@@ -827,11 +842,9 @@ class Split(Op):
                 self, f"last dim {last} not divisible into {parts} parts", in_shapes)
         return [in_shapes[0][:-1] + (last // parts,)] * parts
 
-    def execute_float(self, inputs, graph):
-        return [np.ascontiguousarray(a) for a in np.split(inputs[0], self.attrs["parts"], axis=-1)]
-
-    def execute_quantized(self, inputs, graph):
-        return self.execute_float(inputs, graph)
+    def _prepare_float(self, graph):
+        parts = self.attrs["parts"]
+        return lambda ins: [np.ascontiguousarray(a) for a in np.split(ins[0], parts, axis=-1)]
 
     def infer_ranges(self, in_ranges, in_shapes, graph):
         return [in_ranges[0]] * self.attrs["parts"]  # pure data movement
@@ -855,15 +868,9 @@ class LSTM(Op):
         hidden = graph.param_shape(self.attrs["w_hh"])[0]
         return [(n, t, hidden)]
 
-    def execute_float(self, inputs, graph):
-        return [
-            K.lstm_sequence(
-                np.asarray(inputs[0], dtype=np.float32),
-                graph.params[self.attrs["w_ih"]],
-                graph.params[self.attrs["w_hh"]],
-                graph.params[self.attrs["bias"]],
-            )
-        ]
+    def _prepare_float(self, graph):
+        weights = [graph.params[n] for n in self.param_names()]
+        return lambda ins: [K.lstm_sequence(np.asarray(ins[0], dtype=np.float32), *weights)]
 
     def macs(self, in_shapes, out_shapes, graph):
         _, t, f_in = in_shapes[0]
@@ -899,19 +906,22 @@ class Constant(Op):
             raise ShapeError(self, "constant takes no inputs", in_shapes)
         return [(-1,) + graph.param_shape(self.attrs["value"])]
 
-    def execute_float(self, inputs, graph):
-        v = graph.params[self.attrs["value"]]
-        if self.attrs.get("raw"):
-            return [np.asarray(v)[None]]
-        return [np.asarray(v, dtype=np.float32)[None]]
+    def _prepare_float(self, graph):
+        return self._emit(graph, None)
 
-    def execute_quantized(self, inputs, graph):
+    def _prepare_quantized(self, graph):
+        return self._emit(graph, graph.spec(self.outputs[0]).qparams)
+
+    def _emit(self, graph: "Graph", qp: QuantParams | None) -> Kernel:
         v = graph.params[self.attrs["value"]]
         if self.attrs.get("raw"):
-            return [np.asarray(v)[None]]
-        qp = graph.spec(self.outputs[0]).qparams
-        arr = np.asarray(v, dtype=np.float32)
-        return [quantize(arr, qp)[None] if qp is not None else arr[None]]
+            value = np.asarray(v)[None]
+        else:
+            value = np.asarray(v, dtype=np.float32)
+            value = (value if qp is None else quantize(value, qp))[None]
+        # computed once and returned by every call, so nobody may write it
+        value.flags.writeable = False
+        return lambda ins: [value]
 
     def infer_ranges(self, in_ranges, in_shapes, graph):
         Interval = _iv().Interval
@@ -929,7 +939,6 @@ class Pad(Op):
     """
 
     op_type = "pad"
-    integer_kernel = True
 
     def infer_shapes(self, in_shapes, graph):
         if len(in_shapes[0]) != 4:
@@ -941,17 +950,15 @@ class Pad(Op):
             raise ShapeError(self, "negative padding", in_shapes)
         return [(n, h + t + b, w + l + r, c)]
 
-    def execute_float(self, inputs, graph):
-        value = float(self.attrs.get("value", 0.0))
-        return [
-            np.pad(
-                np.asarray(inputs[0], dtype=np.float32),
-                ((0, 0), tuple(self.attrs["pads_h"]), tuple(self.attrs["pads_w"]), (0, 0)),
-                constant_values=value,
-            )
-        ]
+    def _pads(self) -> tuple:
+        return ((0, 0), tuple(self.attrs["pads_h"]), tuple(self.attrs["pads_w"]), (0, 0))
 
-    def execute_quantized(self, inputs, graph):
+    def _prepare_float(self, graph):
+        pads, value = self._pads(), float(self.attrs.get("value", 0.0))
+        return lambda ins: [
+            np.pad(np.asarray(ins[0], dtype=np.float32), pads, constant_values=value)]
+
+    def _prepare_quantized(self, graph):
         # pad with the quantized code of the constant (zero pads with the
         # zero point), staying in the integer domain. The interior codes are
         # copied verbatim, which is only valid when input and output share
@@ -959,23 +966,14 @@ class Pad(Op):
         in_qp = graph.spec(self.inputs[0]).qparams
         out_qp = graph.spec(self.outputs[0]).qparams
         if out_qp is None:
-            return [
-                np.pad(
-                    inputs[0],
-                    ((0, 0), tuple(self.attrs["pads_h"]), tuple(self.attrs["pads_w"]), (0, 0)),
-                )
-            ]
-        if in_qp is None or not _qparams_equal(in_qp, out_qp):
-            return super().execute_quantized(inputs, graph)
-        value = float(self.attrs.get("value", 0.0))
-        code = int(quantize(np.asarray([value], dtype=np.float32), out_qp)[0])
-        return [
-            np.pad(
-                inputs[0],
-                ((0, 0), tuple(self.attrs["pads_h"]), tuple(self.attrs["pads_w"]), (0, 0)),
-                constant_values=code,
-            )
-        ]
+            code = 0
+        elif in_qp is None or not _qparams_equal(in_qp, out_qp):
+            return super()._prepare_quantized(graph)
+        else:
+            value = float(self.attrs.get("value", 0.0))
+            code = int(quantize(np.asarray([value], dtype=np.float32), out_qp)[0])
+        pads = self._pads()
+        return lambda ins: [np.pad(ins[0], pads, constant_values=code)]
 
     def infer_ranges(self, in_ranges, in_shapes, graph):
         value = float(self.attrs.get("value", 0.0))
@@ -989,6 +987,7 @@ class DepthToSpace(Op):
     """Pixel-shuffle upsampling (super-resolution models, App. E)."""
 
     op_type = "depth_to_space"
+    pass_through = True
 
     def infer_shapes(self, in_shapes, graph):
         n, h, w, c = in_shapes[0]
@@ -998,12 +997,9 @@ class DepthToSpace(Op):
                 self, f"channels {c} not divisible by block^2 = {block * block}", in_shapes)
         return [(n, h * block, w * block, c // (block * block))]
 
-    def execute_float(self, inputs, graph):
-        return [K.depth_to_space(inputs[0], self.attrs["block"])]
-
-    def execute_quantized(self, inputs, graph):
-        # pure data movement: the integer payload is rearranged, not rescaled
-        return [K.depth_to_space(inputs[0], self.attrs["block"])]
+    def _prepare_float(self, graph):
+        block = self.attrs["block"]
+        return lambda ins: [K.depth_to_space(ins[0], block)]
 
     def infer_ranges(self, in_ranges, in_shapes, graph):
         return [in_ranges[0]]  # pure data movement

@@ -3,8 +3,7 @@
 Collects, per op, the kernel wall time, the bytes moved (input + output
 tensor payloads) and the call count, plus the peak number of live activation
 bytes observed across a run — the quantity tensor-liveness planning is meant
-to shrink. Feeds ``benchmarks/bench_executor.py`` and
-``examples/profile_inference.py``.
+to shrink. ``examples/profile_inference.py`` shows it in use.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ everything from its arguments on each call) and a *prepacked* pair
 (``prepack_* `` + ``*_prepacked``). Prepacking hoists the constant-operand work
 — weight reshapes/casts, zero-point column sums, effective scales, bias
 widening — out of the per-query path; the plain kernels are implemented on top
-of the prepacked ones, so both paths are bit-exact by construction. The
-execution planner (:mod:`repro.graph.plan`) prepacks once per graph.
+of the prepacked ones, so both forms are bit-exact by construction. Graph ops
+prepack once, in ``Op.prepare`` (:mod:`repro.graph.ops`); the plain entry
+points serve direct kernel callers and tests.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Like :mod:`repro.kernels.conv`, each kernel has a prepacked form that hoists
 the constant-operand casts/reductions out of the per-query path; the plain
-entry points are thin wrappers over it, so the two are bit-exact.
+entry points are thin wrappers over it, so the two are bit-exact. Graph ops
+prepack once, in ``Op.prepare`` (:mod:`repro.graph.ops`).
 """
 
 from __future__ import annotations

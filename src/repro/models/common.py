@@ -124,7 +124,7 @@ def calibrate_batch_norms(graph: Graph, feeds: dict[str, np.ndarray]) -> None:
             graph.params[op.attrs["variance"]] = np.maximum(
                 flat.var(axis=0), 1e-4
             ).astype(np.float32)
-        outs = op.execute_float([env[t] for t in op.inputs], graph)
+        outs = op.prepare(graph)([env[t] for t in op.inputs])
         for t, arr in zip(op.outputs, outs):
             env[t] = arr
 
@@ -159,7 +159,7 @@ def standardize_head(
         if name == logits_tensor:
             captured[name] = values
 
-    Executor(graph).run(probe_feeds, observer=hook)
+    Executor(graph).run(probe_feeds, tap=hook)
     logits = captured[logits_tensor].astype(np.float64)
     flat = logits.reshape(-1, logits.shape[-1])
     mean = flat.mean(axis=0)

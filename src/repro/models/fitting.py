@@ -80,7 +80,7 @@ def capture_tensors(
             collected[name].append(values)
 
     for feed in batches:
-        ex.run(feed, observer=hook)
+        ex.run(feed, tap=hook)
     return {t: np.concatenate(v, axis=0) for t, v in collected.items()}
 
 

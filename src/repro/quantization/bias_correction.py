@@ -16,58 +16,36 @@ import numpy as np
 from ..graph.executor import Executor
 from ..graph.graph import Graph
 from ..graph.ops import Conv2D, DepthwiseConv2D, FullyConnected
+from ..kernels.numerics import dequantize
 
 __all__ = ["apply_bias_correction"]
 
 
-def _collect_outputs(graph: Graph, batches: list[dict[str, np.ndarray]], tensors: list[str]):
-    """Mean over samples of each tensor's per-channel average."""
+def _channel_means(graph: Graph, batches: list[dict[str, np.ndarray]], tensors: list[str]):
+    """Mean over batches of each tensor's per-channel average, in real values.
+
+    Integer codes of a quantized graph are dequantized through their qparams.
+    """
     ex = Executor(graph)
+    wanted = set(tensors)
     sums: dict[str, np.ndarray] = {}
-    count = 0
     for feed in batches:
         env: dict[str, np.ndarray] = {}
 
-        def hook(name: str, values: np.ndarray) -> None:
-            env[name] = values
+        def tap(name: str, values: np.ndarray) -> None:
+            if name in wanted:
+                env[name] = values
 
-        if graph.numerics.is_quantized:
-            # quantized graphs don't support observers; re-run per tensor via outputs
-            raise AssertionError("use _collect_quantized instead")
-        ex.run(feed, observer=hook)
+        ex.run(feed, tap=tap)
         for t in tensors:
-            arr = env[t].astype(np.float64)
-            ch = arr.reshape(-1, arr.shape[-1]).mean(axis=0)
-            sums[t] = sums.get(t, 0.0) + ch
-        count += 1
-    return {t: v / count for t, v in sums.items()}
-
-
-def _collect_quantized(graph: Graph, batches: list[dict[str, np.ndarray]], tensors: list[str]):
-    """Same as :func:`_collect_outputs` but executing the quantized graph."""
-    from ..kernels.numerics import dequantize, quantize
-
-    sums: dict[str, np.ndarray] = {}
-    count = 0
-    for feed in batches:
-        env: dict[str, np.ndarray] = {}
-        for spec in graph.inputs:
-            arr = np.asarray(feed[spec.name])
-            if spec.qparams is not None:
-                arr = quantize(arr, spec.qparams)
-            env[spec.name] = arr
-        for op in graph.ops:
-            ins = [env[t] for t in op.inputs]
-            outs = op.execute_quantized(ins, graph)
-            for t, arr in zip(op.outputs, outs):
-                env[t] = arr
-        for t in tensors:
+            arr = env[t]
             qp = graph.spec(t).qparams
-            arr = dequantize(env[t], qp).astype(np.float64) if qp is not None else env[t]
+            if qp is not None and not np.issubdtype(arr.dtype, np.floating):
+                arr = dequantize(arr, qp)
+            arr = arr.astype(np.float64)
             ch = arr.reshape(-1, arr.shape[-1]).mean(axis=0)
             sums[t] = sums.get(t, 0.0) + ch
-        count += 1
-    return {t: v / count for t, v in sums.items()}
+    return {t: v / len(batches) for t, v in sums.items()}
 
 
 def apply_bias_correction(
@@ -88,8 +66,8 @@ def apply_bias_correction(
         if isinstance(op, (Conv2D, DepthwiseConv2D, FullyConnected)) and op.attrs.get("bias")
     ]
     tensor_names = [op.outputs[0] for op in targets]
-    ref_means = _collect_outputs(reference_fp32, batches, tensor_names)
-    q_means = _collect_quantized(g, batches, tensor_names)
+    ref_means = _channel_means(reference_fp32, batches, tensor_names)
+    q_means = _channel_means(g, batches, tensor_names)
     corrected = 0
     for op in targets:
         t = op.outputs[0]

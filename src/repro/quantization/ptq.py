@@ -14,7 +14,7 @@ import numpy as np
 
 from ..graph.executor import Executor
 from ..graph.graph import Graph
-from ..graph.ops import Conv2D, DepthToSpace, DepthwiseConv2D, FullyConnected, Reshape, Split
+from ..graph.ops import Conv2D, DepthwiseConv2D, FullyConnected
 from ..kernels.numerics import Numerics, QuantParams, choose_qparams, quantize
 from .observers import make_observer
 
@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 _SKIP_ROLES = {"ids", "mask"}
-_PASS_THROUGH = (Reshape, Split, DepthToSpace)
 
 
 @dataclass
@@ -101,13 +100,21 @@ def calibrate(
             obs = observers[name] = make_observer(observer, **observer_kwargs)
         obs.update(values)
 
+    # graph inputs are recorded in the loop below (role-filtered, as
+    # float32); the tap adds every float op output
+    input_names = {spec.name for spec in graph.inputs}
+
+    def tap(name: str, values: np.ndarray) -> None:
+        if name not in input_names and np.issubdtype(values.dtype, np.floating):
+            hook(name, values)
+
     ex = Executor(graph)
     n = 0
     for feed in batches:
         for spec in graph.inputs:
             if spec.role not in _SKIP_ROLES:
                 hook(spec.name, np.asarray(feed[spec.name], dtype=np.float32))
-        ex.run(feed, observer=hook)
+        ex.run(feed, tap=tap)
         n += next(iter(feed.values())).shape[0]
     ranges = {name: obs.range() for name, obs in observers.items()}
     return CalibrationResult(ranges=ranges, num_samples=n, observer_kind=observer)
@@ -166,7 +173,7 @@ def quantize_graph(
 
     # 2) pass-through ops must not reinterpret the integer payload
     for op in g.ops:
-        if isinstance(op, _PASS_THROUGH):
+        if op.pass_through:
             in_spec = g.spec(op.inputs[0])
             for out in op.outputs:
                 g.tensor_specs[out].qparams = in_spec.qparams

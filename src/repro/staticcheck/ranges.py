@@ -309,8 +309,8 @@ def observed_ranges(
 ) -> dict[str, tuple[float, float]]:
     """Concrete per-tensor value ranges from instrumented execution.
 
-    Runs the reference interpreting loop with a ``tap`` on every stored
-    tensor, dequantizing integer codes through their qparams so the result is
+    Runs the execution plan with a ``tap`` on every stored tensor,
+    dequantizing integer codes through their qparams so the result is
     in the same real domain the proven intervals live in. This is the
     experimental side of the soundness argument: tests assert observed ⊆
     proven across the zoo × numerics matrix.
@@ -339,5 +339,5 @@ def observed_ranges(
 
     ex = Executor(graph)
     for feeds in feeds_seq:
-        ex.run_unplanned(feeds, tap=tap)
+        ex.run(feeds, tap=tap)
     return obs

@@ -1,10 +1,10 @@
-"""Executor: numerics dispatch, observers, error handling."""
+"""Executor: numerics dispatch, tensor taps, error handling."""
 
 import numpy as np
 import pytest
 
 from repro.graph import Executor, export_mobile
-from repro.kernels import Numerics
+from repro.kernels import Numerics, cast_fp16
 from repro.models import create_full_model
 from repro.quantization import calibrate, convert_fp16, quantize_graph
 
@@ -35,12 +35,12 @@ class TestFloatExecution:
         single = ex.run({"images": toy_inputs["images"][2:3]})[out]
         np.testing.assert_allclose(full[2], single[0], atol=1e-5)
 
-    def test_observer_sees_all_float_tensors(self, toy_graph, toy_inputs):
+    def test_tap_sees_all_tensors(self, toy_graph, toy_inputs):
         graph, _ = toy_graph
         seen = set()
-        Executor(graph).run(toy_inputs, observer=lambda n, v: seen.add(n))
+        Executor(graph).run(toy_inputs, tap=lambda n, v: seen.add(n))
         produced = {t for op in graph.ops for t in op.outputs}
-        assert produced <= seen
+        assert produced | {s.name for s in graph.inputs} == seen
 
 
 class TestFP16Execution:
@@ -52,11 +52,14 @@ class TestFP16Execution:
         diff = np.abs(f32 - f16).max()
         assert 0 < diff < 0.05
 
-    def test_observer_rejected_on_fp16(self, toy_exported, toy_inputs):
-        exported, _ = toy_exported
-        g = convert_fp16(exported)
-        with pytest.raises(ValueError):
-            Executor(g).run(toy_inputs, observer=lambda n, v: None)
+    def test_tap_sees_half_precision_values(self, toy_exported, toy_inputs):
+        """On FP16 the tap sees each op output after the half-precision cast."""
+        g = convert_fp16(toy_exported[0])
+        seen = {}
+        Executor(g).run(toy_inputs, tap=seen.__setitem__)
+        for t in (t for op in g.ops for t in op.outputs):
+            assert seen[t].dtype == np.float32
+            np.testing.assert_array_equal(seen[t], cast_fp16(seen[t]))
 
 
 class TestQuantizedExecution:
@@ -84,5 +87,5 @@ class TestQuantizedExecution:
             arr = toy_inputs[spec.name]
             env[spec.name] = quantize_values(arr, spec.qparams)
         first = q.ops[0]
-        outs = first.execute_quantized([env[t] for t in first.inputs], q)
+        outs = first.prepare(q)([env[t] for t in first.inputs])
         assert outs[0].dtype == q.numerics.np_dtype

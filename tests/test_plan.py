@@ -1,77 +1,73 @@
 """Planned execution engine: bit-exactness, liveness, threads, profiler, RNG blocks."""
 
+import os
+import pathlib
+import subprocess
 import sys
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.graph import ExecutionPlan, ExecutionProfiler, Executor, export_mobile
-from repro.kernels import Numerics
+from repro.kernels import Numerics, quantize
 from repro.loadgen.qsl import QuerySampleLibrary
 from repro.datasets.base import IndexDataset
 from repro.models import available_models, create_reference_model
 from repro.quantization import calibrate, convert_fp16, quantize_graph
 
-NUMERICS_MODES = [Numerics.FP32, Numerics.FP16, Numerics.INT8, Numerics.UINT8]
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 
+import golden_outputs  # noqa: E402
 
-def _random_feeds(graph, rng, batch=4):
-    """Role-aware random feeds for any zoo reference graph."""
-    feeds = {}
-    for spec in graph.inputs:
-        shape = spec.with_batch(batch)
-        if spec.role == "ids":
-            feeds[spec.name] = rng.integers(0, 28, size=shape).astype(np.float32)
-        elif spec.role == "mask":
-            feeds[spec.name] = np.ones(shape, dtype=np.float32)
-        else:
-            feeds[spec.name] = rng.normal(0, 0.5, size=shape).astype(np.float32)
-    return feeds
+INTEGER_KERNELS = ("conv2d", "depthwise_conv2d", "fully_connected")
 
 
 @pytest.fixture(scope="module", params=available_models())
 def zoo_artifacts(request):
-    """Per-model: exported FP32 graph, feeds, and calibration stats."""
+    """Per-model: exported FP32 graph and its fixed read-only feeds."""
     name = request.param
-    bundle = create_reference_model(name, fitted=False)
-    exported = export_mobile(bundle.graph)
-    rng = np.random.default_rng(zlib.crc32(name.encode()))
-    feeds = _random_feeds(exported, rng)
-    # read-only feeds: a plan that ever writes into an array it does not own
-    # (e.g. an in-place epilogue on an operand) raises instead of passing
-    for arr in feeds.values():
-        arr.flags.writeable = False
-    stats = calibrate(exported, [feeds])
-    return exported, feeds, stats
+    exported = export_mobile(create_reference_model(name, fitted=False).graph)
+    return exported, golden_outputs.model_feeds(name, exported)
 
 
-def _deployment(exported, stats, numerics):
-    if numerics == Numerics.FP32:
-        return exported
-    if numerics == Numerics.FP16:
-        return convert_fp16(exported)
-    return quantize_graph(exported, stats, numerics)
+@pytest.fixture(scope="module")
+def golden_check():
+    """Verdict per ``model/numerics`` from ``golden_outputs.py --check``.
+
+    It runs in a subprocess because the tool pins the BLAS thread count
+    before NumPy loads, which this process can no longer do.
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "golden_outputs.py"), "--check"],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=600,
+    )
+    verdicts = {}
+    for line in proc.stdout.splitlines():
+        verdict, _, pair = line.partition(" ")
+        verdicts[pair] = verdict
+    return proc, verdicts
 
 
 class TestBitExactness:
-    @pytest.mark.parametrize("numerics", NUMERICS_MODES, ids=lambda n: n.value)
-    def test_plan_matches_legacy_executor(self, zoo_artifacts, numerics):
-        """ExecutionPlan output == legacy interpreting loop, bit for bit."""
-        exported, feeds, stats = zoo_artifacts
-        assert not any(arr.flags.writeable for arr in feeds.values())
-        graph = _deployment(exported, stats, numerics)
-        ex = Executor(graph)
-        legacy = ex.run_unplanned(feeds)
-        planned = ex.run(feeds)
-        assert legacy.keys() == planned.keys()
-        for name in legacy:
-            np.testing.assert_array_equal(legacy[name], planned[name])
-            assert legacy[name].dtype == planned[name].dtype
+    @pytest.mark.parametrize("numerics", golden_outputs.NUMERICS)
+    @pytest.mark.parametrize("model", available_models())
+    def test_plan_matches_legacy_executor(self, golden_check, model, numerics):
+        """Plan outputs hash to the golden digests, which were recorded from
+        the legacy interpreting loop before it was deleted (zoo model on
+        fixed read-only batch-4 feeds, BLAS pinned to 2 threads)."""
+        proc, verdicts = golden_check
+        assert verdicts.get(f"{model}/{numerics}") == "ok", proc.stdout + proc.stderr
+
+    def test_golden_check_passes(self, golden_check):
+        """Every golden pair is computed and matches; nothing is stale."""
+        proc, _ = golden_check
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_repeated_runs_deterministic(self, zoo_artifacts):
-        exported, feeds, _ = zoo_artifacts
+        exported, feeds = zoo_artifacts
         plan = ExecutionPlan.for_graph(exported)
         a = plan.run(feeds)
         b = plan.run(feeds)
@@ -104,22 +100,43 @@ class TestPlanCompilation:
         after = plan_b.run(toy_inputs)[out]
         assert not np.array_equal(before, after)
 
-    def test_integer_kernels_prepacked(self, toy_exported, toy_inputs):
-        exported, _ = toy_exported
-        stats = calibrate(exported, [toy_inputs])
-        q = quantize_graph(exported, stats)
-        plan = ExecutionPlan(q)
-        prepacked_types = {
-            s.op_type for s in plan._steps if s.prepacked
-        }
-        assert {"conv2d", "depthwise_conv2d", "fully_connected"} <= prepacked_types
+    def test_frozen_params_read_only(self, toy_exported, toy_inputs):
+        """An in-place edit of a frozen graph's parameter raises, so a cached
+        plan can never serve prepacked constants the graph no longer has."""
+        exported, out = toy_exported
+        assert exported.frozen
+        plan = ExecutionPlan.for_graph(exported)
+        before = plan.run(toy_inputs)[out]
+        w_name = next(n for n, v in exported.params.items() if v is not None and v.ndim == 4)
+        with pytest.raises(ValueError):
+            exported.params[w_name][...] *= 2
+        assert ExecutionPlan.for_graph(exported) is plan
+        np.testing.assert_array_equal(ExecutionPlan(exported).run(toy_inputs)[out], before)
 
-    def test_observer_sees_all_float_tensors(self, toy_exported, toy_inputs):
+    def test_integer_kernels_emit_codes(self, toy_exported, toy_inputs):
+        """conv, depthwise and FC outputs of an INT8 plan are integer codes:
+        no integer-kernel op silently falls back to float."""
         exported, _ = toy_exported
-        seen = set()
-        ExecutionPlan(exported).run(toy_inputs, observer=lambda n, v: seen.add(n))
-        produced = {t for op in exported.ops for t in op.outputs}
-        assert produced <= seen
+        q = quantize_graph(exported, calibrate(exported, [toy_inputs]), Numerics.INT8)
+        dtypes = {}
+        ExecutionPlan(q).run(toy_inputs, tap=lambda n, v: dtypes.__setitem__(n, v.dtype))
+        kernels = [op for op in q.ops if op.op_type in INTEGER_KERNELS]
+        assert {op.op_type for op in kernels} == set(INTEGER_KERNELS)
+        assert all(dtypes[op.outputs[0]] == np.int8 for op in kernels)
+
+    def test_tap_sees_every_tensor_in_stored_form(self, toy_exported, toy_inputs):
+        """The tap sees each input after boundary quantization, then every op
+        output in execution order, as the raw INT8 codes the plan stores."""
+        exported, _ = toy_exported
+        q = quantize_graph(exported, calibrate(exported, [toy_inputs]), Numerics.INT8)
+        seen = []
+        ExecutionPlan(q).run(toy_inputs, tap=lambda n, v: seen.append((n, v)))
+        assert [n for n, _ in seen] == (
+            [s.name for s in q.inputs] + [t for op in q.ops for t in op.outputs])
+        stored = dict(seen)
+        assert all(v.dtype == np.int8 for v in stored.values())
+        np.testing.assert_array_equal(
+            stored["images"], quantize(toy_inputs["images"], q.inputs[0].qparams))
 
     def test_executor_run_arena_is_run(self, toy_exported, toy_inputs):
         ex = Executor(toy_exported[0])
@@ -128,11 +145,11 @@ class TestPlanCompilation:
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
 
-    def test_observer_rejected_off_fp32(self, toy_exported, toy_inputs):
+    def test_calibrate_rejected_off_fp32(self, toy_exported, toy_inputs):
+        """Calibration records FP32 ranges; an FP16 graph is refused."""
         exported, _ = toy_exported
-        g = convert_fp16(exported)
         with pytest.raises(ValueError):
-            ExecutionPlan(g).run(toy_inputs, observer=lambda n, v: None)
+            calibrate(convert_fp16(exported), [toy_inputs])
 
 
 class TestLiveness:
@@ -143,10 +160,9 @@ class TestLiveness:
         shape = tuple(4 if d == -1 else d for d in cls_exported.inputs[0].shape)
         feeds = {"images": rng.normal(0, 0.5, shape).astype(np.float32)}
         prof = ExecutionProfiler()
-        ExecutionPlan(cls_exported).run(feeds, profiler=prof)
         seen: dict[str, int] = {}
-        Executor(cls_exported).run_unplanned(
-            feeds, tap=lambda name, arr: seen.__setitem__(name, arr.nbytes)
+        ExecutionPlan(cls_exported).run(
+            feeds, tap=lambda name, arr: seen.__setitem__(name, arr.nbytes), profiler=prof
         )
         no_reuse = sum(seen.values())
         assert prof.peak_live_bytes < 0.6 * no_reuse

@@ -23,8 +23,9 @@ from __future__ import annotations
 import os
 
 BLAS_THREADS = 2
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = str(BLAS_THREADS)
+if __name__ == "__main__":  # before NumPy loads its BLAS; importers keep theirs
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = str(BLAS_THREADS)
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
@@ -40,8 +41,9 @@ GOLDEN = ROOT / "tests" / "golden_outputs.json"
 NUMERICS = ("fp32", "fp16", "int8", "uint8")
 
 
-def zoo_feeds(graph, rng: np.random.Generator, batch: int = 4) -> dict[str, np.ndarray]:
-    """Role-aware random feeds for any zoo reference graph (read-only)."""
+def model_feeds(name: str, graph, batch: int = 4) -> dict[str, np.ndarray]:
+    """Fixed role-aware read-only feeds for a zoo model, seeded by its name."""
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     feeds = {}
     for spec in graph.inputs:
         shape = spec.with_batch(batch)
@@ -55,11 +57,6 @@ def zoo_feeds(graph, rng: np.random.Generator, batch: int = 4) -> dict[str, np.n
         arr.flags.writeable = False
         feeds[spec.name] = arr
     return feeds
-
-
-def model_feeds(name: str, graph) -> dict[str, np.ndarray]:
-    """The fixed feeds of one zoo model, seeded by its name."""
-    return zoo_feeds(graph, np.random.default_rng(zlib.crc32(name.encode())))
 
 
 def digest(outputs: dict[str, np.ndarray]) -> str:
