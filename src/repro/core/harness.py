@@ -8,7 +8,7 @@ variants, full-size compiled graphs) are built once and cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..backends.base import Backend
 from ..backends.vendors import create_backend, default_backend_for
@@ -51,9 +51,6 @@ class BenchmarkHarness:
         ambient_c: float = 22.0,
         dataset_sizes: dict[str, int] | None = None,
         seed: int = 0,
-        observer: str = "moving_average",
-        accuracy_batch_size: int = 32,
-        accuracy_workers: int = 1,
     ):
         rules.validate_conditions(ambient_c)
         self.version = version
@@ -61,12 +58,6 @@ class BenchmarkHarness:
         self.ambient_c = ambient_c
         self.dataset_sizes = dataset_sizes or {}
         self.seed = seed
-        self.observer = observer
-        # harness-throughput knobs (not run rules): how many samples accuracy
-        # mode packs per planned execution, and how many worker threads the
-        # accuracy SUT fans each batch out to
-        self.accuracy_batch_size = accuracy_batch_size
-        self.accuracy_workers = accuracy_workers
         self._artifacts: dict[str, ReferenceArtifacts] = {}
         self._full_graphs: dict[str, Graph] = {}
 
@@ -99,7 +90,7 @@ class BenchmarkHarness:
             else:
                 stats = calibrate(
                     art.fp32_graph, art.dataset.calibration_batches(),
-                    observer=self.observer,
+                    observer="moving_average",
                 )
                 art.quantized[numerics] = quantize_graph(art.fp32_graph, stats, numerics)
         return art.quantized[numerics]
@@ -117,21 +108,12 @@ class BenchmarkHarness:
         """Accuracy mode: the whole validation set through the real executor."""
         art = self.artifacts(task)
         graph = self.deployment_graph(task, numerics)
-        sut = AccuracySUT(
-            graph, art.dataset, name=f"accuracy/{graph.name}", workers=self.accuracy_workers
+        sut = AccuracySUT(graph, art.dataset, name=f"accuracy/{graph.name}")
+        settings = self.rules.loadgen_settings(Scenario.SINGLE_STREAM, Mode.ACCURACY)
+        return LoadGenerator(settings).run(
+            sut, QuerySampleLibrary(art.dataset),
+            task=task, model_name=self.model_for(task),
         )
-        settings = replace(
-            self.rules.loadgen_settings(Scenario.SINGLE_STREAM, Mode.ACCURACY),
-            accuracy_batch_size=self.accuracy_batch_size,
-        )
-        try:
-            log = LoadGenerator(settings).run(
-                sut, QuerySampleLibrary(art.dataset),
-                task=task, model_name=self.model_for(task),
-            )
-        finally:
-            sut.close()
-        return log
 
     def fp32_accuracy(self, task: str) -> dict[str, float]:
         art = self.artifacts(task)

@@ -168,7 +168,7 @@ class Graph:
         """Mark immutable and return the structural checksum (audit anchor).
 
         Every parameter array becomes read-only, so an in-place edit raises
-        instead of silently diverging from a cached plan's prepacked copy.
+        instead of silently diverging from a cached plan's prepared copy.
         """
         self.validate()
         self.frozen = True

@@ -5,10 +5,10 @@ ranges, (3) prepare its kernel for a graph's numerics, and (4) report an
 analytical cost (:class:`OpCost`) consumed by the hardware performance model.
 
 Execution semantics are written once per op, as ``prepare(graph)``: like a
-TFLite kernel's prepare/invoke pair, it does all compile-time work (weight
-prepacking, LUTs, qparam and attribute lookups) and returns the per-call
-closure. The execution plan, BN calibration and every instrumented run go
-through it.
+TFLite kernel's prepare/invoke pair, it does all compile-time work (the
+weighted kernels' own ``prepare_*`` step, LUTs, qparam and attribute
+lookups) and returns the per-call closure. The execution plan, BN
+calibration and every instrumented run go through it.
 
 The op vocabulary mirrors the TFLite subset the five MLPerf Mobile reference
 models require. Quantized execution uses true integer kernels for the
@@ -328,14 +328,16 @@ class Op:
 
 
 class _WeightedOp(Op):
-    """An op whose weight (and optional bias) feed a prepacked kernel.
+    """An op whose weight (and optional bias) feed a ``prepare_*`` kernel.
 
-    Subclasses name their ``(prepack, run)`` kernel pair per numerics domain
-    and the geometry keywords the run kernel takes (:meth:`_window`).
+    Subclasses name one kernel prepare function per numerics domain and the
+    geometry keywords it takes (:meth:`_window`). Weights, geometry and
+    (quantized) qparams are bound at prepare time; the closure maps the
+    input to the kernel's fresh output, then applies the fused epilogue.
     """
 
-    _float_kernel: tuple[Callable, Callable]
-    _quantized_kernel: tuple[Callable, Callable]
+    _float_kernel: Callable  # (w, b, **window) -> x -> y
+    _quantized_kernel: Callable  # (wq, bq, x_qp, w_qp, out_qp, **window) -> xq -> yq
 
     def param_names(self) -> list[str]:
         names = [self.attrs["weight"]]
@@ -350,11 +352,9 @@ class _WeightedOp(Op):
         return graph.params[self.attrs["weight"]], graph.params.get(self.attrs.get("bias"))
 
     def _prepare_float(self, graph):
-        prepack, run = self._float_kernel
-        pack = prepack(*self._params(graph))
-        window = self._window()
+        run = self._float_kernel(*self._params(graph), **self._window())
         post = _float_epilogue(self.attrs.get("activation"))
-        return lambda ins: [post(run(ins[0], pack, **window))]
+        return lambda ins: [post(run(ins[0]))]
 
     def _prepare_quantized(self, graph):
         x_qp = graph.spec(self.inputs[0]).qparams
@@ -362,17 +362,15 @@ class _WeightedOp(Op):
         out_qp = graph.spec(self.outputs[0]).qparams
         if x_qp is None or w_qp is None or out_qp is None:
             return super()._prepare_quantized(graph)
-        prepack, run = self._quantized_kernel
-        pack = prepack(*self._params(graph), x_qp, w_qp)
-        window = self._window()
+        run = self._quantized_kernel(*self._params(graph), x_qp, w_qp, out_qp, **self._window())
         post = _quantized_epilogue(self.attrs.get("activation"), out_qp)
-        return lambda ins: [post(run(ins[0], pack, out_qp, **window))]
+        return lambda ins: [post(run(ins[0]))]
 
 
 class Conv2D(_WeightedOp):
     op_type = "conv2d"
-    _float_kernel = (K.prepack_conv2d, K.conv2d_prepacked)
-    _quantized_kernel = (K.prepack_conv2d_quantized, K.conv2d_quantized_prepacked)
+    _float_kernel = staticmethod(K.prepare_conv2d)
+    _quantized_kernel = staticmethod(K.prepare_conv2d_quantized)
 
     def infer_shapes(self, in_shapes, graph):
         n, h, w, c = in_shapes[0]
@@ -423,9 +421,8 @@ class Conv2D(_WeightedOp):
 
 class DepthwiseConv2D(Conv2D):
     op_type = "depthwise_conv2d"
-    _float_kernel = (K.prepack_depthwise_conv2d, K.depthwise_conv2d_prepacked)
-    _quantized_kernel = (
-        K.prepack_depthwise_conv2d_quantized, K.depthwise_conv2d_quantized_prepacked)
+    _float_kernel = staticmethod(K.prepare_depthwise_conv2d)
+    _quantized_kernel = staticmethod(K.prepare_depthwise_conv2d_quantized)
 
     def infer_shapes(self, in_shapes, graph):
         n, h, w, c = in_shapes[0]
@@ -458,9 +455,8 @@ class DepthwiseConv2D(Conv2D):
 
 class FullyConnected(_WeightedOp):
     op_type = "fully_connected"
-    _float_kernel = (K.prepack_fully_connected, K.fully_connected_prepacked)
-    _quantized_kernel = (
-        K.prepack_fully_connected_quantized, K.fully_connected_quantized_prepacked)
+    _float_kernel = staticmethod(K.prepare_fully_connected)
+    _quantized_kernel = staticmethod(K.prepare_fully_connected_quantized)
 
     def infer_shapes(self, in_shapes, graph):
         fin, fout = graph.param_shape(self.attrs["weight"])

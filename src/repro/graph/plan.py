@@ -9,7 +9,7 @@ An :class:`ExecutionPlan` is compiled once per ``(graph, numerics)`` and
 caches three things:
 
 1. **Prepared ops** — each op's :meth:`~repro.graph.ops.Op.prepare` closure,
-   which holds its prepacked constants (weight matrices, zero-point column
+   which holds its prepared constants (weight matrices, zero-point column
    sums, effective scales, widened biases, activation LUTs) and every
    attribute and qparam lookup, so the per-query loop is a flat list of calls.
 2. **FP16 rounding** — on FP16 graphs every float op output is rounded
@@ -60,7 +60,7 @@ def _graph_fingerprint(graph: Graph) -> tuple:
 
     Model fitting, cross-layer equalization and bias correction all *replace*
     parameter arrays on an already-executed graph, so a cached plan keyed on
-    graph identity alone would serve stale prepacked constants. Array object
+    graph identity alone would serve stale prepared constants. Array object
     ids (plus op count and numerics) catch every such replacement without
     hashing any data. In-place edits cannot slip past the ids: a frozen
     graph's parameters are read-only (:meth:`Graph.freeze`), and a graph is

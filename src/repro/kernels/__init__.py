@@ -20,36 +20,19 @@ from .activations import (
 )
 from .attention import multi_head_attention
 from .conv import (
-    ConvPack,
-    DepthwiseConvPack,
-    QuantConvPack,
-    QuantDepthwiseConvPack,
-    conv2d,
-    conv2d_prepacked,
-    conv2d_quantized,
-    conv2d_quantized_prepacked,
     conv_output_shape,
-    depthwise_conv2d,
-    depthwise_conv2d_prepacked,
-    depthwise_conv2d_quantized,
-    depthwise_conv2d_quantized_prepacked,
     im2col,
     pad_input,
-    prepack_conv2d,
-    prepack_conv2d_quantized,
-    prepack_depthwise_conv2d,
-    prepack_depthwise_conv2d_quantized,
+    prepare_conv2d,
+    prepare_conv2d_quantized,
+    prepare_depthwise_conv2d,
+    prepare_depthwise_conv2d_quantized,
 )
 from .linear import (
-    LinearPack,
-    QuantLinearPack,
     batched_matmul,
-    fully_connected,
-    fully_connected_prepacked,
-    fully_connected_quantized,
-    fully_connected_quantized_prepacked,
-    prepack_fully_connected,
-    prepack_fully_connected_quantized,
+    prepare_fully_connected,
+    prepare_fully_connected_quantized,
+    prepare_integer_gemm,
 )
 from .normalization import batch_norm, fold_batch_norm, layer_norm
 from .numerics import (
@@ -80,33 +63,16 @@ __all__ = [
     "choose_qparams",
     "fake_quant",
     "cast_fp16",
-    "conv2d",
-    "depthwise_conv2d",
-    "conv2d_quantized",
-    "depthwise_conv2d_quantized",
     "conv_output_shape",
     "im2col",
     "pad_input",
-    "ConvPack",
-    "DepthwiseConvPack",
-    "QuantConvPack",
-    "QuantDepthwiseConvPack",
-    "prepack_conv2d",
-    "conv2d_prepacked",
-    "prepack_conv2d_quantized",
-    "conv2d_quantized_prepacked",
-    "prepack_depthwise_conv2d",
-    "depthwise_conv2d_prepacked",
-    "prepack_depthwise_conv2d_quantized",
-    "depthwise_conv2d_quantized_prepacked",
-    "fully_connected",
-    "fully_connected_quantized",
-    "LinearPack",
-    "QuantLinearPack",
-    "prepack_fully_connected",
-    "fully_connected_prepacked",
-    "prepack_fully_connected_quantized",
-    "fully_connected_quantized_prepacked",
+    "prepare_conv2d",
+    "prepare_conv2d_quantized",
+    "prepare_depthwise_conv2d",
+    "prepare_depthwise_conv2d_quantized",
+    "prepare_fully_connected",
+    "prepare_fully_connected_quantized",
+    "prepare_integer_gemm",
     "batched_matmul",
     "relu",
     "relu6",

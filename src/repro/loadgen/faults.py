@@ -123,11 +123,6 @@ class FaultySUT(SystemUnderTest):
             raise TypeError(f"{type(self.inner).__name__} has no accuracy evaluation")
         return evaluate()
 
-    def close(self) -> None:
-        close = getattr(self.inner, "close", None)
-        if close is not None:
-            close()
-
     @property
     def device(self):
         return getattr(self.inner, "device", None)

@@ -43,64 +43,24 @@ class SystemUnderTest(abc.ABC):
 
 
 class AccuracySUT(SystemUnderTest):
-    """Runs the functional graph through the planned executor; accuracy mode.
+    """Runs the functional graph through the planned executor; accuracy mode."""
 
-    ``workers > 1`` splits each batched query across a thread pool, one
-    planned execution per chunk (the offline accuracy path). The compiled
-    plan is shared — it holds no mutable state — and every sample's
-    prediction is computed independently, so results are identical to the
-    sequential path regardless of worker count.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        dataset: TaskDataset,
-        name: str = "accuracy-sut",
-        workers: int = 1,
-    ):
-        if workers < 1:
-            raise ValueError("workers must be positive")
+    def __init__(self, graph: Graph, dataset: TaskDataset, name: str = "accuracy-sut"):
         self.graph = graph
         self.dataset = dataset
         self.executor = Executor(graph)
         self.name = name
-        self.workers = workers
         self.predictions: dict[int, object] = {}
-        self._pool = None
-
-    def _predict_chunk(self, indices: np.ndarray) -> list[tuple[int, object]]:
-        feeds = self.dataset.input_batch(indices)
-        outputs = self.executor.run_arena(feeds)
-        results = []
-        for j, i in enumerate(indices):
-            per_sample = {k: v[j] for k, v in outputs.items()}
-            results.append((int(i), self.dataset.postprocess(per_sample, int(i))))
-        return results
 
     def issue_query(self, indices: np.ndarray) -> float:
-        indices = np.asarray(indices)
-        if self.workers > 1 and len(indices) >= 2 * self.workers:
-            if self._pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._pool = ThreadPoolExecutor(max_workers=self.workers)
-            chunks = np.array_split(indices, self.workers)
-            for chunk_results in self._pool.map(self._predict_chunk, chunks):
-                self.predictions.update(chunk_results)
-        else:
-            self.predictions.update(self._predict_chunk(indices))
+        outputs = self.executor.run_arena(self.dataset.input_batch(indices))
+        for j, i in enumerate(indices):
+            per_sample = {k: v[j] for k, v in outputs.items()}
+            self.predictions[int(i)] = self.dataset.postprocess(per_sample, int(i))
         return 0.0  # accuracy mode is untimed
 
     def evaluate(self) -> dict[str, float]:
         return self.dataset.evaluate(self.predictions)
-
-    def close(self) -> None:
-        """Shut down the worker pool. Idempotent; the harness calls this
-        after every accuracy run so threads never outlive the test."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 class PerformanceSUT(SystemUnderTest):

@@ -12,14 +12,12 @@ from .ptq import (
     CalibrationResult,
     calibrate,
     convert_fp16,
-    pack_calibration_batches,
     quantize_graph,
 )
 
 __all__ = [
     "CalibrationResult",
     "calibrate",
-    "pack_calibration_batches",
     "quantize_graph",
     "convert_fp16",
     "apply_bias_correction",

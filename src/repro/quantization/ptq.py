@@ -21,7 +21,6 @@ from .observers import make_observer
 __all__ = [
     "CalibrationResult",
     "calibrate",
-    "pack_calibration_batches",
     "quantize_graph",
     "convert_fp16",
 ]
@@ -38,60 +37,20 @@ class CalibrationResult:
     observer_kind: str = "minmax"
 
 
-def pack_calibration_batches(
-    batches: list[dict[str, np.ndarray]], batch_size: int
-) -> list[dict[str, np.ndarray]]:
-    """Concatenate consecutive calibration feeds into ~``batch_size`` batches.
-
-    Larger batches amortize the per-run dispatch cost of the planned
-    executor. The set of observed values is unchanged; only the grouping of
-    observer updates differs, so order-sensitive observers (moving average)
-    see a coarser update sequence — use only where that is acceptable.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    if batches:
-        keys = set(batches[0])
-        for i, feed in enumerate(batches[1:], start=1):
-            if set(feed) != keys:
-                missing = sorted(keys - set(feed))
-                extra = sorted(set(feed) - keys)
-                raise ValueError(
-                    f"calibration feed #{i} disagrees with feed #0 on its keys"
-                    + (f" (missing {missing})" if missing else "")
-                    + (f" (unexpected {extra})" if extra else ""))
-    packed: list[dict[str, np.ndarray]] = []
-    group: list[dict[str, np.ndarray]] = []
-    count = 0
-    for feed in batches:
-        group.append(feed)
-        count += next(iter(feed.values())).shape[0]
-        if count >= batch_size:
-            packed.append({k: np.concatenate([f[k] for f in group]) for k in group[0]})
-            group, count = [], 0
-    if group:
-        packed.append({k: np.concatenate([f[k] for f in group]) for k in group[0]})
-    return packed
-
-
 def calibrate(
     graph: Graph,
     batches: list[dict[str, np.ndarray]],
     observer: str = "minmax",
-    batch_size: int | None = None,
     **observer_kwargs,
 ) -> CalibrationResult:
     """Run the FP32 graph over calibration batches, recording tensor ranges.
 
-    Execution goes through the planned executor (prepacked constants are
-    reused across the whole calibration set). ``batch_size`` optionally
-    re-packs the provided feeds into larger batched executions via
-    :func:`pack_calibration_batches`.
+    Each feed is one execution of the graph's compiled plan (its kernels are
+    prepared once for the whole calibration set); a tap hands every float
+    op output to that tensor's observer.
     """
     if graph.numerics != Numerics.FP32:
         raise ValueError("calibration runs on the FP32 reference graph")
-    if batch_size is not None:
-        batches = pack_calibration_batches(batches, batch_size)
     observers: dict[str, object] = {}
 
     def hook(name: str, values: np.ndarray) -> None:
@@ -130,14 +89,12 @@ def _weight_channel_axis(op) -> int:
     raise TypeError(f"op {op!r} has no quantizable weight")
 
 
-def _quantize_weight(w: np.ndarray, axis: int, numerics: Numerics, per_channel: bool) -> tuple[np.ndarray, QuantParams]:
-    if per_channel:
-        reduce_axes = tuple(i for i in range(w.ndim) if i != axis)
-        lo = w.min(axis=reduce_axes)
-        hi = w.max(axis=reduce_axes)
-        qp = choose_qparams(lo, hi, numerics, symmetric=True, axis=axis)
-    else:
-        qp = choose_qparams(float(w.min()), float(w.max()), numerics, symmetric=True)
+def _quantize_weight(w: np.ndarray, axis: int, numerics: Numerics) -> tuple[np.ndarray, QuantParams]:
+    """Symmetric per-output-channel weight quantization."""
+    reduce_axes = tuple(i for i in range(w.ndim) if i != axis)
+    lo = w.min(axis=reduce_axes)
+    hi = w.max(axis=reduce_axes)
+    qp = choose_qparams(lo, hi, numerics, symmetric=True, axis=axis)
     return quantize(w, qp), qp
 
 
@@ -145,8 +102,6 @@ def quantize_graph(
     graph: Graph,
     calibration: CalibrationResult,
     numerics: Numerics = Numerics.INT8,
-    *,
-    per_channel: bool = True,
 ) -> Graph:
     """Produce the quantized deployment graph from an FP32 graph + calibration.
 
@@ -187,7 +142,7 @@ def quantize_graph(
         if w is None:
             raise ValueError("cannot quantize a symbolic graph")
         axis = _weight_channel_axis(op)
-        wq, w_qp = _quantize_weight(np.asarray(w, dtype=np.float32), axis, numerics, per_channel)
+        wq, w_qp = _quantize_weight(np.asarray(w, dtype=np.float32), axis, numerics)
         g.params[w_name] = wq
         g.param_qparams[w_name] = w_qp
         b_name = op.attrs.get("bias")
@@ -206,7 +161,7 @@ def quantize_graph(
 
     g.metadata["quantization"] = {
         "numerics": numerics.value,
-        "per_channel": per_channel,
+        "per_channel": True,
         "observer": calibration.observer_kind,
         "calibration_samples": calibration.num_samples,
         # kept for the range engine's calibration-coverage check (VR003)

@@ -38,7 +38,7 @@ ALL_FAMILIES = ("dataflow", "quantization", "placement", "plan")
 KNOWN_FAMILIES = ALL_FAMILIES + ("ranges",)
 
 # families cheap enough to run inline on every export (plan compilation
-# prepacks weights, so the export path leaves it to the CLI/tests)
+# prepares every kernel, so the export path leaves it to the CLI/tests)
 _EXPORT_FAMILIES = ("dataflow", "quantization", "placement")
 
 

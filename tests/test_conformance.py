@@ -55,9 +55,7 @@ def offline_log():
 def accuracy_log(cls_exported, cls_dataset):
     sut = AccuracySUT(cls_exported, cls_dataset)
     settings = TestSettings(mode=Mode.ACCURACY)
-    log = LoadGenerator(settings).run(sut, QuerySampleLibrary(cls_dataset))
-    sut.close()
-    return log
+    return LoadGenerator(settings).run(sut, QuerySampleLibrary(cls_dataset))
 
 
 def _hand_log(latencies_ms):
@@ -376,13 +374,3 @@ class TestValidatePackage:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert any("results" in p for p in validate_package(empty))
-
-
-class TestAccuracySUTClose:
-    def test_close_shuts_worker_pool(self, cls_exported, cls_dataset):
-        sut = AccuracySUT(cls_exported, cls_dataset, workers=2)
-        sut.issue_query(np.arange(8))  # enough samples to spin up the pool
-        assert sut._pool is not None
-        sut.close()
-        assert sut._pool is None
-        sut.close()  # idempotent

@@ -154,7 +154,6 @@ class TestBudgetExhaustion:
         settings = TestSettings(mode=Mode.ACCURACY, query_drop_budget=1000,
                                 accuracy_batch_size=8)
         log = LoadGenerator(settings).run(sut, QuerySampleLibrary(cls_dataset))
-        inner.close()
         assert log.metadata.get("dropped_queries", 0) > 0
         problems = validate_log(log)
         assert any("covered" in p for p in problems)

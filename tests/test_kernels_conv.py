@@ -7,17 +7,20 @@ from hypothesis import strategies as st
 
 from repro.kernels import (
     Numerics,
+    QuantParams,
     avg_pool2d,
     choose_qparams,
-    conv2d,
-    conv2d_quantized,
     conv_output_shape,
-    depthwise_conv2d,
-    depthwise_conv2d_quantized,
     dequantize,
     global_avg_pool,
     max_pool2d,
+    prepare_conv2d,
+    prepare_conv2d_quantized,
+    prepare_depthwise_conv2d,
+    prepare_depthwise_conv2d_quantized,
+    prepare_fully_connected_quantized,
     quantize,
+    requantize,
     resize_bilinear,
     resize_nearest,
 )
@@ -76,7 +79,7 @@ class TestConv2D:
         x = rng.normal(0, 1, (2, 9, 9, 3)).astype(np.float32)
         w = rng.normal(0, 0.3, (3, 3, 3, 5)).astype(np.float32)
         b = rng.normal(0, 0.1, 5).astype(np.float32)
-        got = conv2d(x, w, b, stride=stride, padding=padding, dilation=dilation)
+        got = prepare_conv2d(w, b, stride=stride, padding=padding, dilation=dilation)(x)
         _, _, ph, pw = conv_output_shape(9, 9, 3, 3, stride, padding, dilation)
         want = naive_conv2d(x, w, b, stride, ph, pw, dilation)
         np.testing.assert_allclose(got, want, atol=1e-4)
@@ -85,12 +88,12 @@ class TestConv2D:
         x = rng.normal(size=(1, 8, 8, 3)).astype(np.float32)
         w = rng.normal(size=(3, 3, 4, 5)).astype(np.float32)
         with pytest.raises(ValueError):
-            conv2d(x, w)
+            prepare_conv2d(w, None)(x)
 
     def test_1x1_conv_is_matmul(self, rng):
         x = rng.normal(size=(2, 5, 5, 4)).astype(np.float32)
         w = rng.normal(size=(1, 1, 4, 6)).astype(np.float32)
-        got = conv2d(x, w)
+        got = prepare_conv2d(w, None)(x)
         want = x @ w[0, 0]
         np.testing.assert_allclose(got, want, atol=1e-5)
 
@@ -99,17 +102,17 @@ class TestDepthwise:
     def test_matches_per_channel_conv(self, rng):
         x = rng.normal(size=(2, 8, 8, 4)).astype(np.float32)
         w = rng.normal(size=(3, 3, 4, 1)).astype(np.float32)
-        got = depthwise_conv2d(x, w, stride=1, padding="same")
+        got = prepare_depthwise_conv2d(w, None, stride=1, padding="same")(x)
         for c in range(4):
             wc = np.zeros((3, 3, 1, 1), dtype=np.float32)
             wc[:, :, 0, 0] = w[:, :, c, 0]
-            want_c = conv2d(x[..., c : c + 1], wc)
+            want_c = prepare_conv2d(wc, None)(x[..., c : c + 1])
             np.testing.assert_allclose(got[..., c], want_c[..., 0], atol=1e-4)
 
     def test_bad_weight_shape(self, rng):
         x = rng.normal(size=(1, 8, 8, 4)).astype(np.float32)
         with pytest.raises(ValueError):
-            depthwise_conv2d(x, rng.normal(size=(3, 3, 4, 2)).astype(np.float32))
+            prepare_depthwise_conv2d(rng.normal(size=(3, 3, 4, 2)).astype(np.float32), None)(x)
 
 
 def _quantize_setup(rng, x, w, b, numerics):
@@ -130,10 +133,10 @@ class TestQuantizedConv:
         x = rng.normal(0, 1, (2, 8, 8, 4)).astype(np.float32)
         w = rng.normal(0, 0.3, (3, 3, 4, 6)).astype(np.float32)
         b = rng.normal(0, 0.1, 6).astype(np.float32)
-        ref = conv2d(x, w, b, stride=stride)
+        ref = prepare_conv2d(w, b, stride=stride)(x)
         xq, wq, bq, x_qp, w_qp = _quantize_setup(rng, x, w, b, numerics)
         out_qp = choose_qparams(float(ref.min()), float(ref.max()), numerics)
-        outq = conv2d_quantized(xq, wq, bq, x_qp, w_qp, out_qp, stride=stride)
+        outq = prepare_conv2d_quantized(wq, bq, x_qp, w_qp, out_qp, stride=stride)(xq)
         err = np.abs(dequantize(outq, out_qp) - ref)
         assert err.mean() < 3 * float(out_qp.scale[0])
 
@@ -142,14 +145,14 @@ class TestQuantizedConv:
         x = rng.normal(0, 1, (2, 8, 8, 4)).astype(np.float32)
         w = rng.normal(0, 0.4, (3, 3, 4, 1)).astype(np.float32)
         b = rng.normal(0, 0.1, 4).astype(np.float32)
-        ref = depthwise_conv2d(x, w, b)
+        ref = prepare_depthwise_conv2d(w, b)(x)
         x_qp = choose_qparams(float(x.min()), float(x.max()), numerics)
         w_qp = choose_qparams(w.min(axis=(0, 1, 3)), w.max(axis=(0, 1, 3)),
                               numerics, symmetric=True, axis=2)
         xq, wq = quantize(x, x_qp), quantize(w, w_qp)
         bq = np.round(b / (x_qp.scale[0] * w_qp.scale)).astype(np.int32)
         out_qp = choose_qparams(float(ref.min()), float(ref.max()), numerics)
-        outq = depthwise_conv2d_quantized(xq, wq, bq, x_qp, w_qp, out_qp)
+        outq = prepare_depthwise_conv2d_quantized(wq, bq, x_qp, w_qp, out_qp)(xq)
         err = np.abs(dequantize(outq, out_qp) - ref)
         assert err.mean() < 3 * float(out_qp.scale[0])
 
@@ -158,14 +161,71 @@ class TestQuantizedConv:
         x = rng.normal(0, 1, (1, 6, 6, 3)).astype(np.float32)
         w = rng.normal(0, 0.3, (3, 3, 3, 4)).astype(np.float32)
         b = np.zeros(4, dtype=np.float32)
-        ref = conv2d(x, w, b)
+        ref = prepare_conv2d(w, b)(x)
         outs = []
         for numerics in (Numerics.INT8, Numerics.UINT8):
             xq, wq, bq, x_qp, w_qp = _quantize_setup(rng, x, w, b, numerics)
             out_qp = choose_qparams(float(ref.min()), float(ref.max()), numerics)
-            outq = conv2d_quantized(xq, wq, bq, x_qp, w_qp, out_qp)
+            outq = prepare_conv2d_quantized(wq, bq, x_qp, w_qp, out_qp)(xq)
             outs.append(dequantize(outq, out_qp))
         np.testing.assert_allclose(outs[0], outs[1], atol=float(out_qp.scale[0]) * 2)
+
+
+class TestIntegerGemmExact:
+    """The shared integer GEMM against an int64 reference accumulator, bit for
+    bit, at the code extremes: x codes pinned at qmin/qmax, full-range weight
+    codes, a bias, and (UINT8) symmetric weights with w_zp = 128."""
+
+    def _operands(self, rng, numerics, x_shape, w_shape):
+        lo, hi = numerics.qmin, numerics.qmax
+        xq = rng.integers(lo, hi + 1, x_shape).astype(numerics.np_dtype)
+        xq[0] = lo
+        xq[-1] = hi
+        wq = rng.integers(lo, hi + 1, w_shape).astype(numerics.np_dtype)
+        wq.reshape(-1, w_shape[-1])[:2] = [[lo], [hi]]
+        x_qp = choose_qparams(-1.5, 2.5, numerics)
+        w_qp = choose_qparams(-np.ones(w_shape[-1]), np.ones(w_shape[-1]), numerics,
+                              symmetric=True, axis=len(w_shape) - 1)
+        bq = rng.integers(-5000, 5000, w_shape[-1]).astype(np.int32)
+        return xq, wq, bq, x_qp, w_qp
+
+    def _check(self, prepare, xq, acc, x_qp, w_qp, numerics):
+        """Run the kernel at two output quantizations: the model's own format
+        over 0.8 of the range (both saturation ends hit), and INT16 at one
+        code per accumulator unit, where an off-by-one accumulator shows."""
+        eff_scale = x_qp.scale[0] * w_qp.scale
+        real = acc * eff_scale
+        coarse = choose_qparams(0.8 * float(real.min()), 0.8 * float(real.max()), numerics)
+        unit = QuantParams(eff_scale[0], 0, Numerics.INT16)
+        for out_qp in (coarse, unit):
+            got = prepare(out_qp)(xq)
+            assert got.dtype == out_qp.numerics.np_dtype
+            np.testing.assert_array_equal(got, requantize(acc, eff_scale, out_qp))
+
+    @pytest.mark.parametrize("numerics", [Numerics.INT8, Numerics.UINT8])
+    @pytest.mark.parametrize("x_shape", [(6, 40), (2, 3, 40)])
+    def test_fully_connected(self, rng, numerics, x_shape):
+        xq, wq, bq, x_qp, w_qp = self._operands(rng, numerics, x_shape, (40, 7))
+        x_c = xq.astype(np.int64) - x_qp.zero_point[0]
+        w_c = wq.astype(np.int64) - w_qp.zero_point
+        self._check(
+            lambda out_qp: prepare_fully_connected_quantized(wq, bq, x_qp, w_qp, out_qp),
+            xq, x_c @ w_c + bq, x_qp, w_qp, numerics)
+
+    @pytest.mark.parametrize("numerics", [Numerics.INT8, Numerics.UINT8])
+    def test_conv_same_stride2(self, rng, numerics):
+        xq, wq, bq, x_qp, w_qp = self._operands(rng, numerics, (2, 7, 7, 5), (3, 3, 5, 6))
+        _, _, ph, pw = conv_output_shape(7, 7, 3, 3, 2, "same")
+        # centered codes padded with 0, i.e. the raw input padded with x_zp
+        x_c = np.pad(xq.astype(np.int64) - x_qp.zero_point[0], ((0, 0), ph, pw, (0, 0)))
+        w_c = wq.astype(np.int64) - w_qp.zero_point
+        acc = np.stack([
+            np.stack([np.tensordot(x_c[:, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3], w_c, 3)
+                      for j in range(4)], axis=1)
+            for i in range(4)], axis=1) + bq
+        self._check(
+            lambda out_qp: prepare_conv2d_quantized(wq, bq, x_qp, w_qp, out_qp, stride=2),
+            xq, acc, x_qp, w_qp, numerics)
 
 
 class TestFast1x1:
@@ -179,14 +239,14 @@ class TestFast1x1:
         w = rng.normal(0, 0.3, (1, 1, 8, 16)).astype(np.float32)
         b = rng.normal(0, 0.1, 16).astype(np.float32)
         up = x.repeat(2, axis=1).repeat(2, axis=2)
-        fast = conv2d(x, w, b)
-        np.testing.assert_array_equal(fast, conv2d(up, w, b, stride=2))
+        fast = prepare_conv2d(w, b)(x)
+        np.testing.assert_array_equal(fast, prepare_conv2d(w, b, stride=2)(up))
 
         xq, wq, bq, x_qp, w_qp = _quantize_setup(rng, x, w, b, Numerics.INT8)
         out_qp = choose_qparams(float(fast.min()), float(fast.max()), Numerics.INT8)
         upq = xq.repeat(2, axis=1).repeat(2, axis=2)
-        fast_q = conv2d_quantized(xq, wq, bq, x_qp, w_qp, out_qp)
-        general_q = conv2d_quantized(upq, wq, bq, x_qp, w_qp, out_qp, stride=2)
+        fast_q = prepare_conv2d_quantized(wq, bq, x_qp, w_qp, out_qp)(xq)
+        general_q = prepare_conv2d_quantized(wq, bq, x_qp, w_qp, out_qp, stride=2)(upq)
         assert fast_q.dtype == np.int8
         np.testing.assert_array_equal(fast_q, general_q)
 

@@ -13,14 +13,14 @@ from repro.kernels import (
     choose_qparams,
     dequantize,
     fold_batch_norm,
-    fully_connected,
-    fully_connected_quantized,
     gelu,
     hard_sigmoid,
     hard_swish,
     layer_norm,
     log_softmax,
     multi_head_attention,
+    prepare_fully_connected,
+    prepare_fully_connected_quantized,
     quantize,
     quantized_lut,
     relu,
@@ -108,7 +108,7 @@ class TestNormalization:
         np.testing.assert_allclose(out, x, atol=1e-3)
 
     def test_fold_batch_norm_equivalence(self, rng):
-        from repro.kernels import conv2d
+        from repro.kernels import prepare_conv2d
 
         x = rng.normal(size=(2, 6, 6, 3)).astype(np.float32)
         w = rng.normal(0, 0.3, (3, 3, 3, 5)).astype(np.float32)
@@ -116,13 +116,13 @@ class TestNormalization:
         var = (1 + rng.uniform(-0.3, 0.3, 5)).astype(np.float32)
         gamma = (1 + rng.normal(0, 0.1, 5)).astype(np.float32)
         beta = rng.normal(0, 0.1, 5).astype(np.float32)
-        want = batch_norm(conv2d(x, w), mean, var, gamma, beta)
+        want = batch_norm(prepare_conv2d(w, None)(x), mean, var, gamma, beta)
         wf, bf = fold_batch_norm(w, None, mean, var, gamma, beta)
-        got = conv2d(x, wf, bf)
+        got = prepare_conv2d(wf, bf)(x)
         np.testing.assert_allclose(got, want, atol=1e-4)
 
     def test_fold_depthwise(self, rng):
-        from repro.kernels import depthwise_conv2d
+        from repro.kernels import prepare_depthwise_conv2d
 
         x = rng.normal(size=(1, 6, 6, 4)).astype(np.float32)
         w = rng.normal(0, 0.3, (3, 3, 4, 1)).astype(np.float32)
@@ -130,9 +130,9 @@ class TestNormalization:
         var = np.ones(4, dtype=np.float32)
         gamma = (1 + rng.normal(0, 0.1, 4)).astype(np.float32)
         beta = rng.normal(0, 0.1, 4).astype(np.float32)
-        want = batch_norm(depthwise_conv2d(x, w), mean, var, gamma, beta)
+        want = batch_norm(prepare_depthwise_conv2d(w, None)(x), mean, var, gamma, beta)
         wf, bf = fold_batch_norm(w, None, mean, var, gamma, beta, depthwise=True)
-        np.testing.assert_allclose(depthwise_conv2d(x, wf, bf), want, atol=1e-4)
+        np.testing.assert_allclose(prepare_depthwise_conv2d(wf, bf)(x), want, atol=1e-4)
 
     def test_layer_norm_stats(self, rng):
         x = rng.normal(3, 5, (2, 7, 16)).astype(np.float32)
@@ -146,26 +146,25 @@ class TestLinear:
         x = rng.normal(size=(4, 8)).astype(np.float32)
         w = rng.normal(size=(8, 3)).astype(np.float32)
         b = rng.normal(size=3).astype(np.float32)
-        np.testing.assert_allclose(fully_connected(x, w, b), x @ w + b, atol=1e-5)
+        np.testing.assert_allclose(prepare_fully_connected(w, b)(x), x @ w + b, atol=1e-5)
 
     def test_fully_connected_3d(self, rng):
         x = rng.normal(size=(2, 5, 8)).astype(np.float32)
         w = rng.normal(size=(8, 4)).astype(np.float32)
-        assert fully_connected(x, w).shape == (2, 5, 4)
+        assert prepare_fully_connected(w, None)(x).shape == (2, 5, 4)
 
     @pytest.mark.parametrize("numerics", [Numerics.INT8, Numerics.UINT8])
     def test_quantized_fc(self, rng, numerics):
         x = rng.normal(0, 1, (3, 16)).astype(np.float32)
         w = rng.normal(0, 0.3, (16, 8)).astype(np.float32)
         b = rng.normal(0, 0.1, 8).astype(np.float32)
-        ref = fully_connected(x, w, b)
+        ref = prepare_fully_connected(w, b)(x)
         x_qp = choose_qparams(float(x.min()), float(x.max()), numerics)
         w_qp = choose_qparams(w.min(axis=0), w.max(axis=0), numerics, symmetric=True, axis=1)
         bq = np.round(b / (x_qp.scale[0] * w_qp.scale)).astype(np.int32)
         out_qp = choose_qparams(float(ref.min()), float(ref.max()), numerics)
-        outq = fully_connected_quantized(
-            quantize(x, x_qp), quantize(w, w_qp), bq, x_qp, w_qp, out_qp
-        )
+        outq = prepare_fully_connected_quantized(
+            quantize(w, w_qp), bq, x_qp, w_qp, out_qp)(quantize(x, x_qp))
         err = np.abs(dequantize(outq, out_qp) - ref)
         assert err.mean() < 3 * float(out_qp.scale[0])
 

@@ -9,9 +9,9 @@ from repro.graph import Executor, GraphBuilder, export_mobile
 from repro.kernels import (
     Numerics,
     choose_qparams,
-    conv2d,
-    conv2d_quantized,
     dequantize,
+    prepare_conv2d,
+    prepare_conv2d_quantized,
     quantize,
 )
 from repro.quantization import calibrate, quantize_graph
@@ -22,13 +22,13 @@ class TestDilatedQuantizedConv:
     def test_close_to_float(self, rng, numerics):
         x = rng.normal(0, 1, (1, 10, 10, 3)).astype(np.float32)
         w = rng.normal(0, 0.3, (3, 3, 3, 4)).astype(np.float32)
-        ref = conv2d(x, w, dilation=2)
+        ref = prepare_conv2d(w, None, dilation=2)(x)
         x_qp = choose_qparams(float(x.min()), float(x.max()), numerics)
         w_qp = choose_qparams(w.min(axis=(0, 1, 2)), w.max(axis=(0, 1, 2)),
                               numerics, symmetric=True, axis=3)
         out_qp = choose_qparams(float(ref.min()), float(ref.max()), numerics)
-        outq = conv2d_quantized(quantize(x, x_qp), quantize(w, w_qp), None,
-                                x_qp, w_qp, out_qp, dilation=2)
+        outq = prepare_conv2d_quantized(
+            quantize(w, w_qp), None, x_qp, w_qp, out_qp, dilation=2)(quantize(x, x_qp))
         assert outq.shape == ref.shape
         err = np.abs(dequantize(outq, out_qp) - ref)
         assert err.mean() < 3 * float(out_qp.scale[0])

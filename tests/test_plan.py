@@ -102,7 +102,7 @@ class TestPlanCompilation:
 
     def test_frozen_params_read_only(self, toy_exported, toy_inputs):
         """An in-place edit of a frozen graph's parameter raises, so a cached
-        plan can never serve prepacked constants the graph no longer has."""
+        plan can never serve prepared constants the graph no longer has."""
         exported, out = toy_exported
         assert exported.frozen
         plan = ExecutionPlan.for_graph(exported)

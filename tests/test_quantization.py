@@ -15,7 +15,6 @@ from repro.quantization import (
     calibrate,
     convert_fp16,
     make_observer,
-    pack_calibration_batches,
     quantize_graph,
 )
 
@@ -90,32 +89,6 @@ class TestCalibrate:
         f16 = convert_fp16(exported)
         with pytest.raises(ValueError):
             calibrate(f16, [toy_inputs])
-
-
-class TestPackCalibrationBatches:
-    def _feed(self, n, keys=("a", "b")):
-        return {k: np.full((n, 2), float(i), np.float32)
-                for i, k in enumerate(keys)}
-
-    def test_groups_to_target_batch_size(self):
-        packed = pack_calibration_batches([self._feed(2) for _ in range(5)], 4)
-        assert [f["a"].shape[0] for f in packed] == [4, 4, 2]
-        assert set(packed[0]) == {"a", "b"}
-
-    def test_rejects_non_positive_batch_size(self):
-        with pytest.raises(ValueError, match="positive"):
-            pack_calibration_batches([self._feed(2)], 0)
-
-    def test_rejects_inconsistent_feed_keys(self):
-        feeds = [self._feed(2), self._feed(2, keys=("a", "c"))]
-        with pytest.raises(ValueError) as ei:
-            pack_calibration_batches(feeds, 4)
-        msg = str(ei.value)
-        assert "feed #1" in msg and "missing ['b']" in msg
-        assert "unexpected ['c']" in msg
-
-    def test_empty_input_is_noop(self):
-        assert pack_calibration_batches([], 4) == []
 
 
 class TestQuantizeGraph:
