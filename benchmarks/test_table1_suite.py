@@ -8,8 +8,8 @@ Paper-shape assertions:
 - every vision task passes its gate at FP16;
 - classification and segmentation pass their gates at INT8;
 - MobileBERT *fails* its gate at INT8 but passes at FP16 (Insight 5).
-Known scale artifact (recorded, not asserted): the scaled detection models
-retain ~80-92% of FP32 at INT8, short of the paper's 93/95% targets
+Known scale artifact (recorded, not asserted): the scaled v1.0 detection
+model retains ~94% of FP32 at INT8, short of the paper's 95% target
 (EXPERIMENTS.md discusses why).
 """
 

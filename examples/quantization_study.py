@@ -3,8 +3,7 @@
 Walks the full submitter workflow for the classification task:
 frozen FP32 reference -> export -> PTQ calibration on the approved 500-ish
 sample set -> INT8/UINT8/FP16 deployment models -> accuracy versus the
-quality target, comparing calibration observers and post-training bias
-correction (the "QAT-comparable" reference path).
+quality target, with cross-layer equalization as a data-free extra.
 
 Usage:
     python examples/quantization_study.py
@@ -16,13 +15,7 @@ from repro.datasets import create_dataset
 from repro.graph import Executor, export_mobile
 from repro.kernels import Numerics
 from repro.models import create_reference_model
-from repro.quantization import (
-    apply_bias_correction,
-    calibrate,
-    convert_fp16,
-    equalize_cross_layer,
-    quantize_graph,
-)
+from repro.quantization import calibrate, convert_fp16, equalize_cross_layer, quantize_graph
 
 
 def top1(graph, dataset) -> float:
@@ -51,22 +44,14 @@ def main() -> None:
     print(f"{'FP16 (weights rounded to half)':<42}{acc:>8.2f}{acc/fp32*100:>8.1f}%"
           f"{'pass' if acc >= target else 'FAIL':>6}")
 
-    for observer in ("minmax", "moving_average", "percentile"):
-        stats = calibrate(frozen, dataset.calibration_batches(), observer=observer)
-        for numerics in (Numerics.INT8, Numerics.UINT8):
-            q = quantize_graph(frozen, stats, numerics)
-            acc = top1(q, dataset)
-            label = f"{numerics.value.upper()} PTQ, {observer} observer"
-            print(f"{label:<42}{acc:>8.2f}{acc/fp32*100:>8.1f}%"
-                  f"{'pass' if acc >= target else 'FAIL':>6}")
-
-    # the QAT-comparable reference: PTQ + training-free bias correction
+    # the shipped recipe: moving-average activation ranges, per-channel weights
     stats = calibrate(frozen, dataset.calibration_batches())
-    q = quantize_graph(frozen, stats, Numerics.INT8)
-    qc = apply_bias_correction(q, frozen, dataset.calibration_batches())
-    acc = top1(qc, dataset)
-    print(f"{'INT8 PTQ + bias correction (QAT-comparable)':<42}{acc:>8.2f}"
-          f"{acc/fp32*100:>8.1f}%{'pass' if acc >= target else 'FAIL':>6}")
+    for numerics in (Numerics.INT8, Numerics.UINT8):
+        q = quantize_graph(frozen, stats, numerics)
+        acc = top1(q, dataset)
+        label = f"{numerics.value.upper()} PTQ"
+        print(f"{label:<42}{acc:>8.2f}{acc/fp32*100:>8.1f}%"
+              f"{'pass' if acc >= target else 'FAIL':>6}")
 
     # cross-layer equalization: a data-free, mathematically-equivalent
     # transform of the frozen weights ("approved approximations", §5.1)

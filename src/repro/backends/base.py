@@ -9,7 +9,7 @@ ENN, the Neuron delegate, NNAPI, or OpenVINO equivalents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..graph.graph import Graph
 from ..hardware.scheduler import CompiledModel, FrameworkProfile, compile_model
@@ -97,10 +97,7 @@ class Backend:
     def _framework_for(self, exec_cfg: TaskExecution) -> FrameworkProfile:
         base = exec_cfg.framework or self.config.framework
         if exec_cfg.tops_derate != 1.0:
-            return FrameworkProfile(
-                base.name, base.per_inference_ms, base.per_boundary_ms,
-                base.tops_derate * exec_cfg.tops_derate,
-            )
+            return replace(base, tops_derate=base.tops_derate * exec_cfg.tops_derate)
         return base
 
     def compile_single_stream(

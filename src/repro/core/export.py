@@ -14,7 +14,7 @@ import pathlib
 
 from ..loadgen.logging import LoadGenLog
 from ..loadgen.validation import validate_serialized
-from .submission import Submission
+from .submission import Submission, provenance_problems
 
 __all__ = [
     "write_submission",
@@ -101,22 +101,9 @@ def validate_package(directory: str | pathlib.Path) -> list[str]:
             problems.append(f"provenance.json: unreadable ({exc})")
         if isinstance(prov, dict):
             for task, entry in sorted((prov.get("models") or {}).items()):
-                if not isinstance(entry, dict):
-                    continue
-                # lenient: absent stamps (pre-verifier packages) are fine,
-                # but a recorded failure or a post-attestation edit is not
-                stamp = entry.get("staticcheck") or {}
-                if not stamp:
-                    continue
-                if not stamp.get("verified", False):
-                    problems.append(
-                        f"provenance.json: [{task}] deployed graph failed "
-                        f"static verification")
-                shipped = entry.get("deployed_checksum")
-                if shipped and stamp.get("checksum") not in (None, shipped):
-                    problems.append(
-                        f"provenance.json: [{task}] graph modified after "
-                        f"static-verification attestation")
+                if isinstance(entry, dict):
+                    problems += [f"provenance.json: [{task}] {p}"
+                                 for p in provenance_problems(entry)]
     results_dir = root / "results"
     if not results_dir.is_dir():
         problems.append("package has no results/ directory")

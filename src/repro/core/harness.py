@@ -88,10 +88,7 @@ class BenchmarkHarness:
             if numerics == Numerics.FP16:
                 art.quantized[numerics] = convert_fp16(art.fp32_graph)
             else:
-                stats = calibrate(
-                    art.fp32_graph, art.dataset.calibration_batches(),
-                    observer="moving_average",
-                )
+                stats = calibrate(art.fp32_graph, art.dataset.calibration_batches())
                 art.quantized[numerics] = quantize_graph(art.fp32_graph, stats, numerics)
         return art.quantized[numerics]
 

@@ -22,6 +22,7 @@ __all__ = [
     "Submission",
     "build_submission",
     "check_submission",
+    "provenance_problems",
     "RollingSubmissionLog",
 ]
 
@@ -85,6 +86,44 @@ def build_submission(
     )
 
 
+def provenance_problems(entry: dict) -> list[str]:
+    """The per-task model-provenance rules, shared by the in-memory checker
+    and the on-disk package validator.
+
+    Keys a provenance entry lacks are not violations (packages predating the
+    static verifier carry no stamp); a recorded value must satisfy its rule.
+    """
+    problems: list[str] = []
+    deployed = entry.get("deployed_source_checksum", "")
+    if deployed not in (
+        entry.get("reference_source_checksum"), entry.get("reference_export_checksum"), ""
+    ):
+        problems.append(
+            "deployed model does not descend from the frozen reference graph "
+            "(source checksum mismatch)"
+        )
+    stamp = entry.get("staticcheck") or {}
+    if stamp:
+        if not stamp.get("verified", False):
+            problems.append(
+                f"deployed graph failed static verification "
+                f"({stamp.get('errors', '?')} error finding(s))"
+            )
+        shipped = entry.get("deployed_checksum")
+        if shipped and stamp.get("checksum") not in (None, shipped):
+            problems.append(
+                "deployed graph was modified after its static-verification "
+                "attestation (checksum mismatch)"
+            )
+    samples = (entry.get("quantization") or {}).get("calibration_samples")
+    if samples is not None and samples > 500:
+        problems.append(
+            f"PTQ used {samples} calibration samples; the rules approve a "
+            f"~500-sample set (§5.1)"
+        )
+    return problems
+
+
 def check_submission(submission: Submission) -> list[str]:
     """The submission checker: every rule the auditors examine first."""
     problems: list[str] = []
@@ -127,37 +166,8 @@ def check_submission(submission: Submission) -> list[str]:
         prov = submission.model_provenance.get(result.task)
         if prov is None:
             problems.append(f"{prefix} missing model provenance")
-        elif prov["deployed_source_checksum"] not in (
-            prov["reference_source_checksum"], prov["reference_export_checksum"], ""
-        ):
-            problems.append(
-                f"{prefix} deployed model does not descend from the frozen "
-                f"reference graph (source checksum mismatch)"
-            )
-        if prov is not None:
-            # lenient by design: packages predating the static verifier carry
-            # no stamp and stay valid; a present stamp must be trustworthy
-            stamp = prov.get("staticcheck") or {}
-            if stamp:
-                if not stamp.get("verified", False):
-                    problems.append(
-                        f"{prefix} deployed graph failed static verification "
-                        f"({stamp.get('errors', '?')} error finding(s))"
-                    )
-                shipped = prov.get("deployed_checksum")
-                if shipped and stamp.get("checksum") not in (None, shipped):
-                    problems.append(
-                        f"{prefix} deployed graph was modified after its "
-                        f"static-verification attestation (checksum mismatch)"
-                    )
-        if prov is not None:
-            quant = prov.get("quantization", {})
-            samples = quant.get("calibration_samples")
-            if samples is not None and samples > 500:
-                problems.append(
-                    f"{prefix} PTQ used {samples} calibration samples; the "
-                    f"rules approve a ~500-sample set (§5.1)"
-                )
+        else:
+            problems += [f"{prefix} {p}" for p in provenance_problems(prov)]
     return problems
 
 

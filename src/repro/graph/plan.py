@@ -58,8 +58,8 @@ _PLAN_CACHE: "weakref.WeakKeyDictionary[Graph, tuple[tuple, ExecutionPlan]]" = (
 def _graph_fingerprint(graph: Graph) -> tuple:
     """Cheap mutation detector for the plan cache.
 
-    Model fitting, cross-layer equalization and bias correction all *replace*
-    parameter arrays on an already-executed graph, so a cached plan keyed on
+    Model fitting *replaces* parameter arrays on an already-executed
+    graph (BN statistics, then head weights), so a cached plan keyed on
     graph identity alone would serve stale prepared constants. Array object
     ids (plus op count and numerics) catch every such replacement without
     hashing any data. In-place edits cannot slip past the ids: a frozen
@@ -160,9 +160,9 @@ class ExecutionPlan:
         its raw stored form (integer codes on quantized graphs, values after
         the half-precision cast on FP16): first each graph input after
         boundary quantization, then each op output as it is produced.
-        Calibration, fitting, bias correction and the range analysis
-        instrument execution through it. ``profiler`` accumulates per-op
-        kernel time, bytes moved and peak live bytes.
+        Calibration, fitting and the range analysis instrument execution
+        through it. ``profiler`` accumulates per-op kernel time, bytes moved
+        and peak live bytes.
         """
         env: dict[str, np.ndarray] = {}
         for name, qp in self._input_prep:

@@ -39,6 +39,21 @@ __all__ = [
     "fit_reference_heads",
 ]
 
+# Fitting recipe. Heads regress onto +-LOGIT_SCALE/2 one-hot targets with the
+# ridge strength of ``ridge_fit``; the super-resolution upsampler uses a
+# weaker ridge. TRAIN_SAMPLES is the synthetic training-set size per head.
+TRAIN_SAMPLES = {
+    "classification": 3000,
+    "detection": 600,
+    "segmentation": 300,
+    "speech": 400,
+    "super_resolution": 200,
+}
+LOGIT_SCALE = 6.0
+CLASSIFICATION_NOISE = 0.55
+MATCH_IOU = 0.45  # an anchor matches a ground-truth box at this IoU or above
+SUPER_RESOLUTION_L2 = 1e-3
+
 
 def ridge_fit(
     x: np.ndarray,
@@ -88,22 +103,14 @@ def _batched(inputs: np.ndarray, batch: int) -> list[dict[str, np.ndarray]]:
     return [{"images": inputs[i : i + batch]} for i in range(0, len(inputs), batch)]
 
 
-def fit_classification_head(
-    bundle: ModelBundle,
-    *,
-    train_samples: int = 3000,
-    seed: int = 7000,
-    signal: float = 1.0,
-    noise: float = 0.55,
-    logit_scale: float = 6.0,
-    l2: float = 1e-2,
-) -> None:
+def fit_classification_head(bundle: ModelBundle, *, seed: int = 7000) -> None:
     """Fit the classifier FC by ridge regression on GAP features."""
     graph = bundle.graph
     cfg = bundle.config
+    train_samples = TRAIN_SAMPLES["classification"]
     raws, labels = classification_scene_batch(
         train_samples, int(cfg["input_size"] * 256 / 224) + 8, cfg["num_classes"], seed,
-        signal=signal, noise=noise,
+        noise=CLASSIFICATION_NOISE,
     )
     inputs = np.stack([classification_preprocess(im, cfg["input_size"]) for im in raws])
     # BN statistics must match the data distribution the model will see
@@ -111,27 +118,19 @@ def fit_classification_head(
     head_op = next(op for op in graph.ops if op.name == "classifier")
     feat_tensor = head_op.inputs[0]
     feats = capture_tensors(graph, _batched(inputs.astype(np.float32), 64), [feat_tensor])[feat_tensor]
-    onehot = np.full((train_samples, cfg["num_classes"]), -logit_scale / 2, dtype=np.float64)
-    onehot[np.arange(train_samples), labels] = logit_scale / 2
-    w, b = ridge_fit(feats, onehot, l2)
+    onehot = np.full((train_samples, cfg["num_classes"]), -LOGIT_SCALE / 2, dtype=np.float64)
+    onehot[np.arange(train_samples), labels] = LOGIT_SCALE / 2
+    w, b = ridge_fit(feats, onehot)
     graph.params["classifier/w"] = w
     graph.params["classifier/b"] = b
     graph.metadata["head_fit"] = {"task": "classification", "train_samples": train_samples}
 
 
-def fit_detection_heads(
-    bundle: ModelBundle,
-    *,
-    train_samples: int = 600,
-    seed: int = 7100,
-    match_iou: float = 0.45,
-    logit_scale: float = 6.0,
-    l2: float = 1e-2,
-) -> None:
+def fit_detection_heads(bundle: ModelBundle, *, seed: int = 7100) -> None:
     """Fit the SSDLite class + box heads per feature map.
 
-    Class targets: +scale/2 for the matched class at a matched anchor,
-    -scale/2 everywhere else. Box targets: encoded offsets of the matched
+    Class targets: +LOGIT_SCALE/2 for the matched class at a matched anchor,
+    -LOGIT_SCALE/2 everywhere else. Box targets: encoded offsets of the matched
     ground-truth box; only cells containing at least one matched anchor
     contribute to the box regression fit.
     """
@@ -141,13 +140,14 @@ def fit_detection_heads(
     num_classes = cfg["num_classes"]
     a_per_cell = cfg["anchors_per_cell"]
     anchors = anchors_for_model(cfg)
+    train_samples = TRAIN_SAMPLES["detection"]
     raws, truths = detection_scene_batch(train_samples, size + 16, num_classes, seed)
     inputs = np.stack([dense_preprocess(im, size) for im in raws]).astype(np.float32)
     calibrate_batch_norms(graph, {"images": inputs[:48]})
 
     # per-anchor match against ground truth (anchor-major layout matches heads)
     n_anchors = len(anchors)
-    cls_targets = np.full((train_samples, n_anchors, num_classes), -logit_scale / 2, dtype=np.float64)
+    cls_targets = np.full((train_samples, n_anchors, num_classes), -LOGIT_SCALE / 2, dtype=np.float64)
     box_targets = np.zeros((train_samples, n_anchors, 4), dtype=np.float64)
     matched = np.zeros((train_samples, n_anchors), dtype=bool)
     corner_anchors = np.stack(
@@ -160,11 +160,11 @@ def fit_detection_heads(
         gt = np.asarray([o.box for o in objs])
         ious = iou_matrix(corner_anchors, gt)  # (A, G)
         best_gt = ious.argmax(axis=1)
-        hit = ious.max(axis=1) >= match_iou
+        hit = ious.max(axis=1) >= MATCH_IOU
         hit[ious.argmax(axis=0)] = True  # force-match the best anchor per object
         for a in np.flatnonzero(hit):
             g = best_gt[a]
-            cls_targets[i, a, objs[g].class_id] = logit_scale / 2
+            cls_targets[i, a, objs[g].class_id] = LOGIT_SCALE / 2
             box_targets[i, a] = encode_boxes(gt[g : g + 1], anchors[a : a + 1],
                                              cfg["box_variances"])[0]
             matched[i, a] = True
@@ -191,12 +191,12 @@ def fit_detection_heads(
         # matched anchors are rare; upweight them so the fit does not collapse
         # to the all-background solution
         cls_weight = np.where(cell_matched.any(axis=1), 20.0, 1.0)
-        w, b = ridge_fit(cls_feat, cls_t, l2, sample_weight=cls_weight)
+        w, b = ridge_fit(cls_feat, cls_t, sample_weight=cls_weight)
         graph.params[f"cls_head_{j}/pw/w"] = w[None, None]
         graph.params[f"cls_head_{j}/pw/b"] = b
         rows = cell_matched.any(axis=1)
         if rows.sum() >= box_feat.shape[1] + 4:
-            wb, bb = ridge_fit(box_feat[rows], box_t[rows], l2)
+            wb, bb = ridge_fit(box_feat[rows], box_t[rows])
         else:  # too few matches on this map: keep a zero regressor
             wb = np.zeros((box_feat.shape[1], box_t.shape[1]), dtype=np.float32)
             bb = np.zeros(box_t.shape[1], dtype=np.float32)
@@ -205,14 +205,7 @@ def fit_detection_heads(
     graph.metadata["head_fit"] = {"task": "detection", "train_samples": train_samples}
 
 
-def fit_segmentation_head(
-    bundle: ModelBundle,
-    *,
-    train_samples: int = 300,
-    seed: int = 7200,
-    logit_scale: float = 6.0,
-    l2: float = 1e-2,
-) -> None:
+def fit_segmentation_head(bundle: ModelBundle, *, seed: int = 7200) -> None:
     """Fit the 1x1 classifier conv by per-pixel ridge on decoder features."""
     graph = bundle.graph
     cfg = bundle.config
@@ -220,6 +213,7 @@ def fit_segmentation_head(
     num_classes = cfg["num_classes"]
     # scenes are generated at the exact network resolution so the dense label
     # map stays pixel-aligned with the (no-op) resize in dense_preprocess
+    train_samples = TRAIN_SAMPLES["segmentation"]
     raws, labels = segmentation_scene_batch(train_samples, size, num_classes, seed)
     inputs = np.stack([dense_preprocess(im, size) for im in raws]).astype(np.float32)
     calibrate_batch_norms(graph, {"images": inputs[:32]})
@@ -234,26 +228,20 @@ def fit_segmentation_head(
     small = labels[:, ys][:, :, xs]
 
     x = feats.reshape(-1, fc)
-    y = np.full((x.shape[0], num_classes), -logit_scale / 2, dtype=np.float64)
-    y[np.arange(x.shape[0]), small.ravel()] = logit_scale / 2
-    w, b = ridge_fit(x, y, l2)
+    y = np.full((x.shape[0], num_classes), -LOGIT_SCALE / 2, dtype=np.float64)
+    y[np.arange(x.shape[0]), small.ravel()] = LOGIT_SCALE / 2
+    w, b = ridge_fit(x, y)
     graph.params["classifier/w"] = w[None, None]
     graph.params["classifier/b"] = b
     graph.metadata["head_fit"] = {"task": "segmentation", "train_samples": train_samples}
 
 
-def fit_speech_head(
-    bundle: ModelBundle,
-    *,
-    train_samples: int = 400,
-    seed: int = 7300,
-    logit_scale: float = 6.0,
-    l2: float = 1e-2,
-) -> None:
+def fit_speech_head(bundle: ModelBundle, *, seed: int = 7300) -> None:
     """Fit the per-frame token head by ridge on LSTM encoder states."""
     graph = bundle.graph
     cfg = bundle.config
     vocab = cfg["vocab_size"]
+    train_samples = TRAIN_SAMPLES["speech"]
     feats, _, frame_labels = speech_sequence_batch(
         train_samples, cfg["num_frames"], cfg["feature_dim"], vocab, seed
     )
@@ -261,21 +249,15 @@ def fit_speech_head(
     batches = [{"features": feats[i : i + 32]} for i in range(0, train_samples, 32)]
     states = capture_tensors(graph, batches, [head_op.inputs[0]])[head_op.inputs[0]]
     x = states.reshape(-1, states.shape[-1])
-    y = np.full((x.shape[0], vocab + 1), -logit_scale / 2, dtype=np.float64)
-    y[np.arange(x.shape[0]), frame_labels.ravel()] = logit_scale / 2
-    w, b = ridge_fit(x, y, l2)
+    y = np.full((x.shape[0], vocab + 1), -LOGIT_SCALE / 2, dtype=np.float64)
+    y[np.arange(x.shape[0]), frame_labels.ravel()] = LOGIT_SCALE / 2
+    w, b = ridge_fit(x, y)
     graph.params["token_head/w"] = w
     graph.params["token_head/b"] = b
     graph.metadata["head_fit"] = {"task": "speech", "train_samples": train_samples}
 
 
-def fit_super_resolution_head(
-    bundle: ModelBundle,
-    *,
-    train_samples: int = 200,
-    seed: int = 7400,
-    l2: float = 1e-3,
-) -> None:
+def fit_super_resolution_head(bundle: ModelBundle, *, seed: int = 7400) -> None:
     """Fit the 3x3 upsampler conv: 3x3 trunk-feature patches -> HR sub-pixels."""
     from ..kernels.conv import conv_output_shape, im2col, pad_input
     from ..pipelines.preprocess import normalize_image
@@ -283,6 +265,7 @@ def fit_super_resolution_head(
     graph = bundle.graph
     cfg = bundle.config
     lr_size, scale = cfg["lr_size"], cfg["scale"]
+    train_samples = TRAIN_SAMPLES["super_resolution"]
     lr, hr = super_resolution_batch(train_samples, lr_size * scale, scale, seed)
     lr_in = normalize_image(lr).astype(np.float32)
     hr_norm = normalize_image(hr).astype(np.float32)
@@ -298,7 +281,7 @@ def fit_super_resolution_head(
     # targets: the scale x scale HR sub-pixel block at each LR position
     tgt = hr_norm.reshape(n, fh, scale, fw, scale, 3).transpose(0, 1, 3, 2, 4, 5)
     tgt = tgt.reshape(-1, scale * scale * 3)
-    w, b = ridge_fit(cols, tgt, l2)
+    w, b = ridge_fit(cols, tgt, SUPER_RESOLUTION_L2)
     graph.params["upsampler/w"] = w.reshape(3, 3, fc, scale * scale * 3)
     graph.params["upsampler/b"] = b
     graph.metadata["head_fit"] = {"task": "super_resolution",

@@ -1,13 +1,7 @@
-"""Rules-compliant model optimization: PTQ, FP16 conversion, bias correction."""
+"""Rules-compliant model optimization: PTQ calibration, INT8/UINT8
+quantization, FP16 conversion, and cross-layer equalization."""
 
-from .bias_correction import apply_bias_correction
 from .cle import equalize_cross_layer
-from .observers import (
-    MinMaxObserver,
-    MovingAverageObserver,
-    PercentileObserver,
-    make_observer,
-)
 from .ptq import (
     CalibrationResult,
     calibrate,
@@ -20,10 +14,5 @@ __all__ = [
     "calibrate",
     "quantize_graph",
     "convert_fp16",
-    "apply_bias_correction",
     "equalize_cross_layer",
-    "MinMaxObserver",
-    "MovingAverageObserver",
-    "PercentileObserver",
-    "make_observer",
 ]

@@ -16,7 +16,6 @@ from ..graph.executor import Executor
 from ..graph.graph import Graph
 from ..graph.ops import Conv2D, DepthwiseConv2D, FullyConnected
 from ..kernels.numerics import Numerics, QuantParams, choose_qparams, quantize
-from .observers import make_observer
 
 __all__ = [
     "CalibrationResult",
@@ -28,36 +27,44 @@ __all__ = [
 _SKIP_ROLES = {"ids", "mask"}
 
 
+# weight of the running range against each new batch's min/max (TF-style
+# exponential moving average); the first batch sets the range outright
+MOMENTUM = 0.9
+
+
 @dataclass
 class CalibrationResult:
     """Per-tensor observed ranges from running the calibration set."""
 
     ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
     num_samples: int = 0
-    observer_kind: str = "minmax"
 
 
-def calibrate(
-    graph: Graph,
-    batches: list[dict[str, np.ndarray]],
-    observer: str = "minmax",
-    **observer_kwargs,
-) -> CalibrationResult:
+def calibrate(graph: Graph, batches: list[dict[str, np.ndarray]]) -> CalibrationResult:
     """Run the FP32 graph over calibration batches, recording tensor ranges.
 
     Each feed is one execution of the graph's compiled plan (its kernels are
-    prepared once for the whole calibration set); a tap hands every float
-    op output to that tensor's observer.
+    prepared once for the whole calibration set). Every graph input and
+    float op output folds its batch min/max into a moving average of momentum
+    ``MOMENTUM``, so one batch gives the exact min/max. A tensor that only
+    ever held empty arrays has no range, and calibration fails on it.
     """
     if graph.numerics != Numerics.FP32:
         raise ValueError("calibration runs on the FP32 reference graph")
-    observers: dict[str, object] = {}
+    ranges: dict[str, tuple[float, float]] = {}
+    seen: set[str] = set()
 
-    def hook(name: str, values: np.ndarray) -> None:
-        obs = observers.get(name)
-        if obs is None:
-            obs = observers[name] = make_observer(observer, **observer_kwargs)
-        obs.update(values)
+    def observe(name: str, values: np.ndarray) -> None:
+        seen.add(name)
+        if values.size == 0:
+            return
+        lo, hi = float(values.min()), float(values.max())
+        if name in ranges:
+            old_lo, old_hi = ranges[name]
+            m = MOMENTUM
+            lo = m * old_lo + (1 - m) * lo
+            hi = m * old_hi + (1 - m) * hi
+        ranges[name] = (lo, hi)
 
     # graph inputs are recorded in the loop below (role-filtered, as
     # float32); the tap adds every float op output
@@ -65,18 +72,20 @@ def calibrate(
 
     def tap(name: str, values: np.ndarray) -> None:
         if name not in input_names and np.issubdtype(values.dtype, np.floating):
-            hook(name, values)
+            observe(name, values)
 
     ex = Executor(graph)
     n = 0
     for feed in batches:
         for spec in graph.inputs:
             if spec.role not in _SKIP_ROLES:
-                hook(spec.name, np.asarray(feed[spec.name], dtype=np.float32))
+                observe(spec.name, np.asarray(feed[spec.name], dtype=np.float32))
         ex.run(feed, tap=tap)
         n += next(iter(feed.values())).shape[0]
-    ranges = {name: obs.range() for name, obs in observers.items()}
-    return CalibrationResult(ranges=ranges, num_samples=n, observer_kind=observer)
+    empty = sorted(seen - ranges.keys())
+    if empty:
+        raise RuntimeError(f"calibration saw no data for tensor(s) {empty}")
+    return CalibrationResult(ranges=ranges, num_samples=n)
 
 
 def _weight_channel_axis(op) -> int:
@@ -162,7 +171,7 @@ def quantize_graph(
     g.metadata["quantization"] = {
         "numerics": numerics.value,
         "per_channel": True,
-        "observer": calibration.observer_kind,
+        "observer": "moving_average",
         "calibration_samples": calibration.num_samples,
         # kept for the range engine's calibration-coverage check (VR003)
         "calibration_ranges": {

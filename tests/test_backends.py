@@ -1,9 +1,12 @@
 """Backend layer: vendor configs, gating, ALP, Table-2 descriptions."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import full_graph_cache
 from repro.backends import (
+    Backend,
     BACKEND_FACTORIES,
     available_backends,
     create_backend,
@@ -127,3 +130,20 @@ class TestCompilation:
         be = default_backend_for(get_soc("dimensity_1100"))
         cm = be.compile_single_stream(g, "object_detection")
         assert cm.postprocess_cpu_ops > 0
+
+    def test_derate_keeps_framework_op_exclusions(self):
+        """A per-task kernel derate scales throughput only: the v0.7 ENN
+        runtime's concat exclusion still splits DeepLab into more segments."""
+        g = full_graph_cache("deeplab_v3plus")
+        soc = get_soc("exynos_990")
+        config = BACKEND_FACTORIES["enn"](soc)
+        task = "semantic_segmentation"
+        assert "concat" in config.framework.unsupported_ops
+
+        def segments(derate):
+            tasks = {**config.tasks,
+                     task: replace(config.tasks[task], tops_derate=derate)}
+            backend = Backend(replace(config, tasks=tasks), soc)
+            return len(backend.compile_single_stream(g, task).segments)
+
+        assert segments(0.5) == segments(1.0)

@@ -365,6 +365,24 @@ class TestValidatePackage:
         problems = validate_package(root)
         assert any("latency_p90_ms" in p and "edited" in p for p in problems)
 
+    def test_provenance_rules_match_in_memory_checker(self, tmp_path, perf_log):
+        """The on-disk validator applies every per-task provenance rule the
+        in-memory checker does, not only the static-verification stamp."""
+        from repro.core import validate_package
+
+        root = self._bundle(tmp_path, perf_log)
+        (root / "provenance.json").write_text(json.dumps({"models": {
+            "image_classification": {"quantization": {"calibration_samples": 600}},
+            "object_detection": {"reference_source_checksum": "aaa",
+                                 "reference_export_checksum": "bbb",
+                                 "deployed_source_checksum": "ccc"},
+        }}))
+        problems = validate_package(root)
+        assert any("[image_classification]" in p and "600 calibration samples" in p
+                   for p in problems)
+        assert any("[object_detection]" in p and "does not descend" in p
+                   for p in problems)
+
     def test_missing_pieces_reported(self, tmp_path, perf_log):
         from repro.core import validate_package
 

@@ -97,7 +97,7 @@ class TestSeedRobustness:
             return c / len(ds) * 100
 
         fp32 = top1(g)
-        stats = calibrate(g, ds.calibration_batches(), observer="moving_average")
+        stats = calibrate(g, ds.calibration_batches())
         int8 = top1(quantize_graph(g, stats))
         assert fp32 > 55.0  # a real classifier at any seed
         # INT8 stays near FP32 across seeds (default-seed run retains ~101%;

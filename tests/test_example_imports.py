@@ -1,4 +1,5 @@
-"""Every ``from repro... import name`` in the examples and the paper benchmarks
+"""Every ``from repro... import name`` and ``import repro...`` in the examples,
+the paper benchmarks, the tools and the repo benchmark (``perfbench/``)
 resolves. Nothing in the tier-1 suite runs those scripts, so a renamed or
 deleted public name would otherwise only surface when someone runs one.
 The scripts are parsed, never executed."""
@@ -12,19 +13,21 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = sorted((ROOT / "examples").glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
+SCRIPTS = [path for folder in ("examples", "benchmarks", "tools", "perfbench")
+           for path in sorted((ROOT / folder).glob("*.py"))]
 
 
-def _repro_imports(path: Path) -> list[tuple[str, str]]:
-    """(module, name) for every ``from repro... import name`` in ``path``."""
+def _repro_imports(path: Path) -> list[tuple[str, str | None]]:
+    """(module, name) for every ``from repro... import name`` in ``path``, and
+    (module, None) for every ``import repro...``."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    return [
-        (node.module, alias.name)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 0
-        and node.module and node.module.split(".")[0] == "repro"
-        for alias in node.names
-    ]
+    found: list[tuple[str, str | None]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names]
+    return [(module, name) for module, name in found if module.split(".")[0] == "repro"]
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}-{p.name}")
@@ -32,7 +35,7 @@ def test_repro_imports_resolve(path):
     missing = []
     for module, name in _repro_imports(path):
         mod = importlib.import_module(module)
-        if not hasattr(mod, name):
+        if name is not None and not hasattr(mod, name):
             try:
                 importlib.import_module(f"{module}.{name}")
             except ModuleNotFoundError:

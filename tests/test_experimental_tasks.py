@@ -171,7 +171,7 @@ class TestEndToEnd:
 
         fp32 = acc(g)
         assert fp32 > 50.0
-        stats = calibrate(g, ds.calibration_batches(), observer="moving_average")
+        stats = calibrate(g, ds.calibration_batches())
         int8 = acc(quantize_graph(g, stats))
         fp16 = acc(convert_fp16(g))
         assert fp16 > 0.95 * fp32
@@ -197,7 +197,7 @@ class TestEndToEnd:
 
         fp32 = acc(g)
         assert fp32 > 18.0  # meaningfully above garbage
-        stats = calibrate(g, ds.calibration_batches(), observer="moving_average")
+        stats = calibrate(g, ds.calibration_batches())
         assert acc(quantize_graph(g, stats)) > 0.95 * fp32  # SR quantizes well
         assert acc(convert_fp16(g)) > 0.99 * fp32
 

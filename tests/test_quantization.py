@@ -1,78 +1,45 @@
-"""PTQ pipeline: observers, calibration, graph quantization, bias correction."""
+"""PTQ pipeline: calibration, graph quantization, FP16 conversion."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import Executor, export_mobile
+from repro.graph import Executor, GraphBuilder, export_mobile
 from repro.kernels import Numerics
-from repro.quantization import (
-    MinMaxObserver,
-    MovingAverageObserver,
-    PercentileObserver,
-    apply_bias_correction,
-    calibrate,
-    convert_fp16,
-    make_observer,
-    quantize_graph,
-)
+from repro.quantization import calibrate, convert_fp16, quantize_graph
+
+
+def _relu_graph():
+    """One relu op over a (batch, 4) float input."""
+    b = GraphBuilder("relu", seed=0)
+    out = b.activation(b.input("x", (-1, 4)), "relu")
+    b.outputs(out)
+    return export_mobile(b.build()), out
 
 
 class TestObservers:
-    def test_minmax_tracks_extremes(self, rng):
-        obs = MinMaxObserver()
-        obs.update(np.array([1.0, 5.0]))
-        obs.update(np.array([-2.0, 3.0]))
-        assert obs.range() == (-2.0, 5.0)
+    """The moving-average range observer folded into ``calibrate``."""
 
-    def test_minmax_empty_raises(self):
-        with pytest.raises(RuntimeError):
-            MinMaxObserver().range()
-
-    def test_moving_average_discounts_outliers(self, rng):
-        obs = MovingAverageObserver(momentum=0.9)
-        for _ in range(50):
-            obs.update(rng.normal(0, 1, 100))
-        obs.update(np.array([1000.0]))
-        lo, hi = obs.range()
-        assert hi < 200  # the spike is smoothed away
-
-    def test_moving_average_momentum_validation(self):
-        with pytest.raises(ValueError):
-            MovingAverageObserver(momentum=1.5)
-
-    def test_percentile_clips_outliers(self, rng):
-        obs = PercentileObserver(percentile=99.0)
-        values = rng.normal(0, 1, 10_000)
-        values[0] = 1e6
-        obs.update(values)
-        _, hi = obs.range()
-        assert hi < 10
-
-    def test_percentile_validation(self):
-        with pytest.raises(ValueError):
-            PercentileObserver(percentile=10.0)
-
-    def test_factory(self):
-        assert isinstance(make_observer("minmax"), MinMaxObserver)
-        with pytest.raises(ValueError):
-            make_observer("magic")
-
-    @given(st.lists(st.floats(-100, 100), min_size=2, max_size=50))
+    @given(st.lists(st.floats(-100, 100), min_size=4, max_size=48))
     @settings(max_examples=40, deadline=None)
     def test_minmax_bounds_data(self, values):
-        obs = MinMaxObserver()
-        arr = np.asarray(values)
-        obs.update(arr)
-        lo, hi = obs.range()
+        g, _ = _relu_graph()
+        arr = np.asarray(values[: len(values) // 4 * 4], dtype=np.float32).reshape(-1, 4)
+        lo, hi = calibrate(g, [{"x": arr}]).ranges["x"]
         assert lo <= arr.min() and hi >= arr.max()
 
-    def test_percentile_reservoir_bounded(self, rng):
-        obs = PercentileObserver(reservoir=1000)
-        for _ in range(10):
-            obs.update(rng.normal(0, 1, 5000))
-        assert obs.samples.size <= 1000
+    def test_minmax_empty_raises(self):
+        g, _ = _relu_graph()
+        with pytest.raises(RuntimeError, match="no data"):
+            calibrate(g, [{"x": np.zeros((0, 4), dtype=np.float32)}])
+
+    def test_moving_average_discounts_outliers(self, rng):
+        g, _ = _relu_graph()
+        batches = [{"x": rng.normal(0, 1, (25, 4)).astype(np.float32)} for _ in range(50)]
+        batches.append({"x": np.full((1, 4), 1000.0, dtype=np.float32)})
+        _, hi = calibrate(g, batches).ranges["x"]
+        assert hi < 200  # the spike is smoothed away
 
 
 class TestCalibrate:
@@ -84,11 +51,47 @@ class TestCalibrate:
         assert "images" in stats.ranges  # inputs observed too
         assert stats.num_samples == 6
 
+    def test_single_batch_gives_exact_minmax(self, toy_exported, toy_inputs):
+        """One calibration batch records each tensor's exact min and max,
+        which is why the one-batch golden digests are unaffected by the
+        moving average."""
+        exported, _ = toy_exported
+        seen = {"images": toy_inputs["images"]}
+
+        def tap(name, values):
+            if np.issubdtype(values.dtype, np.floating):
+                seen[name] = values
+
+        Executor(exported).run(toy_inputs, tap=tap)
+        stats = calibrate(exported, [toy_inputs])
+        assert set(stats.ranges) == set(seen)
+        for name, values in seen.items():
+            assert stats.ranges[name] == (float(values.min()), float(values.max()))
+
+    def test_two_batches_blend(self):
+        g, out = _relu_graph()
+        first = np.array([[1.0, -2.0, 3.0, 4.0]], dtype=np.float32)
+        second = np.array([[0.0, -1.0, 2.0, 5.0]], dtype=np.float32)
+        stats = calibrate(g, [{"x": first}, {"x": second}])
+        # momentum 0.9, in exactly the float expression calibration uses
+        m = 0.9
+        hi = m * 4.0 + (1 - m) * 5.0
+        assert stats.ranges["x"] == (m * -2.0 + (1 - m) * -1.0, hi)
+        assert stats.ranges[out] == (0.0, hi)
+        assert stats.num_samples == 2
+
     def test_rejects_non_fp32(self, toy_exported, toy_inputs):
         exported, _ = toy_exported
         f16 = convert_fp16(exported)
         with pytest.raises(ValueError):
             calibrate(f16, [toy_inputs])
+
+    def test_provenance_names_the_recipe(self, toy_exported, toy_inputs):
+        exported, _ = toy_exported
+        q = quantize_graph(exported, calibrate(exported, [toy_inputs]))
+        meta = q.metadata["quantization"]
+        assert meta["observer"] == "moving_average"
+        assert meta["calibration_samples"] == 6
 
 
 class TestQuantizeGraph:
@@ -173,16 +176,3 @@ class TestFP16Convert:
         f16 = convert_fp16(exported)
         assert f16.metadata["quantization"]["numerics"] == "fp16"
         assert f16.numerics == Numerics.FP16
-
-
-class TestBiasCorrection:
-    def test_runs_and_preserves_structure(self, toy_exported, toy_inputs):
-        exported, out = toy_exported
-        stats = calibrate(exported, [toy_inputs])
-        q = quantize_graph(exported, stats)
-        qc = apply_bias_correction(q, exported, [toy_inputs])
-        assert qc.frozen
-        assert "bias_corrected_layers" in qc.metadata["quantization"]
-        got = Executor(qc).run(toy_inputs)[out]
-        want = Executor(exported).run(toy_inputs)[out]
-        assert np.abs(got - want).mean() < 0.1  # still a sane model

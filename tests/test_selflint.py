@@ -55,7 +55,7 @@ def test_sl003_percentile_banned_on_latency_paths():
 
 def test_sl003_allowed_in_calibration_code():
     src = "import numpy as np\nq = np.percentile([1.0], 90)\n"
-    assert selflint.lint_source(src, "src/repro/quantization/observers.py") == []
+    assert selflint.lint_source(src, "src/repro/quantization/ptq.py") == []
 
 
 def test_sl004_unseeded_global_randomness():

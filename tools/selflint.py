@@ -11,9 +11,8 @@ SL003  interpolated ``np.percentile`` on a latency path — MLPerf latency
        percentiles are the nearest-rank order statistic; NumPy's default
        linear interpolation manufactures latencies no query ever had (the
        exact bug class fixed in the conformance PR). Latency paths must use
-       ``repro.loadgen.scenarios.percentile_latency``. Calibration code
-       (quantization/) legitimately interpolates activation ranges and is
-       out of scope.
+       ``repro.loadgen.scenarios.percentile_latency``. Code off those
+       paths (e.g. quantization/) is out of scope.
 SL004  unseeded global randomness — ``np.random.*`` / ``random.*`` module
        calls (and ``default_rng()`` with no seed) draw from hidden global or
        OS-entropy state, so latency/accuracy runs stop being reproducible.
