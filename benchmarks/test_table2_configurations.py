@@ -84,10 +84,8 @@ def test_alp_beats_single_engine(benchmark):
             soc = get_soc(soc_name)
             be = default_backend_for(soc)
             pipes = be.compile_offline(g, "image_classification")
-            # compare raw engine throughput (uncapped): ALP's gain is real
-            # even when the shared DRAM interface ultimately caps both
-            alp = offline_throughput(pipes, dram_gbps=1e9)
-            solo = offline_throughput(pipes[:1], dram_gbps=1e9)
+            alp = offline_throughput(pipes)
+            solo = offline_throughput(pipes[:1])
             out[soc_name] = {"alp_fps": alp, "best_single_fps": solo,
                              "gain": alp / solo}
         return out

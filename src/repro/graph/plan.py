@@ -38,7 +38,6 @@ from typing import Callable
 import numpy as np
 
 from ..kernels.numerics import Numerics, cast_fp16, dequantize, quantize
-from .arena import graph_arena_layout
 from .graph import Graph
 from .ops import Kernel
 from .profiler import ExecutionProfiler
@@ -223,17 +222,12 @@ class ExecutionPlan:
 
     # -- introspection -------------------------------------------------------
     def describe(self) -> dict:
-        """Summary of what compilation cached (docs/debugging aid).
-
-        ``arena`` is the static batch-1 layout the hardware DRAM model
-        charges (:func:`repro.graph.arena.graph_arena_layout`).
-        """
+        """Summary of what compilation cached (docs/debugging aid)."""
         return {
             "graph": self.graph.name,
             "numerics": self.numerics.value,
             "ops": len(self._steps),
             "released_tensors": sum(len(s.release) for s in self._steps),
-            "arena": graph_arena_layout(self.graph).describe(),
         }
 
 

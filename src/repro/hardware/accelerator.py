@@ -76,13 +76,3 @@ class AcceleratorSpec:
 
     def supported_ops(self) -> set[str]:
         return OP_SUPPORT[self.kind]
-
-    def compute_seconds(self, macs: float, numerics: Numerics) -> float:
-        """Time to execute ``macs`` multiply-accumulates (2 ops each)."""
-        tops = self.effective_tops.get(numerics)
-        if tops is None:
-            raise ValueError(f"{self.name} does not support {numerics}")
-        return (2.0 * macs) / (tops * 1e12)
-
-    def memory_seconds(self, num_bytes: float) -> float:
-        return num_bytes / (self.memory_gbps * 1e9)

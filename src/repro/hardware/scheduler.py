@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..graph.arena import graph_arena_bytes
 from ..graph.graph import Graph
 from ..kernels.numerics import Numerics
 from .accelerator import AcceleratorSpec
 from .soc import SoCSpec
 
 __all__ = ["Segment", "CompiledModel", "partition_graph", "compile_model"]
+
+# samples per offline batch each ALP pipeline runs
+OFFLINE_BATCH = 256
 
 
 @dataclass
@@ -64,15 +66,6 @@ class FrameworkProfile:
     unsupported_ops: frozenset[str] = frozenset()
 
 
-def _effective_numerics(acc: AcceleratorSpec, numerics: Numerics) -> Numerics | None:
-    """The format this accelerator would run the model in, or None."""
-    if acc.supports(numerics):
-        return numerics
-    if numerics == Numerics.FP32 and acc.supports(Numerics.FP16):
-        return None  # no silent down-conversion: FP32 models stay off NPUs
-    return None
-
-
 _FIXED_FUNCTION_KINDS = {"npu", "apu", "dsp", "hta", "hvx", "ane"}
 
 
@@ -98,7 +91,7 @@ def partition_graph(
     """Assign ops to primary (then secondary, then fallback) and group runs."""
     segments: list[Segment] = []
     current: Segment | None = None
-    primary_ok = _effective_numerics(primary, numerics) is not None
+    primary_ok = primary.supports(numerics)
     secondary_ok = secondary is not None and (
         secondary.supports(numerics) or secondary.supports(Numerics.FP16)
     )
@@ -141,10 +134,6 @@ class CompiledModel:
     # and post-processing and other tasks the benchmark does not measure");
     # end-to-end mode (App. E) adds it to the measured latency
     preprocess_cpu_ops: float = 0.0
-    # planned activation working set per sample (arena planner, repro.graph
-    # .arena); 0.0 means unknown and the naive every-tensor-resident sum of
-    # segment activation bytes is used instead
-    arena_bytes_per_sample: float = 0.0
 
     @property
     def num_boundaries(self) -> int:
@@ -205,30 +194,17 @@ class CompiledModel:
         return busy
 
 
-def offline_throughput(
-    pipelines: list["CompiledModel"],
-    batch: int = 256,
-    dram_gbps: float | None = None,
-) -> float:
-    """Aggregate samples/s of concurrent ALP pipelines, DRAM-ceiling capped.
+def offline_throughput(pipelines: list["CompiledModel"]) -> float:
+    """Aggregate samples/s of concurrent ALP pipelines.
 
-    Each pipeline runs the whole graph on its own engine; their throughputs
-    add until the shared DRAM interface saturates (the reason offline FPS on
-    phones lands far below naive per-engine sums). The per-sample DRAM
-    traffic is the arena-planned working set when the compile recorded one
-    (a runtime reusing buffers re-touches far fewer unique bytes), falling
-    back to the naive every-tensor sum otherwise.
+    Each pipeline runs the whole graph on its own engine at batch
+    :data:`OFFLINE_BATCH`, so their throughputs add.
     """
     if not pipelines:
         raise ValueError("need at least one pipeline")
-    total = sum(batch / p.latency_seconds(batch=batch) for p in pipelines)
-    if dram_gbps is None:
-        dram_gbps = pipelines[0].soc.dram_gbps
-    bytes_per_sample = pipelines[0].arena_bytes_per_sample or sum(
-        seg.activation_bytes for seg in pipelines[0].segments
+    return sum(
+        OFFLINE_BATCH / p.latency_seconds(batch=OFFLINE_BATCH) for p in pipelines
     )
-    cap = dram_gbps * 1e9 / max(bytes_per_sample, 1.0)
-    return min(total, cap)
 
 
 def compile_model(
@@ -249,7 +225,6 @@ def compile_model(
     segments = partition_graph(
         graph, primary_acc, fallback, numerics, secondary_acc, framework.unsupported_ops
     )
-    arena = graph_arena_bytes(graph, numerics)
     return CompiledModel(
         model_name=graph.name,
         task=str(graph.metadata.get("task", "unknown")),
@@ -259,5 +234,4 @@ def compile_model(
         framework=framework,
         postprocess_cpu_ops=postprocess_cpu_ops,
         preprocess_cpu_ops=preprocess_cpu_ops,
-        arena_bytes_per_sample=float(arena["planned_bytes"]),
     )

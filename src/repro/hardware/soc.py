@@ -4,7 +4,8 @@ Specs are transcribed/derived from the paper's Appendix C (TOPS claims, core
 counts, process node, generational deltas) and calibrated so the simulated
 benchmark reproduces the published result *shapes*: Figure 7 orderings
 (Dimensity wins detection/segmentation, Exynos wins classification/NLP),
-the Table 2 offline anchors (Exynos 674.4 FPS vs Snapdragon 605.37 FPS),
+the Table 2 offline anchors (Exynos 674.4 FPS vs Snapdragon 605.37 FPS,
+summed ALP pipelines at the thermal steady-state clock),
 Table 3's delegate gaps, and Figure 6's ~2x generational uplift with the
 Exynos segmentation outlier. Absolute wall-clock fidelity is a non-goal
 (DESIGN.md §1).
@@ -30,7 +31,6 @@ class SoCSpec:
     benchmark_version: str  # submission round this SoC appeared in
     accelerators: tuple[AcceleratorSpec, ...]
     process_node_nm: int
-    dram_gbps: float = 12.0  # sustained shared-DRAM bandwidth (offline ceiling)
     interconnect_gbps: float = 5.0  # inter-IP-block transfer bandwidth
     segment_sync_ms: float = 0.5  # cost of an accelerator-to-accelerator hop
     tdp_watts: float = 3.0  # paper App. E: smartphone chipsets cap near 3 W
@@ -45,9 +45,6 @@ class SoCSpec:
             if acc.name == name:
                 return acc
         raise KeyError(f"{self.name} has no accelerator {name!r}")
-
-    def accelerators_of_kind(self, kind: str) -> list[AcceleratorSpec]:
-        return [a for a in self.accelerators if a.kind == kind]
 
 
 def _int8(v: float, fp16_ratio: float = 0.5) -> dict[Numerics, float]:
@@ -74,7 +71,7 @@ SOC_CATALOG: dict[str, SoCSpec] = {
                             per_op_overhead_us=18.0),
         ),
         # slow inter-IP transfers: the bottleneck the 2100 fixed (paper §7.1)
-        dram_gbps=13.1, interconnect_gbps=0.2, segment_sync_ms=12.0,
+        interconnect_gbps=0.2, segment_sync_ms=12.0,
     ),
     "exynos_2100": SoCSpec(
         name="exynos_2100", vendor="samsung", form_factor="smartphone",
@@ -93,7 +90,7 @@ SOC_CATALOG: dict[str, SoCSpec] = {
                             dispatch_overhead_us=30.0, tdp_watts=1.8,
                             per_op_overhead_us=12.0),
         ),
-        dram_gbps=28.0, interconnect_gbps=18.0, segment_sync_ms=0.25,
+        interconnect_gbps=18.0, segment_sync_ms=0.25,
     ),
     # ------------------------------------------------------------ Qualcomm
     "snapdragon_865plus": SoCSpec(
@@ -116,7 +113,7 @@ SOC_CATALOG: dict[str, SoCSpec] = {
                             dispatch_overhead_us=40.0, tdp_watts=1.0,
                             per_op_overhead_us=22.0),
         ),
-        dram_gbps=11.8, interconnect_gbps=6.0, segment_sync_ms=0.8,
+        interconnect_gbps=6.0, segment_sync_ms=0.8,
     ),
     "snapdragon_888": SoCSpec(
         name="snapdragon_888", vendor="qualcomm", form_factor="smartphone",
@@ -138,7 +135,7 @@ SOC_CATALOG: dict[str, SoCSpec] = {
                             dispatch_overhead_us=25.0, tdp_watts=1.2,
                             per_op_overhead_us=14.0),
         ),
-        dram_gbps=26.0, interconnect_gbps=14.0, segment_sync_ms=0.35,
+        interconnect_gbps=14.0, segment_sync_ms=0.35,
     ),
     # ------------------------------------------------------------ MediaTek
     "dimensity_820": SoCSpec(
@@ -160,7 +157,7 @@ SOC_CATALOG: dict[str, SoCSpec] = {
                             memory_gbps=22.0, dispatch_overhead_us=40.0,
                             tdp_watts=1.4, per_op_overhead_us=25.0),
         ),
-        dram_gbps=10.0, interconnect_gbps=7.0, segment_sync_ms=0.6,
+        interconnect_gbps=7.0, segment_sync_ms=0.6,
     ),
     "dimensity_1100": SoCSpec(
         name="dimensity_1100", vendor="mediatek", form_factor="smartphone",
@@ -180,7 +177,7 @@ SOC_CATALOG: dict[str, SoCSpec] = {
                             memory_gbps=26.0, dispatch_overhead_us=30.0,
                             tdp_watts=1.6, per_op_overhead_us=14.0),
         ),
-        dram_gbps=24.0, interconnect_gbps=12.0, segment_sync_ms=0.2,
+        interconnect_gbps=12.0, segment_sync_ms=0.2,
     ),
     # ---------------------------------------------------------------- Intel
     "core_i7_1165g7": SoCSpec(
@@ -196,7 +193,7 @@ SOC_CATALOG: dict[str, SoCSpec] = {
                             memory_gbps=50.0, dispatch_overhead_us=35.0,
                             tdp_watts=12.0, per_op_overhead_us=8.0),
         ),
-        dram_gbps=45.0, interconnect_gbps=40.0, segment_sync_ms=0.1,
+        interconnect_gbps=40.0, segment_sync_ms=0.1,
         tdp_watts=28.0, thermal_resistance=2.5, thermal_capacitance=40.0,
         throttle_temp=85.0,
     ),
@@ -213,7 +210,7 @@ SOC_CATALOG: dict[str, SoCSpec] = {
                             memory_gbps=52.0, dispatch_overhead_us=33.0,
                             tdp_watts=12.5, per_op_overhead_us=7.7),
         ),
-        dram_gbps=48.0, interconnect_gbps=42.0, segment_sync_ms=0.1,
+        interconnect_gbps=42.0, segment_sync_ms=0.1,
         tdp_watts=35.0, thermal_resistance=2.5, thermal_capacitance=40.0,
         throttle_temp=85.0,
     ),
@@ -240,7 +237,7 @@ SOC_CATALOG["apple_a14"] = SoCSpec(
                         memory_gbps=26.0, dispatch_overhead_us=25.0,
                         tdp_watts=1.8, per_op_overhead_us=12.0),
     ),
-    dram_gbps=26.0, interconnect_gbps=16.0, segment_sync_ms=0.2,
+    interconnect_gbps=16.0, segment_sync_ms=0.2,
 )
 
 # v0.7 -> v1.0 generational pairs (Figure 6)

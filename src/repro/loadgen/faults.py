@@ -105,7 +105,7 @@ class FaultySUT(SystemUnderTest):
         return sum(self.injected.values())
 
     # -- passthrough -------------------------------------------------------
-    def run_offline(self, total_samples: int, batch: int = 256):
+    def run_offline(self, total_samples: int):
         """Offline bursts fail atomically: one draw covers the whole burst."""
         kind = self._draw_fault()
         if kind in ("failure", "timeout"):
@@ -115,7 +115,7 @@ class FaultySUT(SystemUnderTest):
         run = getattr(self.inner, "run_offline", None)
         if run is None:
             raise TypeError(f"{type(self.inner).__name__} does not support offline bursts")
-        return run(total_samples, batch=batch)
+        return run(total_samples)
 
     def evaluate(self) -> dict[str, float]:
         evaluate = getattr(self.inner, "evaluate", None)

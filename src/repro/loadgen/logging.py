@@ -23,6 +23,12 @@ __all__ = ["QueryRecord", "LoadGenLog", "LOG_SCHEMA_VERSION"]
 # so the auditor never silently misreads a foreign or corrupted package.
 LOG_SCHEMA_VERSION = 2
 
+# the JSON type each non-numeric log field must have
+_FIELD_TYPES = {
+    "scenario": str, "mode": str, "task": str, "model": str, "sut": str,
+    "accuracy": dict, "metadata": dict, "records": list,
+}
+
 
 @dataclass(frozen=True)
 class QueryRecord:
@@ -165,20 +171,28 @@ class LoadGenLog:
         ]
         if missing:
             raise ValueError(f"log payload missing required fields: {missing}")
-        log = cls(
-            scenario=payload["scenario"],
-            mode=payload["mode"],
-            task=payload["task"],
-            model_name=payload["model"],
-            sut_name=payload["sut"],
-            seed=int(payload["seed"]),
-            min_query_count=int(payload["min_query_count"]),
-            min_duration_s=float(payload["min_duration_s"]),
-            latency_percentile=float(payload.get("latency_percentile", 90.0)),
-        )
-        log.offline_samples = int(payload.get("offline_samples", 0))
-        log.offline_seconds = float(payload.get("offline_seconds", 0.0))
-        log.energy_joules = float(payload.get("energy_joules", 0.0))
+        wrong = [
+            k for k, t in _FIELD_TYPES.items() if k in payload and not isinstance(payload[k], t)
+        ]
+        if wrong:
+            raise ValueError(f"log payload fields of the wrong type: {wrong}")
+        try:
+            log = cls(
+                scenario=payload["scenario"],
+                mode=payload["mode"],
+                task=payload["task"],
+                model_name=payload["model"],
+                sut_name=payload["sut"],
+                seed=int(payload["seed"]),
+                min_query_count=int(payload["min_query_count"]),
+                min_duration_s=float(payload["min_duration_s"]),
+                latency_percentile=float(payload.get("latency_percentile", 90.0)),
+            )
+            log.offline_samples = int(payload.get("offline_samples", 0))
+            log.offline_seconds = float(payload.get("offline_seconds", 0.0))
+            log.energy_joules = float(payload.get("energy_joules", 0.0))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"malformed numeric field ({exc})") from exc
         log.accuracy = dict(payload.get("accuracy", {}))
         log.metadata = dict(payload.get("metadata", {}))
         for i, rec in enumerate(payload.get("records", [])):
@@ -190,6 +204,6 @@ class LoadGenLog:
                         tuple(int(s) for s in indices), float(temp),
                     )
                 )
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"malformed record #{i}: {rec!r} ({exc})") from exc
         return log

@@ -77,15 +77,11 @@ class PerformanceSUT(SystemUnderTest):
         self.single_stream_model = single_stream_model
         self.offline_pipelines = offline_pipelines or [single_stream_model]
         self.name = name
-        # the compiled pipelines (and their arena-planned working sets) are
-        # fixed for the SUT's lifetime, so the aggregate throughput at a given
-        # batch size is too: compute it once and reuse it across bursts
-        self._offline_fps: dict[int, float] = {}
 
     def issue_query(self, indices: np.ndarray) -> float:
         return self.device.run_query(self.single_stream_model, batch=len(indices)).latency_seconds
 
-    def run_offline(self, total_samples: int, batch: int = 256) -> OfflineResult:
+    def run_offline(self, total_samples: int) -> OfflineResult:
         """Offline burst: ALP pipelines at thermal steady state.
 
         Batched execution with concurrent engines saturates the chip: it runs
@@ -99,9 +95,7 @@ class PerformanceSUT(SystemUnderTest):
         clock = 1.0 if over <= 0 else max(
             self.device.thermal.min_clock_scale, 1.0 - soc.throttle_slope * over
         )
-        if batch not in self._offline_fps:
-            self._offline_fps[batch] = offline_throughput(self.offline_pipelines, batch=batch)
-        fps = self._offline_fps[batch] * clock
+        fps = offline_throughput(self.offline_pipelines) * clock
         total_seconds = total_samples / fps
         energy = power * total_seconds
         self.device.thermal.temperature_c = max(

@@ -101,15 +101,17 @@ def validate_log(log: LoadGenLog) -> list[str]:
         elif not (_finite(log.offline_seconds) and _finite(log.energy_joules)):
             problems.append("offline log contains non-finite totals")
         expected = log.metadata.get("offline_expected_samples")
-        if expected is not None and log.offline_samples < expected:
+        if expected is not None and not _finite(expected):
+            problems.append(f"offline_expected_samples {expected!r} is not a number")
+        elif expected is not None and log.offline_samples < expected:
             problems.append(
                 f"offline burst covered {log.offline_samples} samples; rules "
                 f"require the full {expected}-sample burst"
             )
         clock_scale = log.metadata.get("steady_clock_scale")
-        if clock_scale is not None and not (0.0 < clock_scale <= 1.0):
+        if clock_scale is not None and not (_finite(clock_scale) and 0.0 < clock_scale <= 1.0):
             problems.append(
-                f"offline steady clock scale {clock_scale} outside (0, 1]"
+                f"offline steady clock scale {clock_scale!r} outside (0, 1]"
             )
         if log.records:
             problems.append(

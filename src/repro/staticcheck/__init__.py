@@ -28,7 +28,7 @@ from .placement import (
     predict_placement,
     sweep_vendor_placements,
 )
-from .plancheck import check_arena_layout, check_plan
+from .plancheck import check_plan
 from .quantcheck import accumulator_bound, check_quantization
 from .intervals import Interval, activation_transfer, dot_error_bound
 from .ranges import (
@@ -69,7 +69,6 @@ __all__ = [
     "attestation_problems",
     "check_dataflow",
     "check_placement",
-    "check_arena_layout",
     "check_plan",
     "check_quantization",
     "check_ranges",

@@ -26,7 +26,7 @@ __all__ = [
 
 # bump when rule semantics change: attestations record the ruleset they
 # were produced under, so stale "verified" stamps are detectable
-RULESET_VERSION = 4
+RULESET_VERSION = 5
 
 
 class Severity(enum.Enum):
@@ -122,12 +122,6 @@ RULE_CATALOG: dict[str, Rule] = {r.rule_id: r for r in [
          "no declared graph output is ever freed by the schedule"),
     Rule("PL006", _E, "plan", "read of undefined tensor",
          "every step reads only graph inputs or earlier steps' outputs"),
-    Rule("PL007", _E, "plan", "arena slot collision",
-         "in the static arena layout the DRAM model charges, no two slots "
-         "with overlapping live intervals (replayed from the graph's op "
-         "list) share bytes in the same arena, every slot holds the spec-"
-         "derived size of its tensor, and every charged intermediate has "
-         "a slot"),
     # -- value-range engine (abstract interpretation) ----------------------
     Rule("VR001", _E, "ranges", "range-aware accumulator overflow",
          "no integer kernel's accumulator can exceed int32 given the *proven* "

@@ -272,6 +272,20 @@ class TestDifferentialValidator:
                    for p in validate_serialized(payload))
 
 
+# JSON that parses but carries the wrong type in one field of an offline log
+MALFORMED_FIELDS = {
+    "seed_null": lambda p: p.__setitem__("seed", None),
+    "offline_seconds_null": lambda p: p.__setitem__("offline_seconds", None),
+    "accuracy_number": lambda p: p.__setitem__("accuracy", 5),
+    "metadata_number": lambda p: p.__setitem__("metadata", 5),
+    "scenario_list": lambda p: p.__setitem__("scenario", []),
+    "clock_scale_string": lambda p: p["metadata"].__setitem__("steady_clock_scale", "0.9"),
+    "expected_samples_string": lambda p: p["metadata"].__setitem__(
+        "offline_expected_samples", "4096"
+    ),
+}
+
+
 class TestValidatorFaultTolerance:
     """Garbage input yields violations, never exceptions."""
 
@@ -285,6 +299,24 @@ class TestValidatorFaultTolerance:
     ])
     def test_never_raises(self, payload):
         problems = validate_serialized(payload)
+        assert problems and all(isinstance(p, str) for p in problems)
+
+    @pytest.mark.parametrize("entry", ["serialized", "package"])
+    @pytest.mark.parametrize("name", sorted(MALFORMED_FIELDS))
+    def test_malformed_field_is_a_violation(self, tmp_path, offline_log, entry, name):
+        from repro.core import validate_package
+
+        payload = copy.deepcopy(offline_log.to_dict())
+        MALFORMED_FIELDS[name](payload)
+        if entry == "serialized":
+            problems = validate_serialized(payload)
+        else:
+            task_dir = tmp_path / "results" / "image_classification"
+            task_dir.mkdir(parents=True)
+            for meta in ("system.json", "provenance.json", "summary.json"):
+                (tmp_path / meta).write_text("{}")
+            (task_dir / "offline_log.json").write_text(json.dumps(payload))
+            problems = validate_package(tmp_path)
         assert problems and all(isinstance(p, str) for p in problems)
 
     def test_unknown_scenario_flagged(self):

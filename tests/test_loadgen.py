@@ -134,14 +134,6 @@ class TestOffline:
         off = LoadGenerator(off_settings).run(perf_sut, QuerySampleLibrary(IndexDataset()))
         assert off.throughput_fps() > ss.throughput_fps()
 
-    def test_performance_sut_memoizes_offline_throughput(self, perf_sut):
-        r1 = perf_sut.run_offline(1024, batch=128)
-        assert set(perf_sut._offline_fps) == {128}
-        r2 = perf_sut.run_offline(1024, batch=128)
-        assert r1.throughput_fps == r2.throughput_fps
-        perf_sut.run_offline(1024, batch=64)
-        assert set(perf_sut._offline_fps) == {64, 128}
-
     def test_accuracy_sut_rejected_for_offline(self, cls_exported, cls_dataset):
         sut = AccuracySUT(cls_exported, cls_dataset)
         settings = TestSettings(scenario=Scenario.OFFLINE)

@@ -418,10 +418,10 @@ def test_bp004_fires_when_fallback_owns_the_macs():
 
 
 # ---------------------------------------------------------------------------
-# plan rules PL001-PL007 (tampered execution plans / corrupted arena layouts)
+# plan rules PL001-PL006 (tampered execution plans)
 # ---------------------------------------------------------------------------
 
-PLAN_RULES = {"PL001", "PL002", "PL003", "PL004", "PL005", "PL006", "PL007"}
+PLAN_RULES = {"PL001", "PL002", "PL003", "PL004", "PL005", "PL006"}
 
 
 def _toy_plan():
@@ -474,81 +474,6 @@ def test_pl006_read_of_undefined_tensor():
     plan._steps[0].inputs = plan._steps[0].inputs + ("phantom",)
     findings = check_plan(plan)
     assert any(f.rule_id == "PL006" and f.tensor == "phantom" for f in findings)
-
-
-def _corrupt_slot(layout, name, **overrides):
-    from repro.graph.arena import ArenaLayout, ArenaSlot
-
-    s = layout.slots[name]
-    fields = {"name": s.name, "key": s.key, "offset": s.offset,
-              "nbytes": s.nbytes, "first": s.first, "last": s.last}
-    fields.update(overrides)
-    slots = dict(layout.slots)
-    slots[name] = ArenaSlot(**fields)
-    return ArenaLayout(slots=slots, arena_bytes=layout.arena_bytes,
-                       alignment=layout.alignment)
-
-
-def _toy_layout():
-    from repro.graph.arena import graph_arena_layout
-
-    graph = _toy_plan().graph
-    return graph, graph_arena_layout(graph)
-
-
-def test_pl007_overlapping_live_slots():
-    from repro.staticcheck import check_arena_layout
-
-    graph, layout = _toy_layout()
-    a = next(iter(layout.slots.values()))
-    victim = next(
-        n for n, b in layout.slots.items()
-        if n != a.name and b.key == a.key
-        and a.first <= b.last and b.first <= a.last
-    )
-    broken = _corrupt_slot(layout, victim, offset=a.offset)
-    assert check_arena_layout(graph, layout) == []
-    assert "PL007" in _ids(check_arena_layout(graph, broken))
-
-
-def test_pl007_interval_disagrees_with_replay():
-    from repro.staticcheck import check_arena_layout
-
-    graph, layout = _toy_layout()
-    name = next(iter(layout.slots))
-    s = layout.slots[name]
-    broken = _corrupt_slot(layout, name, last=s.last + 1)
-    assert any(
-        f.rule_id == "PL007" and f.tensor == name
-        for f in check_arena_layout(graph, broken)
-    )
-
-
-def test_pl007_undersized_slot():
-    from repro.staticcheck import check_arena_layout
-
-    graph, layout = _toy_layout()
-    name = next(iter(layout.slots))
-    broken = _corrupt_slot(layout, name, nbytes=layout.slots[name].nbytes // 2)
-    assert any(
-        f.rule_id == "PL007" and "bytes" in f.message
-        for f in check_arena_layout(graph, broken)
-    )
-
-
-def test_pl007_uncharged_intermediate():
-    from repro.graph.arena import ArenaLayout
-    from repro.staticcheck import check_arena_layout
-
-    graph, layout = _toy_layout()
-    name = next(iter(layout.slots))
-    slots = {n: s for n, s in layout.slots.items() if n != name}
-    broken = ArenaLayout(slots=slots, arena_bytes=layout.arena_bytes,
-                         alignment=layout.alignment)
-    assert any(
-        f.rule_id == "PL007" and f.tensor == name and "no arena slot" in f.message
-        for f in check_arena_layout(graph, broken)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +588,24 @@ def test_every_catalog_rule_has_a_breaker_test():
     covered = (set(DATAFLOW_BREAKERS) | set(QUANT_BREAKERS)
                | PLACEMENT_RULES | PLAN_RULES | set(RANGE_BREAKERS))
     assert covered == set(RULE_CATALOG)
+
+
+# every ruleset version and its rule count per family (IDs run 001..n within
+# a family); a catalog edit without a new row and a version bump fails
+RULESETS = {
+    4: {"BP": 4, "DF": 11, "PL": 7, "QS": 7, "VR": 6},
+    5: {"BP": 4, "DF": 11, "PL": 6, "QS": 7, "VR": 6},
+}
+
+
+def test_ruleset_version_pins_the_catalog():
+    assert RULESET_VERSION == max(RULESETS)
+    expected = sorted(
+        f"{family}{i:03d}"
+        for family, count in RULESETS[RULESET_VERSION].items()
+        for i in range(1, count + 1)
+    )
+    assert sorted(RULE_CATALOG) == expected
 
 
 # ---------------------------------------------------------------------------
