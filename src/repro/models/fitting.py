@@ -8,9 +8,19 @@ against class-structured synthetic scenes (repro.synthdata). The result is a
 model whose decisions carry real margins — confident on easy samples,
 uncertain near boundaries — which is what makes the paper's relative-quality
 gates (>=93-98% of FP32) behave the way they do on real trained models.
+
+Like MLPerf Mobile's frozen reference models, the result ships as a file:
+``fitted/<model>.npz`` holds the params a fit changes, under the fit's key
+(:func:`fit_key`). :func:`fit_or_load` loads it on an exact key match and
+refits otherwise. ``tools/fitted_models.py`` writes the files and checks them
+against a refit.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
 
 import numpy as np
 
@@ -29,6 +39,10 @@ from ..synthdata import (
 from .common import ModelBundle, calibrate_batch_norms
 
 __all__ = [
+    "FIT_VERSION",
+    "FIT_SEED",
+    "fit_key",
+    "fit_or_load",
     "ridge_fit",
     "capture_tensors",
     "fit_classification_head",
@@ -53,6 +67,15 @@ LOGIT_SCALE = 6.0
 CLASSIFICATION_NOISE = 0.55
 MATCH_IOU = 0.45  # an anchor matches a ground-truth box at this IoU or above
 SUPER_RESOLUTION_L2 = 1e-3
+
+# Part of every fit key: bump it with any change to the recipe above or to the
+# fit_* functions below, so that no stored fit is served for the new recipe.
+FIT_VERSION = 1
+FIT_SEED = 7777  # fit seed of the default build; the zoo adds its model seed
+FITTED_DIR = pathlib.Path(__file__).with_name("fitted")
+# the two non-param entries of a stored fit
+KEY_ENTRY = "__key__"
+HEAD_FIT_ENTRY = "__head_fit__"
 
 
 def ridge_fit(
@@ -288,7 +311,7 @@ def fit_super_resolution_head(bundle: ModelBundle, *, seed: int = 7400) -> None:
                                   "train_samples": train_samples}
 
 
-def fit_reference_heads(bundle: ModelBundle, seed: int = 7777) -> None:
+def fit_reference_heads(bundle: ModelBundle, seed: int = FIT_SEED) -> None:
     """Dispatch head fitting by task. QA keeps its oracle-based evaluation."""
     if bundle.task == "image_classification":
         fit_classification_head(bundle, seed=seed)
@@ -301,3 +324,47 @@ def fit_reference_heads(bundle: ModelBundle, seed: int = 7777) -> None:
     elif bundle.task == "super_resolution":
         fit_super_resolution_head(bundle, seed=seed)
     # question_answering: intentionally unfitted — evaluated oracle-relative
+
+
+def fit_key(bundle: ModelBundle, seed: int) -> str:
+    """SHA-256 naming one fit: recipe version, seed, unfitted graph and config."""
+    payload = {
+        "fit_version": FIT_VERSION,
+        "seed": seed,
+        "graph": bundle.graph.checksum(),  # structure, attrs and param bytes
+        "config": bundle.config,
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def load_fitted(name: str, bundle: ModelBundle, key: str) -> bool:
+    """Apply the stored fit of model ``name`` if its key is exactly ``key``."""
+    path = FITTED_DIR / f"{name}.npz"
+    if not path.exists():
+        return False
+    with np.load(path, allow_pickle=False) as stored:
+        if str(stored[KEY_ENTRY]) != key:
+            return False
+        graph = bundle.graph
+        graph.metadata["head_fit"] = json.loads(str(stored[HEAD_FIT_ENTRY]))
+        for entry in stored.files:
+            if entry not in (KEY_ENTRY, HEAD_FIT_ENTRY):
+                graph.params[entry] = stored[entry]
+    return True
+
+
+def fit_or_load(name: str, bundle: ModelBundle, seed: int) -> None:
+    """Fit the heads of zoo model ``name``, or load its stored fit.
+
+    The stored fit is used only when its key matches this bundle and seed
+    exactly; any other seed, builder, config or recipe refits. Either way
+    ``metadata["head_fit"]["key"]`` names the fit.
+    """
+    key = fit_key(bundle, seed)
+    if not load_fitted(name, bundle, key):
+        # through the module global, which a tracer may have wrapped
+        fit_reference_heads(bundle, seed=seed)
+    head_fit = bundle.graph.metadata.get("head_fit")
+    if head_fit is not None:
+        head_fit["key"] = key

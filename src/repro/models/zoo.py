@@ -152,9 +152,11 @@ def create_reference_model(
 ) -> ModelBundle:
     """Executable scaled reference model (the accuracy-mode workhorse).
 
-    ``fitted=True`` (default) runs the closed-form head "training" of
-    :mod:`repro.models.fitting` so task heads carry real decision margins;
-    pass ``False`` for the raw randomly-initialized network (ablations).
+    ``fitted=True`` (default) gives the task heads real decision margins
+    through the closed-form head "training" of :mod:`repro.models.fitting`,
+    loaded from the model's stored fit when its key matches and refitted
+    otherwise; pass ``False`` for the raw randomly-initialized network
+    (ablations).
     """
     entry = _entry(name)
     kwargs = dict(entry.reference_kwargs)
@@ -162,9 +164,9 @@ def create_reference_model(
         kwargs["seed"] = seed
     bundle = entry.factory(materialize=True, **kwargs)
     if fitted:
-        from .fitting import fit_reference_heads  # deferred: fitting imports pipelines
+        from . import fitting  # deferred: fitting imports pipelines
 
-        fit_reference_heads(bundle, seed=(seed or 0) + 7777)
+        fitting.fit_or_load(name, bundle, (seed or 0) + fitting.FIT_SEED)
     return bundle
 
 

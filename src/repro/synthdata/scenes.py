@@ -161,7 +161,6 @@ def detection_scene_batch(
     protos = class_prototypes(num_classes, size, size, prototype_seed)
     images = smooth_field(rng, n, size, size)
     truths: list[list[DetectionObject]] = []
-    ys, xs = np.mgrid[0:size, 0:size]
     for i in range(n):
         objects: list[DetectionObject] = []
         for _ in range(int(rng.integers(1, max_objects + 1))):
@@ -174,8 +173,9 @@ def detection_scene_batch(
             c = int(rng.integers(1, num_classes))
             y0, y1 = int((cy - h / 2) * size), int((cy + h / 2) * size)
             x0, x1 = int((cx - w / 2) * size), int((cx + w / 2) * size)
-            mask = (ys >= y0) & (ys < y1) & (xs >= x0) & (xs < x1)
-            images[i][mask] = images[i][mask] * 0.3 + signal * protos[c][mask]
+            # 0 <= y0 and y1 <= size, since cy lies in [h/2, 1 - h/2] (same for x)
+            box = images[i, y0:y1, x0:x1]
+            box[...] = box * 0.3 + signal * protos[c, y0:y1, x0:x1]
             objects.append(DetectionObject((cy - h / 2, cx - w / 2, cy + h / 2, cx + w / 2), c))
         truths.append(objects)
     images += rng.normal(0, 0.15, size=images.shape).astype(np.float32)

@@ -118,6 +118,8 @@ class TestReferenceModels:
         assert fitted.graph.metadata["head_fit"]["task"] == "classification"
 
     def test_deterministic_build(self):
+        """Two default builds, both loading the stored fit. Fit determinism
+        is covered by the refit oracle (tools/fitted_models.py --check)."""
         a = create_reference_model("mobilenet_edgetpu")
         b = create_reference_model("mobilenet_edgetpu")
         assert a.graph.checksum() == b.graph.checksum()
