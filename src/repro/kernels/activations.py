@@ -54,7 +54,7 @@ def tanh(x: np.ndarray) -> np.ndarray:
 def gelu(x: np.ndarray) -> np.ndarray:
     """tanh approximation of GELU, as used by MobileBERT."""
     x = np.asarray(x, dtype=np.float64)
-    inner = np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))
+    inner = np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)
     return (0.5 * x * (1.0 + np.tanh(inner))).astype(np.float32)
 
 
