@@ -2,8 +2,9 @@
 """Profile one INT8 MobileNetEdgeTPU inference and print the top-10 ops.
 
 Demonstrates the per-op profiler of the planned execution engine: compile the
-plan once, attach an :class:`ExecutionProfiler`, run a query, and read back
-where the time and bytes went.
+plan once, print its ``describe()`` (including how many integer kernels run
+float32 and how many float64 operands), attach an :class:`ExecutionProfiler`,
+run a query, and read back where the time and bytes went.
 
 Run:  PYTHONPATH=src python examples/profile_inference.py
 """
@@ -32,6 +33,7 @@ def main() -> None:
     print(f"model: {graph.name}")
     print(f"plan : {info['ops']} ops prepared once, "
           f"{info['released_tensors']} intermediates released early")
+    print(f"describe: {info}")
 
     profiler = ExecutionProfiler()
     single = tuple(1 if d == -1 else d for d in exported.inputs[0].shape)

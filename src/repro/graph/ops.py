@@ -364,7 +364,12 @@ class _WeightedOp(Op):
             return super()._prepare_quantized(graph)
         run = self._quantized_kernel(*self._params(graph), x_qp, w_qp, out_qp, **self._window())
         post = _quantized_epilogue(self.attrs.get("activation"), out_qp)
-        return lambda ins: [post(run(ins[0]))]
+
+        def integer_kernel(ins):
+            return [post(run(ins[0]))]
+
+        integer_kernel.operand_dtype = run.operand_dtype  # read by ExecutionPlan.describe
+        return integer_kernel
 
 
 class Conv2D(_WeightedOp):

@@ -222,12 +222,19 @@ class ExecutionPlan:
 
     # -- introspection -------------------------------------------------------
     def describe(self) -> dict:
-        """Summary of what compilation cached (docs/debugging aid)."""
+        """Summary of what compilation cached (docs/debugging aid).
+
+        ``integer_operands`` counts the integer kernels (quantized conv,
+        depthwise and fully-connected) by the float dtype their exactness
+        proof chose for the matmul operands.
+        """
+        dtypes = [str(s.fn.operand_dtype) for s in self._steps if hasattr(s.fn, "operand_dtype")]
         return {
             "graph": self.graph.name,
             "numerics": self.numerics.value,
             "ops": len(self._steps),
             "released_tensors": sum(len(s.release) for s in self._steps),
+            "integer_operands": {name: dtypes.count(name) for name in ("float32", "float64")},
         }
 
 

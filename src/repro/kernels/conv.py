@@ -6,8 +6,9 @@ reference INT8 path the paper's submissions start from.
 
 Each kernel has one form, a ``prepare_*`` function in the TFLite
 prepare/invoke mould: it does the constant-operand work once (weight
-reshapes and casts, and for the integer kernels the zero-point sums,
-effective scales and widened biases) and returns the per-call closure
+reshapes and casts, and for the integer kernels the centred weights, the
+operand dtype proved exact for them, the zero-point and bias offsets and
+the effective scales) and returns the per-call closure
 ``x -> y``. Graph ops call it from ``Op.prepare`` (:mod:`repro.graph.ops`).
 Quantized conv runs the integer GEMM shared with fully-connected
 (:func:`repro.kernels.linear.prepare_integer_gemm`) over its patch rows;
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linear import Kernel, prepare_integer_gemm
+from .linear import Kernel, exact_operand_dtype, prepare_integer_gemm
 from .numerics import QuantParams, requantize
 
 __all__ = [
@@ -106,13 +107,11 @@ def _patch_rows(
     return rows, (n, out_h, out_w)
 
 
-def _dw_windows(
-    x: np.ndarray, k_h: int, k_w: int, stride: int, padding: str, pad_value: float = 0.0
-) -> np.ndarray:
-    """Pad ``x`` for a depthwise window and return the window view over it."""
+def _dw_windows(x: np.ndarray, k_h: int, k_w: int, stride: int, padding: str) -> np.ndarray:
+    """Zero-pad ``x`` for a depthwise window and return the window view over it."""
     _, in_h, in_w, _ = x.shape
     out_h, out_w, pads_h, pads_w = conv_output_shape(in_h, in_w, k_h, k_w, stride, padding)
-    return _windows(pad_input(x, pads_h, pads_w, pad_value), k_h, k_w, stride, out_h, out_w)
+    return _windows(pad_input(x, pads_h, pads_w), k_h, k_w, stride, out_h, out_w)
 
 
 def prepare_conv2d(
@@ -163,12 +162,18 @@ def prepare_conv2d_quantized(
     """
     k_h, k_w, _, c_out = wq.shape
     gemm = prepare_integer_gemm(wq.reshape(-1, c_out), bias_q, x_qp, w_qp, out_qp)
+    dtype = gemm.operand_dtype
     x_zp = int(x_qp.zero_point[0])
 
     def conv2d_quantized(xq: np.ndarray) -> np.ndarray:
-        rows, lead = _patch_rows(xq, k_h, k_w, stride, padding, dilation, pad_value=x_zp)
+        # the patch rows are built in the GEMM's operand dtype, so the GEMM
+        # takes them as they are
+        rows, lead = _patch_rows(
+            xq.astype(dtype), k_h, k_w, stride, padding, dilation, pad_value=x_zp
+        )
         return gemm(rows).reshape(*lead, c_out)
 
+    conv2d_quantized.operand_dtype = dtype
     return conv2d_quantized
 
 
@@ -208,21 +213,34 @@ def prepare_depthwise_conv2d_quantized(
     stride: int = 1,
     padding: str = "same",
 ) -> Kernel:
-    """Integer depthwise convolution: a per-channel einsum over re-centered
-    codes, exact in float64 like the integer GEMM."""
+    """Integer depthwise convolution: a per-channel einsum over centred codes.
+
+    The weights are centred by their (per-channel) zero point here, and the
+    input by ``x_zp`` before padding, so padding taps are 0, the centred
+    code of real zero, and the einsum is the accumulator
+    ``sum (x - x_zp)(w - w_zp)``. It runs in the operand dtype that
+    :func:`~repro.kernels.linear.exact_operand_dtype` proves exact for the
+    centred input range, as in the integer GEMM; the accumulator plus the
+    bias is then float64 and is requantized in place.
+    """
     k_h, k_w, _, _ = wq.shape
-    # center weights by their (per-channel) zero point: symmetric int8 pins
-    # w_zp at 0 but symmetric uint8 pins it mid-range (128)
-    w = wq[..., 0].astype(np.float64) - w_qp.zero_point.astype(np.float64).reshape(1, 1, -1)
-    b = None if bias_q is None else bias_q.astype(np.int64)
-    eff_scale = (x_qp.scale[0] * w_qp.scale).reshape(1, 1, 1, -1)
+    # symmetric int8 pins w_zp at 0 but symmetric uint8 pins it mid-range (128)
+    w_c = wq[..., 0].astype(np.int64) - w_qp.zero_point.reshape(1, 1, -1)
+    numerics = x_qp.numerics
     x_zp = int(x_qp.zero_point[0])
+    dtype = exact_operand_dtype(
+        max(x_zp - numerics.qmin, numerics.qmax - x_zp), w_c.reshape(k_h * k_w, -1)
+    )
+    w = w_c.astype(dtype)
+    b = None if bias_q is None else bias_q.astype(np.float64)
+    eff_scale = (x_qp.scale[0] * w_qp.scale).reshape(1, 1, 1, -1)
 
     def depthwise_conv2d_quantized(xq: np.ndarray) -> np.ndarray:
-        windows = _dw_windows(xq.astype(np.float64), k_h, k_w, stride, padding, pad_value=x_zp)
-        acc = np.rint(np.einsum("nhwklc,klc->nhwc", windows - x_zp, w)).astype(np.int64)
+        windows = _dw_windows(np.subtract(xq, x_zp, dtype=dtype), k_h, k_w, stride, padding)
+        acc = np.einsum("nhwklc,klc->nhwc", windows, w).astype(np.float64, copy=False)
         if b is not None:
-            acc = acc + b
+            acc += b
         return requantize(acc, eff_scale, out_qp)
 
+    depthwise_conv2d_quantized.operand_dtype = dtype
     return depthwise_conv2d_quantized

@@ -41,6 +41,24 @@ def prepare_fully_connected(weight: np.ndarray, bias: np.ndarray | None) -> Kern
     return fully_connected
 
 
+# float32 holds every integer of magnitude <= 2**24 exactly
+F32_EXACT_BOUND = 2**24
+
+
+def exact_operand_dtype(code_bound: int, w_c: np.ndarray) -> np.dtype:
+    """The cheapest float dtype in which ``x @ w_c`` is exact for any integer
+    operand ``x`` with ``|x| <= code_bound``; ``w_c`` is (K, N), reduced over K.
+
+    float32 when ``code_bound * max_n sum_k |w_c[k, n]| <= 2**24``: every
+    product and every partial sum is then an integer of magnitude at most
+    2**24, which float32 holds exactly, so the result is exact in any
+    summation order (BLAS blocking and threading, FMA). float64 otherwise,
+    exact up to 2**53, far past any 8-bit GEMM.
+    """
+    worst = code_bound * int(np.abs(w_c).sum(axis=0).max())
+    return np.dtype(np.float32 if worst <= F32_EXACT_BOUND else np.float64)
+
+
 def prepare_integer_gemm(
     wq_2d: np.ndarray,
     bias_q: np.ndarray | None,
@@ -50,31 +68,32 @@ def prepare_integer_gemm(
 ) -> Kernel:
     """Integer GEMM with requantization: (M, K) input codes -> (M, N) output codes.
 
-    The accumulator is ``sum_k (x - x_zp)(w - w_zp) + bias``, expanded as
-    ``x @ w - x_zp * colsum(w) - (rowsum(x) - K * x_zp) * w_zp + bias`` so the
-    matmul runs on the raw codes. It runs as a float64 BLAS matmul, which is
-    exact here (|acc| <= 255 * 255 * K << 2**53) and an order of magnitude
-    faster than NumPy's integer matmul; every term after it is int64.
+    The accumulator is ``sum_k (x - x_zp)(w - w_zp) + bias``. The weights are
+    centred here, once: ``w_c = w - w_zp`` per output channel, so it becomes
+    ``x @ w_c + (bias - x_zp * colsum(w_c))``, a matmul of the raw input codes
+    plus one constant row. The matmul is a BLAS GEMM, an order of magnitude
+    faster than NumPy's integer matmul, whose operand dtype is proved exact
+    over exactly these operands by :func:`exact_operand_dtype` (raw codes
+    bounded by the input format's largest magnitude). The accumulator is
+    then float64, exact below 2**53, and :func:`requantize` rescales it in
+    place. The closure's ``operand_dtype`` attribute records the choice.
     """
-    k, _ = wq_2d.shape
-    w_mat = wq_2d.astype(np.float64)
-    x_zp = int(x_qp.zero_point[0])
-    zp_colsum = x_zp * np.rint(w_mat.sum(axis=0, keepdims=True)).astype(np.int64)
-    w_zp = w_qp.zero_point.reshape(1, -1)  # per output channel, or one shared
-    w_zp_any = bool(np.any(w_zp != 0))
-    b = None if bias_q is None else bias_q.astype(np.int64)
+    w_c = wq_2d.astype(np.int64) - w_qp.zero_point.reshape(1, -1)  # per channel, or shared
+    numerics = x_qp.numerics
+    dtype = exact_operand_dtype(max(-numerics.qmin, numerics.qmax), w_c)
+    w_mat = w_c.astype(dtype)
+    offset = -int(x_qp.zero_point[0]) * w_c.sum(axis=0, keepdims=True)
+    if bias_q is not None:
+        offset += bias_q.astype(np.int64)
+    offset = offset.astype(np.float64)
     eff_scale = (x_qp.scale[0] * w_qp.scale).reshape(1, -1)
 
     def integer_gemm(xq_2d: np.ndarray) -> np.ndarray:
-        rows = np.asarray(xq_2d, dtype=np.float64)
-        acc = np.rint(rows @ w_mat).astype(np.int64)
-        acc -= zp_colsum
-        if w_zp_any:
-            acc -= (np.rint(rows.sum(axis=1, keepdims=True)).astype(np.int64) - x_zp * k) * w_zp
-        if b is not None:
-            acc += b
+        acc = (np.asarray(xq_2d, dtype=dtype) @ w_mat).astype(np.float64, copy=False)
+        acc += offset
         return requantize(acc, eff_scale, out_qp)
 
+    integer_gemm.operand_dtype = dtype
     return integer_gemm
 
 
@@ -88,7 +107,12 @@ def prepare_fully_connected_quantized(
     """Integer fully-connected: the integer GEMM over ``x.reshape(-1, K)``."""
     f_in, f_out = wq.shape
     gemm = prepare_integer_gemm(wq, bias_q, x_qp, w_qp, out_qp)
-    return lambda xq: gemm(xq.reshape(-1, f_in)).reshape(*xq.shape[:-1], f_out)
+
+    def fully_connected_quantized(xq: np.ndarray) -> np.ndarray:
+        return gemm(xq.reshape(-1, f_in)).reshape(*xq.shape[:-1], f_out)
+
+    fully_connected_quantized.operand_dtype = gemm.operand_dtype
+    return fully_connected_quantized
 
 
 def batched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

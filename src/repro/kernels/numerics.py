@@ -158,34 +158,48 @@ def choose_qparams(
     return QuantParams(scale=scale, zero_point=zero_point, numerics=numerics, axis=axis)
 
 
+def _to_codes(scaled: np.ndarray, qp: QuantParams) -> np.ndarray:
+    """Round half to even, ``+ zero_point``, clip, cast: the tail of
+    :func:`quantize`, in place on the float64 ``scaled = values / scale``."""
+    np.rint(scaled, out=scaled)
+    scaled += qp.zero_point.reshape(qp.broadcast_shape(scaled.ndim))
+    np.clip(scaled, qp.numerics.qmin, qp.numerics.qmax, out=scaled)
+    return scaled.astype(qp.numerics.np_dtype)
+
+
 def quantize(values: np.ndarray, qp: QuantParams) -> np.ndarray:
-    """Quantize float values to the integer domain of ``qp``."""
-    values = np.asarray(values, dtype=np.float64)
-    shape = qp.broadcast_shape(values.ndim)
-    scale = qp.scale.reshape(shape)
-    zp = qp.zero_point.reshape(shape)
-    q = np.round(values / scale) + zp
-    np.clip(q, qp.numerics.qmin, qp.numerics.qmax, out=q)
-    return q.astype(qp.numerics.np_dtype)
+    """Quantize float values to the integer domain of ``qp``.
+
+    ``values / scale`` is taken in float64 into one fresh buffer, and every
+    later step runs in place on it."""
+    values = np.asarray(values)
+    scale = qp.scale.reshape(qp.broadcast_shape(values.ndim))
+    return _to_codes(np.divide(values, scale, dtype=np.float64), qp)
 
 
 def dequantize(q: np.ndarray, qp: QuantParams) -> np.ndarray:
-    """Map integer-domain values back to float32."""
-    q = np.asarray(q, dtype=np.float64)
+    """Map integer-domain values back to float32: ``(q - zp) * scale`` in
+    float64, in one buffer, then cast."""
+    q = np.asarray(q)
     shape = qp.broadcast_shape(q.ndim)
-    scale = qp.scale.reshape(shape)
-    zp = qp.zero_point.reshape(shape)
-    return ((q - zp) * scale).astype(np.float32)
+    real = np.subtract(q, qp.zero_point.reshape(shape), dtype=np.float64)
+    real *= qp.scale.reshape(shape)
+    return real.astype(np.float32)
 
 
 def requantize(acc: np.ndarray, in_scale: np.ndarray, out_qp: QuantParams) -> np.ndarray:
-    """Rescale an int32 accumulator into the output quantized domain.
+    """Rescale an integer accumulator into the output quantized domain.
 
-    ``in_scale`` is the effective accumulator scale (input_scale * weight_scale,
-    possibly per output channel and already broadcast against ``acc``).
+    ``acc`` holds the accumulator's integer values as float64, exact below
+    2**53, and is consumed: ``acc * in_scale``, then :func:`quantize`'s
+    ``/ scale``, rounding, zero point and clip run in place on its buffer.
+    ``in_scale`` is the effective accumulator scale (input_scale *
+    weight_scale, possibly per output channel and already broadcast against
+    ``acc``).
     """
-    real = np.asarray(acc, dtype=np.float64) * in_scale
-    return quantize(real, out_qp)
+    acc *= in_scale
+    acc /= out_qp.scale.reshape(out_qp.broadcast_shape(acc.ndim))
+    return _to_codes(acc, out_qp)
 
 
 def fake_quant(values: np.ndarray, qp: QuantParams) -> np.ndarray:

@@ -172,9 +172,10 @@ class TestQuantizedConv:
 
 
 class TestIntegerGemmExact:
-    """The shared integer GEMM against an int64 reference accumulator, bit for
+    """The integer kernels against an int64 reference accumulator, bit for
     bit, at the code extremes: x codes pinned at qmin/qmax, full-range weight
-    codes, a bias, and (UINT8) symmetric weights with w_zp = 128."""
+    codes, a bias, and (UINT8) symmetric weights with w_zp = 128; plus the
+    float32 exactness bound itself, met exactly and missed by one code."""
 
     def _operands(self, rng, numerics, x_shape, w_shape):
         lo, hi = numerics.qmin, numerics.qmax
@@ -190,17 +191,25 @@ class TestIntegerGemmExact:
         return xq, wq, bq, x_qp, w_qp
 
     def _check(self, prepare, xq, acc, x_qp, w_qp, numerics):
-        """Run the kernel at two output quantizations: the model's own format
-        over 0.8 of the range (both saturation ends hit), and INT16 at one
-        code per accumulator unit, where an off-by-one accumulator shows."""
+        """Run the kernel at the model's own output format over 0.8 of the
+        range (both saturation ends hit), then at INT16 with one code per
+        accumulator unit of channel 0, where an off-by-one accumulator
+        shows: one zero point per 65535-wide window, so every channel-0
+        accumulator lands unclipped in one of them. Returns the kernel's
+        operand dtype."""
         eff_scale = x_qp.scale[0] * w_qp.scale
         real = acc * eff_scale
         coarse = choose_qparams(0.8 * float(real.min()), 0.8 * float(real.max()), numerics)
-        unit = QuantParams(eff_scale[0], 0, Numerics.INT16)
-        for out_qp in (coarse, unit):
-            got = prepare(out_qp)(xq)
+        lowest, highest = int(acc[..., 0].min()), int(acc[..., 0].max())
+        units = [QuantParams(eff_scale[0], -start - 32767, Numerics.INT16)
+                 for start in range(lowest, highest + 1, 65535)]
+        for out_qp in (coarse, *units):
+            kernel = prepare(out_qp)
+            got = kernel(xq)
             assert got.dtype == out_qp.numerics.np_dtype
-            np.testing.assert_array_equal(got, requantize(acc, eff_scale, out_qp))
+            np.testing.assert_array_equal(
+                got, requantize(acc.astype(np.float64), eff_scale, out_qp))
+        return kernel.operand_dtype
 
     @pytest.mark.parametrize("numerics", [Numerics.INT8, Numerics.UINT8])
     @pytest.mark.parametrize("x_shape", [(6, 40), (2, 3, 40)])
@@ -226,6 +235,64 @@ class TestIntegerGemmExact:
         self._check(
             lambda out_qp: prepare_conv2d_quantized(wq, bq, x_qp, w_qp, out_qp, stride=2),
             xq, acc, x_qp, w_qp, numerics)
+
+    @pytest.mark.parametrize("past, dtype", [(0, np.float32), (1, np.float64)])
+    def test_float32_bound(self, rng, past, dtype):
+        """Centred weights and extreme codes that put the exactness bound at
+        exactly 2**24, then one weight code past it.
+
+        INT8 weights with zero point 10: column 0 holds 1024 codes of -118
+        (centred -128) and one of 10 - ``past``, so for x codes bounded by
+        128, ``128 * sum_k |w_c[k, 0]| = 2**24 + 128 * past``. Rows of x
+        codes at -128 drive ``x @ w_c`` for column 0 to that bound itself.
+        At the bound the kernel must take float32, past it float64, and
+        both must match the int64 accumulator bit for bit.
+        """
+        numerics = Numerics.INT8
+        k, n = 1025, 5
+        wq = rng.integers(-60, 60, (k, n)).astype(np.int8)
+        wq[:, 0] = -118
+        wq[-1, 0] = 10 - past
+        w_qp = QuantParams(np.full(n, 0.01), np.full(n, 10), numerics, axis=1)
+        x_qp = choose_qparams(-1.5, 2.5, numerics)
+        xq = np.full((6, k), -128, dtype=np.int8)
+        for i in range(1, 6):  # rows a few codes off the extreme
+            xq[i, rng.choice(k, 40 * i, replace=False)] = rng.integers(-128, 128, 40 * i)
+        bq = rng.integers(-5000, 5000, n).astype(np.int32)
+        x_c = xq.astype(np.int64) - x_qp.zero_point[0]
+        w_c = wq.astype(np.int64) - w_qp.zero_point
+        acc = x_c @ w_c + bq
+        assert (xq.astype(np.int64) @ w_c)[0, 0] == 2**24 + 128 * past
+        got = self._check(
+            lambda out_qp: prepare_fully_connected_quantized(wq, bq, x_qp, w_qp, out_qp),
+            xq, acc, x_qp, w_qp, numerics)
+        assert got == dtype
+
+    @pytest.mark.parametrize("numerics", [Numerics.INT8, Numerics.UINT8])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_depthwise(self, rng, numerics, stride):
+        """Depthwise at the code extremes: x codes pinned at qmin/qmax, every
+        weight code at an end of its range, an input zero point at qmin so
+        centred codes span the full 255, and SAME padding."""
+        lo, hi = numerics.qmin, numerics.qmax
+        xq = rng.choice([lo, hi], (2, 7, 7, 6)).astype(numerics.np_dtype)
+        xq[1, 2:5, 2:5] = rng.integers(lo, hi + 1, (3, 3, 6))
+        wq = rng.choice([lo, hi], (3, 3, 6, 1)).astype(numerics.np_dtype)
+        x_qp = QuantParams(0.02, lo, numerics)
+        w_qp = choose_qparams(-np.ones(6), np.ones(6), numerics, symmetric=True, axis=3)
+        bq = rng.integers(-5000, 5000, 6).astype(np.int32)
+        _, _, ph, pw = conv_output_shape(7, 7, 3, 3, stride, "same")
+        x_c = np.pad(xq.astype(np.int64) - lo, ((0, 0), ph, pw, (0, 0)))
+        w_c = wq[..., 0].astype(np.int64) - w_qp.zero_point
+        out = -(-7 // stride)
+        acc = sum(
+            x_c[:, a : a + stride * out : stride, b : b + stride * out : stride] * w_c[a, b]
+            for a in range(3) for b in range(3)) + bq
+        got = self._check(
+            lambda out_qp: prepare_depthwise_conv2d_quantized(
+                wq, bq, x_qp, w_qp, out_qp, stride=stride),
+            xq, acc, x_qp, w_qp, numerics)
+        assert got == np.float32
 
 
 class TestFast1x1:

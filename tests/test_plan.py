@@ -75,6 +75,22 @@ class TestBitExactness:
             np.testing.assert_array_equal(a[name], b[name])
 
 
+class TestIntegerOperands:
+    @pytest.mark.parametrize("fitted", [False, True])
+    @pytest.mark.parametrize("name", available_models())
+    def test_zoo_integer_kernels_prove_float32(self, name, fitted):
+        """Every integer kernel of every zoo model, INT8 and UINT8, fitted or
+        not, passes the float32 exactness bound, so losing the proof fails
+        here instead of silently running float64 operands at twice the cost."""
+        exported = export_mobile(create_reference_model(name, fitted=fitted).graph)
+        stats = calibrate(exported, [golden_outputs.model_feeds(name, exported)])
+        for numerics in (Numerics.INT8, Numerics.UINT8):
+            q = quantize_graph(exported, stats, numerics)
+            kernels = sum(op.op_type in INTEGER_KERNELS for op in q.ops)
+            operands = ExecutionPlan(q).describe()["integer_operands"]
+            assert operands == {"float32": kernels, "float64": 0}
+
+
 class TestPlanCompilation:
     def test_symbolic_rejected(self):
         from repro.models import create_full_model
