@@ -96,9 +96,8 @@ class GraphBuilder:
         shape: tuple[int, ...],
         numerics: Numerics = Numerics.FP32,
         role: str = "data",
-        domain: tuple[float, float] | None = None,
     ) -> str:
-        self.graph.add_input(TensorSpec(name, shape, numerics, role=role, domain=domain))
+        self.graph.add_input(TensorSpec(name, shape, numerics, role=role))
         return name
 
     def outputs(self, *names: str) -> None:

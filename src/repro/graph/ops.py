@@ -1,8 +1,8 @@
 """Operator set of the graph IR.
 
-Each operator knows how to (1) infer output shapes, (2) infer sound value
-ranges, (3) prepare its kernel for a graph's numerics, and (4) report an
-analytical cost (:class:`OpCost`) consumed by the hardware performance model.
+Each operator knows how to (1) infer output shapes, (2) prepare its kernel
+for a graph's numerics, and (3) report an analytical cost (:class:`OpCost`)
+consumed by the hardware performance model.
 
 Execution semantics are written once per op, as ``prepare(graph)``: like a
 TFLite kernel's prepare/invoke pair, it does all compile-time work (the
@@ -20,7 +20,6 @@ its "float fallback" islands.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -30,20 +29,7 @@ from .. import kernels as K
 from ..kernels.numerics import Numerics, QuantParams, dequantize, quantize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..staticcheck.intervals import Interval
     from .graph import Graph
-
-_INTERVALS = None
-
-
-def _iv():
-    """Lazy import of the interval domain (breaks the staticcheck cycle)."""
-    global _INTERVALS
-    if _INTERVALS is None:
-        from ..staticcheck import intervals as mod
-
-        _INTERVALS = mod
-    return _INTERVALS
 
 __all__ = [
     "OpCost",
@@ -164,17 +150,6 @@ def _shape_elems(shape: Sequence[int]) -> int:
     return n
 
 
-def _real_param(graph: "Graph", name: str) -> np.ndarray | None:
-    """A parameter's real-valued matrix (dequantized when it carries qparams)."""
-    arr = graph.params.get(name)
-    if arr is None:
-        return None
-    qp = graph.param_qparams.get(name)
-    if qp is not None:
-        return dequantize(arr, qp).astype(np.float64)
-    return np.asarray(arr, dtype=np.float64)
-
-
 def _qparams_equal(a: QuantParams | None, b: QuantParams | None) -> bool:
     """True when two quantization params describe the identical affine map."""
     if a is None or b is None:
@@ -185,65 +160,6 @@ def _qparams_equal(a: QuantParams | None, b: QuantParams | None) -> bool:
         and np.array_equal(a.scale, b.scale)
         and np.array_equal(a.zero_point, b.zero_point)
     )
-
-
-def _reduction_interval(
-    w_flat: np.ndarray,
-    x,
-    bias: np.ndarray | None,
-    *,
-    include_zero: bool,
-):
-    """Interval of ``Σ_i w_i·x_i + b`` per output column, hulled over columns.
-
-    ``w_flat`` is the real weight matrix reshaped to ``(reduction, out)``;
-    every ``x_i`` independently ranges over the interval ``x``.
-    ``include_zero`` widens each term with 0 (a "same"-padded tap contributes
-    nothing). The result is padded by the float32 dot-product error bound, so
-    it contains the kernel's floating-point output, not just the real one.
-    """
-    Interval = _iv().Interval
-    if not x.is_bounded:
-        return Interval.top()
-    a = w_flat * x.lo
-    b = w_flat * x.hi
-    term_lo = np.minimum(a, b)
-    term_hi = np.maximum(a, b)
-    if include_zero:
-        term_lo = np.minimum(term_lo, 0.0)
-        term_hi = np.maximum(term_hi, 0.0)
-    lo = term_lo.sum(axis=0)
-    hi = term_hi.sum(axis=0)
-    mag = np.abs(w_flat).sum(axis=0) * x.max_abs
-    if bias is not None:
-        lo = lo + bias
-        hi = hi + bias
-        mag = mag + np.abs(bias)
-    pad = _iv().dot_error_bound(w_flat.shape[0] + 1, float(mag.max(initial=0.0)))
-    return Interval(float(lo.min()) - pad, float(hi.max()) + pad)
-
-
-def _symbolic_reduction_interval(graph: "Graph", op: "Op", k: int, x):
-    """Weight-free fallback: bound the reduction from the weight qparams.
-
-    With only a quantization format for the weights, every real weight lies
-    in ``[-A, A]`` with ``A = max_c scale_c · max(|qmin−zp|, |qmax−zp|)``;
-    without even that, the reduction is unbounded.
-    """
-    Interval = _iv().Interval
-    w_qp = graph.param_qparams.get(op.attrs["weight"])
-    b_name = op.attrs.get("bias")
-    if w_qp is None or not x.is_bounded or (b_name and graph.params.get(b_name) is None):
-        return Interval.top()
-    zp = w_qp.zero_point.astype(np.float64)
-    amp = float(np.max(w_qp.scale * np.maximum(
-        np.abs(w_qp.numerics.qmin - zp), np.abs(w_qp.numerics.qmax - zp))))
-    m = k * amp * x.max_abs
-    iv = Interval(-m, m)
-    if b_name:
-        b = _real_param(graph, b_name)
-        iv = iv + Interval(float(b.min()), float(b.max()))
-    return iv.widen(_iv().dot_error_bound(k + 1, m))
 
 
 class Op:
@@ -269,15 +185,6 @@ class Op:
 
     def infer_shapes(self, in_shapes: list[tuple[int, ...]], graph: "Graph") -> list[tuple[int, ...]]:
         raise NotImplementedError
-
-    def infer_ranges(
-        self, in_ranges: list["Interval"], in_shapes: list[tuple[int, ...]],
-        graph: "Graph",
-    ) -> list["Interval"]:
-        """Sound value-interval transfer: concrete inputs inside ``in_ranges``
-        imply concrete outputs inside the returned intervals (including
-        float32 rounding). The base op knows nothing and returns ⊤."""
-        return [_iv().Interval.top() for _ in self.outputs]
 
     def prepare(self, graph: "Graph") -> Kernel:
         """Compile this op for ``graph``'s numerics into a per-call closure.
@@ -401,20 +308,6 @@ class Conv2D(_WeightedOp):
         _, oh, ow, _ = out_shapes[0]
         return oh * ow * kh * kw * cin * cout
 
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        w = _real_param(graph, self.attrs["weight"])
-        act = self.attrs.get("activation")
-        same = self.attrs["padding"] == "same"
-        if w is None:
-            iv = _symbolic_reduction_interval(
-                graph, self, self._reduction_len(graph), in_ranges[0])
-        else:
-            b_name = self.attrs.get("bias")
-            bias = _real_param(graph, b_name) if b_name else None
-            iv = _reduction_interval(
-                self._weight_as_matrix(w), in_ranges[0], bias, include_zero=same)
-        return [_iv().activation_transfer(act, iv)]
-
     def _weight_as_matrix(self, w: np.ndarray) -> np.ndarray:
         # (kh, kw, Cin, Cout) -> (kh*kw*Cin, Cout): reduction per output channel
         return w.reshape(-1, w.shape[-1])
@@ -476,18 +369,6 @@ class FullyConnected(_WeightedOp):
         lead = _shape_elems(in_shapes[0][:-1])
         return lead * fin * fout
 
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        w = _real_param(graph, self.attrs["weight"])
-        act = self.attrs.get("activation")
-        if w is None:
-            fin = graph.param_shape(self.attrs["weight"])[0]
-            iv = _symbolic_reduction_interval(graph, self, fin, in_ranges[0])
-        else:
-            b_name = self.attrs.get("bias")
-            bias = _real_param(graph, b_name) if b_name else None
-            iv = _reduction_interval(w, in_ranges[0], bias, include_zero=False)
-        return [_iv().activation_transfer(act, iv)]
-
 
 class AvgPool2D(Op):
     op_type = "avg_pool2d"
@@ -505,25 +386,10 @@ class AvgPool2D(Op):
         k, stride, padding = self.attrs["k"], self.attrs["stride"], self.attrs["padding"]
         return lambda ins: [pool(ins[0], k, stride, padding)]
 
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        iv = in_ranges[0]
-        if not iv.is_bounded:
-            return [iv]
-        if self.attrs["padding"] == "same":
-            # zero-padded taps participate in the mean
-            iv = iv.hull(_iv().Interval.point(0.0))
-        k2 = self.attrs["k"] ** 2
-        pad = _iv().dot_error_bound(k2 + 1, iv.max_abs * k2) / max(k2, 1)
-        return [iv.widen(pad).pad_f32()]
-
 
 class MaxPool2D(AvgPool2D):
     op_type = "max_pool2d"
     _pool = staticmethod(K.max_pool2d)
-
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        # exact selection of an existing element (padding uses -inf taps)
-        return [in_ranges[0]]
 
 
 class GlobalAvgPool(Op):
@@ -539,14 +405,6 @@ class GlobalAvgPool(Op):
         keepdims = self.attrs.get("keepdims", True)
         return lambda ins: [K.global_avg_pool(ins[0], keepdims=keepdims)]
 
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        iv = in_ranges[0]
-        if not iv.is_bounded:
-            return [iv]
-        hw = _shape_elems(in_shapes[0][1:3]) if len(in_shapes[0]) == 4 else 1
-        pad = _iv().dot_error_bound(hw + 1, iv.max_abs * hw) / max(hw, 1)
-        return [iv.widen(pad).pad_f32()]
-
 
 class ResizeBilinear(Op):
     op_type = "resize_bilinear"
@@ -559,10 +417,6 @@ class ResizeBilinear(Op):
         out_h, out_w = self.attrs["out_h"], self.attrs["out_w"]
         align_corners = self.attrs.get("align_corners", False)
         return lambda ins: [K.resize_bilinear(ins[0], out_h, out_w, align_corners)]
-
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        # convex combination of existing samples, plus interpolation rounding
-        return [in_ranges[0].pad_f32() if in_ranges[0].is_bounded else in_ranges[0]]
 
 
 class Add(Op):
@@ -578,12 +432,6 @@ class Add(Op):
     def _prepare_float(self, graph):
         post = _float_epilogue(self.attrs.get("activation"))
         return lambda ins: [post((ins[0] + ins[1]).astype(np.float32))]
-
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        iv = in_ranges[0] + in_ranges[1]
-        if iv.is_bounded:
-            iv = iv.pad_f32()
-        return [_iv().activation_transfer(self.attrs.get("activation"), iv)]
 
 
 class Concat(Op):
@@ -627,12 +475,6 @@ class Concat(Op):
             return [np.concatenate(parts, axis=axis)]
         return concat
 
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        iv = in_ranges[0]
-        for other in in_ranges[1:]:
-            iv = iv.hull(other)
-        return [iv]
-
 
 class Activation(Op):
     op_type = "activation"
@@ -652,9 +494,6 @@ class Activation(Op):
         lut = K.quantized_lut(ACTIVATION_FUNCTIONS[self.attrs["kind"]], in_qp, out_qp)
         return lambda ins: [K.apply_quantized_lut(ins[0], lut, in_qp)]
 
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        return [_iv().activation_transfer(self.attrs["kind"], in_ranges[0])]
-
 
 class Softmax(Op):
     op_type = "softmax"
@@ -665,9 +504,6 @@ class Softmax(Op):
     def _prepare_float(self, graph):
         axis = self.attrs.get("axis", -1)
         return lambda ins: [K.softmax(ins[0], axis=axis)]
-
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        return [_iv().Interval(0.0, 1.0)]
 
 
 class Reshape(Op):
@@ -688,9 +524,6 @@ class Reshape(Op):
         shape = tuple(self.attrs["shape"])
         return lambda ins: [np.ascontiguousarray(ins[0]).reshape(ins[0].shape[0], *shape)]
 
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        return [in_ranges[0]]  # pure data movement
-
 
 class BatchNorm(Op):
     """Inference batch norm; exists pre-export and is folded by the converter."""
@@ -708,22 +541,6 @@ class BatchNorm(Op):
         eps = self.attrs.get("eps", 1e-3)
         return lambda ins: [K.batch_norm(ins[0], *stats, eps)]
 
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        Interval = _iv().Interval
-        x = in_ranges[0]
-        mean = _real_param(graph, self.attrs["mean"])
-        var = _real_param(graph, self.attrs["variance"])
-        gamma = _real_param(graph, self.attrs["gamma"])
-        beta = _real_param(graph, self.attrs["beta"])
-        if any(p is None for p in (mean, var, gamma, beta)) or not x.is_bounded:
-            return [Interval.top()]
-        # y_c = a_c·x + b_c with a_c = γ_c/√(var_c+eps); hull over channels
-        a = gamma / np.sqrt(var + self.attrs.get("eps", 1e-3))
-        b = beta - a * mean
-        lo = np.minimum(a * x.lo, a * x.hi) + b
-        hi = np.maximum(a * x.lo, a * x.hi) + b
-        return [Interval(float(lo.min()), float(hi.max())).pad_f32()]
-
 
 class LayerNorm(Op):
     op_type = "layer_norm"
@@ -739,20 +556,6 @@ class LayerNorm(Op):
         beta = graph.params[self.attrs["beta"]]
         eps = self.attrs.get("eps", 1e-6)
         return lambda ins: [K.layer_norm(ins[0], gamma, beta, eps)]
-
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        Interval = _iv().Interval
-        gamma = _real_param(graph, self.attrs["gamma"])
-        beta = _real_param(graph, self.attrs["beta"])
-        if gamma is None or beta is None or not in_ranges[0].is_bounded:
-            return [Interval.top()]
-        # the normalized vector z satisfies ‖z‖₂ = √N, so |z_i| ≤ √N for any
-        # input; y_c = γ_c·z + β_c, hulled over channels
-        n = in_shapes[0][-1]
-        z = math.sqrt(float(n)) * (1.0 + 1e-5)  # float32 normalization slack
-        lo = np.minimum(gamma * -z, gamma * z) + beta
-        hi = np.maximum(gamma * -z, gamma * z) + beta
-        return [Interval(float(lo.min()), float(hi.max())).pad_f32()]
 
 
 class MultiHeadAttention(Op):
@@ -774,15 +577,6 @@ class MultiHeadAttention(Op):
     def macs(self, in_shapes, out_shapes, graph):
         _, s, hidden = in_shapes[0]
         return 2 * s * s * hidden
-
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        # softmax weights are a convex combination of the value rows, so the
-        # output lives in the hull of v's interval regardless of q/k
-        v = in_ranges[2]
-        if not v.is_bounded:
-            return [v]
-        s = in_shapes[0][1]
-        return [v.widen(_iv().dot_error_bound(s + 1, v.max_abs * 1.01)).pad_f32()]
 
 
 class Embedding(Op):
@@ -814,20 +608,6 @@ class Embedding(Op):
             return [out.astype(np.float32)]
         return embed
 
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        Interval = _iv().Interval
-        table = _real_param(graph, self.attrs["table"])
-        if table is None:
-            return [Interval.top()]
-        iv = Interval(float(table.min()), float(table.max()))
-        pos_name = self.attrs.get("position_table")
-        if pos_name:
-            pos = _real_param(graph, pos_name)
-            if pos is None:
-                return [Interval.top()]
-            iv = iv + Interval(float(pos.min()), float(pos.max()))
-        return [iv.pad_f32()]
-
 
 class Split(Op):
     """Split the last axis into equal parts (e.g. start/end QA logits)."""
@@ -846,9 +626,6 @@ class Split(Op):
     def _prepare_float(self, graph):
         parts = self.attrs["parts"]
         return lambda ins: [np.ascontiguousarray(a) for a in np.split(ins[0], parts, axis=-1)]
-
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        return [in_ranges[0]] * self.attrs["parts"]  # pure data movement
 
 
 class LSTM(Op):
@@ -877,10 +654,6 @@ class LSTM(Op):
         _, t, f_in = in_shapes[0]
         hidden = graph.param_shape(self.attrs["w_hh"])[0]
         return t * 4 * hidden * (f_in + hidden)
-
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        # h_t = o_t · tanh(c_t) with o_t ∈ (0, 1), tanh ∈ (−1, 1)
-        return [_iv().Interval(-1.0, 1.0)]
 
 
 class Constant(Op):
@@ -923,13 +696,6 @@ class Constant(Op):
         # computed once and returned by every call, so nobody may write it
         value.flags.writeable = False
         return lambda ins: [value]
-
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        Interval = _iv().Interval
-        v = _real_param(graph, self.attrs["value"])
-        if v is None:
-            return [Interval.top()]
-        return [Interval(float(v.min()), float(v.max()))]
 
 
 class Pad(Op):
@@ -976,13 +742,6 @@ class Pad(Op):
         pads = self._pads()
         return lambda ins: [np.pad(ins[0], pads, constant_values=code)]
 
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        value = float(self.attrs.get("value", 0.0))
-        iv = in_ranges[0]
-        if not iv.is_bounded:
-            return [iv]
-        return [iv.hull(_iv().Interval.point(value))]
-
 
 class DepthToSpace(Op):
     """Pixel-shuffle upsampling (super-resolution models, App. E)."""
@@ -1001,6 +760,3 @@ class DepthToSpace(Op):
     def _prepare_float(self, graph):
         block = self.attrs["block"]
         return lambda ins: [K.depth_to_space(ins[0], block)]
-
-    def infer_ranges(self, in_ranges, in_shapes, graph):
-        return [in_ranges[0]]  # pure data movement

@@ -17,8 +17,6 @@ class TensorSpec:
     concrete. ``qparams`` is populated by the quantization pass. ``role``
     distinguishes ordinary activations ("data") from integer token ids
     ("ids") and attention masks ("mask"), which are never quantized.
-    ``domain`` (graph inputs only) declares the closed value range the feed
-    contract guarantees — the seed interval of the static range analysis.
     """
 
     name: str
@@ -26,15 +24,9 @@ class TensorSpec:
     numerics: Numerics = Numerics.FP32
     qparams: QuantParams | None = None
     role: str = "data"
-    domain: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         self.shape = tuple(int(d) for d in self.shape)
-        if self.domain is not None:
-            lo, hi = self.domain
-            if not lo <= hi:
-                raise ValueError(f"empty input domain {self.domain} on {self.name!r}")
-            self.domain = (float(lo), float(hi))
 
     @property
     def elements_per_sample(self) -> int:

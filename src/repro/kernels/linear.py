@@ -45,6 +45,13 @@ def prepare_fully_connected(weight: np.ndarray, bias: np.ndarray | None) -> Kern
 F32_EXACT_BOUND = 2**24
 
 
+def max_column_l1(w_c: np.ndarray) -> int:
+    """``max_n sum_k |w_c[k, n]|`` of a (K, N) integer weight matrix: the
+    largest ``|x @ w_c|`` over operands ``|x| <= 1``, so ``code_bound`` times
+    this bounds every partial sum of the GEMM over codes ``|x| <= code_bound``."""
+    return int(np.abs(w_c).sum(axis=0).max())
+
+
 def exact_operand_dtype(code_bound: int, w_c: np.ndarray) -> np.dtype:
     """The cheapest float dtype in which ``x @ w_c`` is exact for any integer
     operand ``x`` with ``|x| <= code_bound``; ``w_c`` is (K, N), reduced over K.
@@ -55,7 +62,7 @@ def exact_operand_dtype(code_bound: int, w_c: np.ndarray) -> np.dtype:
     summation order (BLAS blocking and threading, FMA). float64 otherwise,
     exact up to 2**53, far past any 8-bit GEMM.
     """
-    worst = code_bound * int(np.abs(w_c).sum(axis=0).max())
+    worst = code_bound * max_column_l1(w_c)
     return np.dtype(np.float32 if worst <= F32_EXACT_BOUND else np.float64)
 
 

@@ -33,7 +33,7 @@ def create_deeplab_v3plus(
     """Build the DeepLab v3+ segmentation graph."""
     b = GraphBuilder(f"deeplab_v3plus_w{width}_r{input_size}", seed=seed, materialize=materialize,
                      init_style="isometric")
-    x = b.input("images", (-1, input_size, input_size, 3), domain=(-1.0, 1.0))
+    x = b.input("images", (-1, input_size, input_size, 3))
     endpoints = mobilenet_v2_backbone(b, x, width=width, output_stride=16)
     high = endpoints[16]
     low = endpoints[4]

@@ -78,7 +78,7 @@ def create_mobilebert(
     b = GraphBuilder(
         f"mobilebert_l{num_layers}_s{seq_len}", seed=seed, materialize=materialize
     )
-    ids = b.input("input_ids", (-1, seq_len), role="ids", domain=(0.0, vocab_size - 1))
+    ids = b.input("input_ids", (-1, seq_len), role="ids")
     mask = b.input("input_mask", (-1, seq_len), role="mask")
     h = b.embedding(ids, vocab_size, bottleneck, max_positions=seq_len, name="embeddings")
     h = b.fc(h, body, name="embedding_projection")

@@ -68,7 +68,7 @@ def create_mobiledet_ssd(
     """Build the MobileDet-SSD detection graph."""
     b = GraphBuilder(f"mobiledet_ssd_w{width}_r{input_size}", seed=seed, materialize=materialize,
                      init_style="isometric")
-    x = b.input("images", (-1, input_size, input_size, 3), domain=(-1.0, 1.0))
+    x = b.input("images", (-1, input_size, input_size, 3))
     h = b.conv(x, round_channels(32 * width), k=3, stride=2, activation="relu6", use_bn=True)
     endpoints: dict[int, str] = {}
     stride = 2

@@ -63,7 +63,7 @@ def create_mobilenet_edgetpu(
     yields the symbolic full-size graph for the performance model.
     """
     b = GraphBuilder(f"mobilenet_edgetpu_w{width}_r{input_size}", seed=seed, materialize=materialize)
-    x = b.input("images", (-1, input_size, input_size, 3), domain=(-1.0, 1.0))
+    x = b.input("images", (-1, input_size, input_size, 3))
     h = b.conv(x, round_channels(32 * width), k=3, stride=2, activation="relu", use_bn=True)
     for kind, c, stride, expansion, kernel in BLOCK_SPEC:
         c = round_channels(c * width)

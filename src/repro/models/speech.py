@@ -37,7 +37,7 @@ def create_mobile_streaming_asr(
         f"mobile_streaming_asr_t{num_frames}_h{hidden}", seed=seed,
         materialize=materialize,
     )
-    x = b.input("features", (-1, num_frames, feature_dim), domain=(-8.0, 8.0))
+    x = b.input("features", (-1, num_frames, feature_dim))
     h = b.fc(x, hidden, activation="relu", name="frontend")
     for i in range(num_layers):
         h = b.lstm(h, hidden, name=f"encoder_{i}")

@@ -70,7 +70,7 @@ def create_ssd_mobilenet_v2(
     """Build the SSD-MobileNet v2 detection graph."""
     b = GraphBuilder(f"ssd_mobilenet_v2_w{width}_r{input_size}", seed=seed, materialize=materialize,
                      init_style="isometric")
-    x = b.input("images", (-1, input_size, input_size, 3), domain=(-1.0, 1.0))
+    x = b.input("images", (-1, input_size, input_size, 3))
     endpoints = mobilenet_v2_backbone(b, x, width=width, depth=backbone_depth)
 
     feature_maps = [endpoints[16], endpoints[32]]

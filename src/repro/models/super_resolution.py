@@ -31,7 +31,7 @@ def create_mobile_edge_sr(
         f"mobile_edge_sr_r{lr_size}x{scale}_w{width}", seed=seed,
         materialize=materialize, init_style="isometric",
     )
-    x = b.input("lr_images", (-1, lr_size, lr_size, 3), domain=(-1.0, 1.0))
+    x = b.input("lr_images", (-1, lr_size, lr_size, 3))
     h = b.conv(x, channels, k=3, activation="relu", name="head")
     for i in range(num_blocks):
         r = b.conv(h, channels, k=3, activation="relu", name=f"block_{i}/conv0")

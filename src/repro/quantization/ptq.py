@@ -173,11 +173,6 @@ def quantize_graph(
         "per_channel": True,
         "observer": "moving_average",
         "calibration_samples": calibration.num_samples,
-        # kept for the range engine's calibration-coverage check (VR003)
-        "calibration_ranges": {
-            name: [float(lo), float(hi)]
-            for name, (lo, hi) in sorted(calibration.ranges.items())
-        },
     }
     g.freeze()
     # re-attest: quantization changed params/specs, so the export-time stamp

@@ -4,13 +4,11 @@ Examples::
 
     python -m repro.staticcheck                       # full zoo, all numerics
     python -m repro.staticcheck mobilebert --numerics int8,uint8
-    python -m repro.staticcheck --ranges              # add the value-range engine
+    python -m repro.staticcheck --families dataflow,quantization
     python -m repro.staticcheck --format json > staticcheck.json
-    python -m repro.staticcheck --write-baseline known.json
-    python -m repro.staticcheck --baseline known.json # suppress known findings
 
-Exit status is 0 only when every swept deployment is clean (after baseline
-suppression) at or above ``--fail-level`` — the contract ``ci.sh`` gates on.
+Exit status is 0 only when every swept deployment is clean (no finding of
+any severity): the contract ``ci.sh`` gates on.
 """
 
 from __future__ import annotations
@@ -21,8 +19,8 @@ import sys
 
 from ..kernels.numerics import Numerics
 from ..models import available_models
-from .findings import RULESET_VERSION, Baseline, Severity
-from .verifier import ALL_FAMILIES, KNOWN_FAMILIES, sweep_zoo
+from .findings import RULESET_VERSION
+from .verifier import ALL_FAMILIES, sweep_zoo
 
 _NUMERICS = {n.value: n for n in
              (Numerics.FP32, Numerics.FP16, Numerics.INT8, Numerics.UINT8)}
@@ -53,21 +51,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--numerics", type=_csv(_NUMERICS, "numerics"),
                         default=tuple(_NUMERICS),
                         help="comma-separated formats (default: %(default)s)")
-    parser.add_argument("--families", type=_csv(KNOWN_FAMILIES, "family"),
+    parser.add_argument("--families", type=_csv(ALL_FAMILIES, "family"),
                         default=ALL_FAMILIES,
                         help="analyzer families to run (default: dataflow, "
                              "quantization, placement, plan)")
-    parser.add_argument("--ranges", action="store_true",
-                        help="also run the value-range engine (VR rules: "
-                             "interval propagation from declared input domains)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--baseline", metavar="PATH",
-                        help="JSON suppression file of accepted findings")
-    parser.add_argument("--write-baseline", metavar="PATH",
-                        help="write current findings to PATH as a baseline and exit 0")
-    parser.add_argument("--fail-level", choices=("info", "warning", "error"),
-                        default="warning",
-                        help="lowest severity that fails the run (default: warning)")
     args = parser.parse_args(argv)
 
     known = available_models()
@@ -76,28 +64,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown model(s) {unknown}; available: {', '.join(known)}")
 
     families = tuple(args.families)
-    if args.ranges and "ranges" not in families:
-        families += ("ranges",)
-
-    baseline = Baseline.load(args.baseline) if args.baseline else None
     reports = sweep_zoo(
         tuple(args.models) or None,
         tuple(_NUMERICS[n] for n in args.numerics),
         families=families,
-        baseline=baseline,
     )
-
-    if args.write_baseline:
-        merged = Baseline.from_findings(
-            [f for r in reports for f in r.findings])
-        merged.save(args.write_baseline)
-        print(f"wrote {len(merged.entries)} suppression(s) to {args.write_baseline}")
-        return 0
-
-    gate = Severity.parse(args.fail_level)
-    failing = sum(len(r.at_least(gate)) for r in reports)
     total = sum(len(r.findings) for r in reports)
-    suppressed = sum(len(r.suppressed) for r in reports)
 
     if args.format == "json":
         json.dump({
@@ -105,18 +77,16 @@ def main(argv: list[str] | None = None) -> int:
             "families": list(families),
             "reports": [r.to_dict() for r in reports],
             "total_findings": total,
-            "suppressed": suppressed,
-            "exit_code": 1 if failing else 0,
+            "exit_code": 1 if total else 0,
         }, sys.stdout, indent=2)
         print()
     else:
         for report in reports:
             print(report.render_text())
-        verdict = "CLEAN" if not failing else f"{failing} gating finding(s)"
+        verdict = "CLEAN" if not total else f"{total} finding(s)"
         print(f"\n{len(reports)} deployment(s) checked "
-              f"[{', '.join(families)}]: {verdict}"
-              + (f" ({suppressed} suppressed)" if suppressed else ""))
-    return 1 if failing else 0
+              f"[{', '.join(families)}]: {verdict}")
+    return 1 if total else 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Findings, the rule catalog and suppression baselines.
+"""Findings and the rule catalog.
 
 Every analyzer in :mod:`repro.staticcheck` emits machine-readable
 :class:`Finding` records — ``rule_id``, severity, op/tensor location and a
@@ -10,8 +10,6 @@ default severities; analyzers must not invent ids outside it.
 from __future__ import annotations
 
 import enum
-import json
-import pathlib
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -20,41 +18,29 @@ __all__ = [
     "RULE_CATALOG",
     "Finding",
     "Report",
-    "Baseline",
     "RULESET_VERSION",
 ]
 
 # bump when rule semantics change: attestations record the ruleset they
 # were produced under, so stale "verified" stamps are detectable
-RULESET_VERSION = 5
+RULESET_VERSION = 6
 
 
 class Severity(enum.Enum):
-    INFO = "info"
     WARNING = "warning"
     ERROR = "error"
-
-    @property
-    def rank(self) -> int:
-        return {"info": 0, "warning": 1, "error": 2}[self.value]
-
-    @classmethod
-    def parse(cls, value: "str | Severity") -> "Severity":
-        if isinstance(value, Severity):
-            return value
-        return cls(value.lower())
 
 
 @dataclass(frozen=True)
 class Rule:
     rule_id: str
     severity: Severity
-    family: str  # "dataflow" | "quantization" | "placement" | "plan" | "ranges"
+    family: str  # "dataflow" | "quantization" | "placement" | "plan"
     title: str
     proves: str  # the invariant a clean pass establishes
 
 
-_E, _W, _I = Severity.ERROR, Severity.WARNING, Severity.INFO
+_E, _W = Severity.ERROR, Severity.WARNING
 
 RULE_CATALOG: dict[str, Rule] = {r.rule_id: r for r in [
     # -- typed dataflow verifier ------------------------------------------
@@ -122,25 +108,6 @@ RULE_CATALOG: dict[str, Rule] = {r.rule_id: r for r in [
          "no declared graph output is ever freed by the schedule"),
     Rule("PL006", _E, "plan", "read of undefined tensor",
          "every step reads only graph inputs or earlier steps' outputs"),
-    # -- value-range engine (abstract interpretation) ----------------------
-    Rule("VR001", _E, "ranges", "range-aware accumulator overflow",
-         "no integer kernel's accumulator can exceed int32 given the *proven* "
-         "input interval (tighter than QS001's format-worst-case assumption)"),
-    Rule("VR002", _W, "ranges", "requantization clipping risk",
-         "every quantized tensor's proven pre-quantization interval fits its "
-         "QuantParams' representable range (the tensor can never clip)"),
-    Rule("VR003", _I, "ranges", "calibration under-coverage",
-         "every calibrated range covers a meaningful fraction of the proven "
-         "reachable interval (narrow calibration clips silently in deployment)"),
-    Rule("VR004", _W, "ranges", "fp16 overflow",
-         "no tensor on the FP16 path can exceed the 65504 half-precision "
-         "ceiling (cast would produce inf)"),
-    Rule("VR005", _I, "ranges", "fp16 denormal underflow",
-         "no tensor on the FP16 path is confined below the smallest normal "
-         "half-precision magnitude (values collapse to denormals/zero)"),
-    Rule("VR006", _W, "ranges", "dead activation",
-         "no activation's output interval collapses to a constant while its "
-         "input still varies (the op contributes nothing but latency)"),
 ]}
 
 
@@ -173,10 +140,6 @@ class Finding:
             return f"{self.op}/{self.tensor}"
         return self.op or self.tensor or "<graph>"
 
-    def key(self) -> str:
-        """Stable suppression key (used by baseline files)."""
-        return f"{self.rule_id}::{self.graph}::{self.location}"
-
     def to_dict(self) -> dict:
         return {
             "rule_id": self.rule_id,
@@ -200,26 +163,13 @@ class Report:
         self.subject = subject
         self.findings: list[Finding] = []
         self.metrics: dict[str, object] = {}
-        self.suppressed: list[Finding] = []
 
     def extend(self, findings: list[Finding]) -> None:
         self.findings.extend(findings)
 
-    def apply_baseline(self, baseline: "Baseline | None") -> None:
-        if baseline is None:
-            return
-        keep, gone = [], []
-        for f in self.findings:
-            (gone if baseline.suppresses(f) else keep).append(f)
-        self.findings = keep
-        self.suppressed.extend(gone)
-
-    def at_least(self, level: Severity) -> list[Finding]:
-        return [f for f in self.findings if f.severity.rank >= level.rank]
-
     @property
     def errors(self) -> list[Finding]:
-        return self.at_least(Severity.ERROR)
+        return [f for f in self.findings if f.severity is Severity.ERROR]
 
     @property
     def clean(self) -> bool:
@@ -229,45 +179,12 @@ class Report:
         return {
             "subject": self.subject,
             "findings": [f.to_dict() for f in self.findings],
-            "suppressed": [f.to_dict() for f in self.suppressed],
             "metrics": self.metrics,
         }
 
     def render_text(self) -> str:
-        lines = [f"== {self.subject}: "
-                 f"{len(self.findings)} finding(s)"
-                 + (f", {len(self.suppressed)} suppressed" if self.suppressed else "")]
+        lines = [f"== {self.subject}: {len(self.findings)} finding(s)"]
         for f in self.findings:
             lines.append("  " + f.render())
         return "\n".join(lines)
 
-
-class Baseline:
-    """A suppression file: known, accepted findings that must not gate CI.
-
-    The file is a JSON object mapping suppression keys (``Finding.key()``)
-    to a free-form reason string — the same shape as a lint baseline in any
-    large codebase: new findings fail, grandfathered ones are listed.
-    """
-
-    def __init__(self, entries: dict[str, str] | None = None):
-        self.entries: dict[str, str] = dict(entries or {})
-
-    def suppresses(self, finding: Finding) -> bool:
-        return finding.key() in self.entries
-
-    @classmethod
-    def load(cls, path: str | pathlib.Path) -> "Baseline":
-        raw = json.loads(pathlib.Path(path).read_text())
-        if not isinstance(raw, dict):
-            raise ValueError(f"baseline {path} must be a JSON object")
-        return cls({str(k): str(v) for k, v in raw.items()})
-
-    @classmethod
-    def from_findings(cls, findings: list[Finding], reason: str = "baselined") -> "Baseline":
-        return cls({f.key(): reason for f in findings})
-
-    def save(self, path: str | pathlib.Path) -> None:
-        pathlib.Path(path).write_text(
-            json.dumps(self.entries, indent=2, sort_keys=True) + "\n"
-        )

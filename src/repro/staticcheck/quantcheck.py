@@ -1,19 +1,24 @@
 """Quantization soundness analyzer (rules QS001–QS007).
 
-Static value-range analysis over INT8/UINT8 graphs. The central proof is
-QS001: for every integer-kernel op (conv / depthwise / fully-connected) the
-worst-case accumulator magnitude is bounded *statically* — quantized
-activations are confined to their format's ``[qmin, qmax]`` by construction,
-so the reduction
+Static checks over INT8/UINT8 graphs. The central proof is QS001: for every
+integer-kernel op (conv / depthwise / fully-connected) the accumulator the
+kernel actually computes is bounded *statically*, and the bound must clear
+int32, the accumulator width every mobile NPU/DSP commits to. The kernels
+centre the weights once, ``w_c = w_q - zw``, and reduce over input codes
+bounded by ``code_bound``:
 
-    acc = sum_K (x_q - zx) * (w_q - zw) + bias
+- conv and fully-connected run the integer GEMM over raw codes,
+  ``x_q @ w_c + (bias - zx * colsum(w_c))``, so ``code_bound`` is the input
+  format's largest magnitude;
+- depthwise centres the input first, ``(x_q - zx) @ w_c + bias``, so
+  ``code_bound`` is ``max |x_q - zx|``.
 
-is bounded by ``max|x_q - zx| * sum_K |w_q - zw| + |bias|`` using the actual
-quantized weights (and by the format-worst-case when the graph is symbolic).
-The bound must clear int32 — the accumulator width every mobile NPU/DSP
-commits to — including the zero-point-corrected decomposition real kernels
-compute (raw dot product plus correction terms), whose partial sums can
-exceed the mathematical accumulator.
+Every partial sum of the reduction is then at most
+``code_bound * max_n sum_K |w_c|`` in magnitude (the same quantity
+:func:`~repro.kernels.linear.exact_operand_dtype` proves exactness with),
+and the accumulator adds at most ``max |offset|`` to it. The actual
+quantized weights are used when materialized; a symbolic graph gets the
+format worst case.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 
 from ..graph.graph import Graph
 from ..graph.ops import Activation, Add, Concat, Conv2D, DepthwiseConv2D, FullyConnected
+from ..kernels.linear import max_column_l1
 from ..kernels.numerics import QuantParams
 from .findings import Finding
 
@@ -55,66 +61,43 @@ def _reduction_size(op, graph: Graph) -> int:
     return w_shape[0]  # fully connected: (in, out)
 
 
-def accumulator_bound(op, graph: Graph,
-                      x_interval: tuple[int, int] | None = None) -> int:
-    """Worst-case |int32 accumulator| for one integer-kernel op.
-
-    Uses the actual quantized weights when materialized (interval arithmetic
-    over the real reduction), the format worst case when symbolic. The bound
-    covers both the mathematical accumulator and the zero-point-corrected
-    decomposition (raw dot + zx*colsum correction) that real integer kernels
-    evaluate, whose intermediate terms can be larger.
-
-    ``x_interval`` optionally narrows the input codes from the format's full
-    ``[qmin, qmax]`` to a proven integer interval (the range engine's VR001
-    tightening); it is intersected with the format window, so the result
-    never exceeds the format-worst-case bound.
-    """
+def accumulator_bound(op, graph: Graph) -> int:
+    """Worst-case |accumulator| of one integer-kernel op, as its kernel
+    computes it: ``code_bound * max_n sum_K |w_c| + max |offset|``."""
     x_qp = graph.spec(op.inputs[0]).qparams
     w_qp = graph.param_qparams.get(op.attrs["weight"])
     x_num = x_qp.numerics if x_qp is not None else graph.numerics
-    x_lo, x_hi = x_num.qmin, x_num.qmax
-    if x_interval is not None:
-        x_lo = min(max(int(x_interval[0]), x_lo), x_hi)
-        x_hi = max(min(int(x_interval[1]), x_hi), x_lo)
     zx = int(x_qp.zero_point[0]) if x_qp is not None else 0
-    x_dev = max(abs(x_hi - zx), abs(zx - x_lo))  # max |x_q - zx|
-    x_raw = max(abs(x_lo), abs(x_hi))            # max |x_q|
+    depthwise = isinstance(op, DepthwiseConv2D)
+    if depthwise:
+        code_bound = max(zx - x_num.qmin, x_num.qmax - zx)
+    else:
+        code_bound = max(-x_num.qmin, x_num.qmax)
 
-    k = _reduction_size(op, graph)
     wq = graph.params.get(op.attrs["weight"])
+    b_name = op.attrs.get("bias")
+    bias = graph.params.get(b_name) if b_name else None
+    offset_abs = 0 if bias is None else int(np.abs(bias.astype(np.int64)).max())
     if wq is not None and w_qp is not None:
         w = wq.astype(np.int64)
-        zw = w_qp.zero_point
-        if isinstance(op, DepthwiseConv2D):
-            # reduction is over (kh, kw) per channel; zw broadcasts on axis 2
-            centered = np.abs(w - zw.reshape(1, 1, -1, 1)) if w_qp.per_channel \
-                else np.abs(w - int(zw[0]))
-            w_centered_sum = int(centered.sum(axis=(0, 1, 3)).max())
-            w_raw_sum = int(np.abs(w).sum(axis=(0, 1, 3)).max())
-            raw_colsum = int(np.abs(w.sum(axis=(0, 1, 3))).max())
-        else:
-            axis = 3 if isinstance(op, Conv2D) else 1
-            flat = w.reshape(-1, w.shape[axis]) if axis == w.ndim - 1 else w
-            zw_row = zw.reshape(1, -1) if w_qp.per_channel else int(zw[0])
-            w_centered_sum = int(np.abs(flat - zw_row).sum(axis=0).max())
-            w_raw_sum = int(np.abs(flat).sum(axis=0).max())
-            raw_colsum = int(np.abs(flat.sum(axis=0)).max())
+        if depthwise:  # (kh, kw, C, 1) reduced over (kh, kw) per channel
+            w_c = (w[..., 0] - w_qp.zero_point.reshape(1, 1, -1)).reshape(-1, w.shape[2])
+        else:  # conv (kh, kw, cin, cout) and fully-connected (in, out)
+            w_c = w.reshape(-1, w.shape[-1]) - w_qp.zero_point.reshape(1, -1)
+        w_l1 = max_column_l1(w_c)
+        if not depthwise:
+            offset = -zx * w_c.sum(axis=0)
+            if bias is not None:
+                offset = offset + bias.astype(np.int64)
+            offset_abs = int(np.abs(offset).max())
     else:
         w_num = w_qp.numerics if w_qp is not None else graph.numerics
-        w_abs = max(abs(w_num.qmin), abs(w_num.qmax))
-        w_centered_sum = w_raw_sum = k * w_abs
-        raw_colsum = k * w_abs
-
-    bias_abs = 0
-    b_name = op.attrs.get("bias")
-    if b_name and graph.params.get(b_name) is not None:
-        bias_abs = int(np.abs(graph.params[b_name].astype(np.int64)).max())
-
-    mathematical = x_dev * w_centered_sum + bias_abs
-    # kernel decomposition: raw dot x_q.w_q, then -zx*colsum(w) correction
-    decomposition = x_raw * w_raw_sum + abs(zx) * raw_colsum + bias_abs
-    return max(mathematical, decomposition)
+        zw = w_qp.zero_point if w_qp is not None else np.zeros(1, np.int64)
+        w_dev = int(max(w_num.qmax - zw.min(), zw.max() - w_num.qmin))
+        w_l1 = _reduction_size(op, graph) * w_dev
+        if not depthwise:
+            offset_abs += abs(zx) * w_l1
+    return code_bound * w_l1 + offset_abs
 
 
 def _check_qparams(qp: QuantParams, gname: str, where: str, *, op=None,

@@ -1,7 +1,8 @@
 """Verification driver: run analyzer families, attest, sweep the zoo.
 
-``verify_graph`` is the single entry point the CLI, the export pipeline and
-the tests share. ``attest`` stamps the outcome into ``graph.metadata`` keyed
+``verify_graph`` runs the four analyzer families (dataflow, quantization,
+placement, plan) and is the single entry point the CLI, the export pipeline
+and the tests share. ``attest`` stamps the outcome into ``graph.metadata`` keyed
 to the graph checksum, so a submission package carries a machine-checkable
 claim that its frozen graphs passed static verification (and *which* ruleset
 version proved it) — the shape of MLPerf's submission-checker contract.
@@ -15,14 +16,13 @@ import numpy as np
 
 from ..graph.graph import Graph
 from .dataflow import check_dataflow
-from .findings import Baseline, Report, RULESET_VERSION
+from .findings import Report, RULESET_VERSION
 from .placement import sweep_vendor_placements
 from .plancheck import check_plan
 from .quantcheck import check_quantization
 
 __all__ = [
     "ALL_FAMILIES",
-    "KNOWN_FAMILIES",
     "verify_graph",
     "attest",
     "attestation_problems",
@@ -31,11 +31,6 @@ __all__ = [
 ]
 
 ALL_FAMILIES = ("dataflow", "quantization", "placement", "plan")
-
-# the value-range engine is opt-in (``--ranges``): its VR findings are gated
-# separately in CI against a checked-in baseline rather than folded into the
-# always-clean default sweep
-KNOWN_FAMILIES = ALL_FAMILIES + ("ranges",)
 
 # families cheap enough to run inline on every export (plan compilation
 # prepares every kernel, so the export path leaves it to the CLI/tests)
@@ -46,10 +41,9 @@ def verify_graph(
     graph: Graph,
     *,
     families: tuple[str, ...] = ALL_FAMILIES,
-    baseline: Baseline | None = None,
 ) -> Report:
     """Run the requested analyzer families over one graph."""
-    unknown = set(families) - set(KNOWN_FAMILIES)
+    unknown = set(families) - set(ALL_FAMILIES)
     if unknown:
         raise ValueError(f"unknown analyzer families {sorted(unknown)}")
     report = Report(f"{graph.name}[{graph.numerics.value}]")
@@ -67,13 +61,6 @@ def verify_graph(
         plan = ExecutionPlan.for_graph(graph)
         report.extend(check_plan(plan))
         report.metrics["plan"] = plan.describe()
-    if "ranges" in families:
-        from .ranges import check_ranges
-
-        findings, metrics = check_ranges(graph)
-        report.extend(findings)
-        report.metrics["ranges"] = metrics
-    report.apply_baseline(baseline)
     return report
 
 
@@ -170,7 +157,6 @@ def sweep_zoo(
     numerics_modes: tuple | None = None,
     *,
     families: tuple[str, ...] = ALL_FAMILIES,
-    baseline: Baseline | None = None,
 ) -> list[Report]:
     """Verify every (zoo model, numerics) deployment; the CLI/CI workhorse."""
     from ..kernels.numerics import Numerics
@@ -183,6 +169,5 @@ def sweep_zoo(
     reports = []
     for model in models:
         for _numerics, graph in zoo_deployments(model, numerics_modes):
-            reports.append(
-                verify_graph(graph, families=families, baseline=baseline))
+            reports.append(verify_graph(graph, families=families))
     return reports

@@ -24,19 +24,6 @@ class TestTensorSpec:
     def test_with_batch(self):
         assert TensorSpec("t", (-1, 2)).with_batch(5) == (5, 2)
 
-    def test_domain_coerced_to_floats(self):
-        spec = TensorSpec("t", (-1, 2), domain=(0, 255))
-        assert spec.domain == (0.0, 255.0)
-        assert all(isinstance(v, float) for v in spec.domain)
-
-    def test_empty_domain_rejected(self):
-        with pytest.raises(ValueError, match="empty input domain"):
-            TensorSpec("t", (-1, 2), domain=(1.0, -1.0))
-
-    def test_domain_survives_copy(self):
-        spec = TensorSpec("t", (-1, 2), domain=(-1.0, 1.0))
-        assert spec.copy().domain == (-1.0, 1.0)
-
 
 class TestGraphConstruction:
     def test_duplicate_input(self):

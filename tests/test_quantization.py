@@ -110,17 +110,6 @@ class TestQuantizeGraph:
         meta = q.metadata["quantization"]
         assert meta["numerics"] == "int8" and meta["per_channel"]
 
-    def test_metadata_records_calibration_ranges(self, toy_exported, toy_inputs):
-        """The static value-range engine (VR003) audits deployed graphs
-        against exactly what calibration saw."""
-        exported, _ = toy_exported
-        stats = calibrate(exported, [toy_inputs])
-        q = quantize_graph(exported, stats)
-        cal = q.metadata["quantization"]["calibration_ranges"]
-        assert set(cal) == set(stats.ranges)
-        for name, (lo, hi) in stats.ranges.items():
-            assert cal[name] == [pytest.approx(lo), pytest.approx(hi)]
-
     def test_weight_qparams_per_channel_symmetric(self, toy_exported, toy_inputs):
         exported, _ = toy_exported
         stats = calibrate(exported, [toy_inputs])
