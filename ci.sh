@@ -1,13 +1,19 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: static analysis first (fastest, and it proves graph/plan
 # invariants before anything executes; one zoo sweep both gates and writes
-# benchmarks/results/STATICCHECK.json), then the refit check of the stored
-# reference-model fits (tools/fitted_models.py --check), then the
-# conformance/fault suites (they guard the run-rule correctness the whole
-# benchmark's credibility rests on), then the full test suite. The test
-# suite includes the golden output digest check (tools/golden_outputs.py
-# --check): every zoo model in FP32/FP16/INT8/UINT8 must reproduce its
-# checked-in output digest.
+# benchmarks/results/STATICCHECK.json), then the full test suite, which runs
+# every other check once:
+#   - the conformance/fault suites (tests/test_conformance.py,
+#     tests/test_faults.py) that guard the run-rule correctness the whole
+#     benchmark's credibility rests on;
+#   - the refit check of the stored reference-model fits
+#     (tools/fitted_models.py --check, in tests/test_fitted_models.py): every
+#     zoo model refit at 2 BLAS threads must match its stored fit byte for
+#     byte. The fit key cannot see a kernel, synthdata or preprocess edit
+#     that changes fitted bytes; this check does;
+#   - the golden output digest check (tools/golden_outputs.py --check, in
+#     tests/test_plan.py): every zoo model in FP32/FP16/INT8/UINT8 must
+#     reproduce its checked-in output digest.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -22,13 +28,5 @@ python tools/selflint.py src tests tools
 # report, with each plan's describe(), is kept as a build artifact next to
 # the BENCH files.
 python -m repro.staticcheck --format json > benchmarks/results/STATICCHECK.json
-
-# stored reference-model fits: refit every zoo model (BLAS pinned to 2
-# threads) and require each stored fit to match byte for byte. The fit key
-# cannot see a kernel, synthdata or preprocess edit that changes fitted bytes;
-# this gate does.
-python tools/fitted_models.py --check
-
-python -m pytest -x -q tests/test_conformance.py tests/test_faults.py
 
 python -m pytest -x -q tests

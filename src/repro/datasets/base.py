@@ -52,11 +52,6 @@ class TaskDataset(abc.ABC):
     def calibration_batches(self, batch_size: int = 16) -> list[dict[str, np.ndarray]]:
         """The approved PTQ calibration set (disjoint from validation)."""
 
-    def sample_bytes(self) -> int:
-        """Approximate in-memory bytes of one loaded sample (QSL accounting)."""
-        feed = self.input_batch(np.array([0]))
-        return int(sum(a.nbytes for a in feed.values()))
-
 
 class IndexDataset(TaskDataset):
     """Content-free dataset for performance-only runs.

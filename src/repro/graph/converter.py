@@ -10,21 +10,13 @@ submission checker verifies it.
 from __future__ import annotations
 
 from ..kernels.normalization import fold_batch_norm
-from .graph import Graph, GraphValidationError
+from .graph import Graph
 from .ops import Activation, BatchNorm, Conv2D, DepthwiseConv2D, FullyConnected
 
 __all__ = ["fold_batch_norms", "fuse_activations", "export_mobile"]
 
 _CONV_TYPES = (Conv2D, DepthwiseConv2D)
 _FUSABLE_ACTS = {"relu", "relu6", "hard_swish"}
-
-
-def _rewire(graph: Graph, old: str, new: str) -> None:
-    """Redirect every consumer of tensor ``old`` to ``new`` and drop ``old``."""
-    for op in graph.ops:
-        op.inputs = [new if t == old else t for t in op.inputs]
-    graph.output_names = [new if t == old else t for t in graph.output_names]
-    del graph.tensor_specs[old]
 
 
 def fold_batch_norms(graph: Graph) -> Graph:

@@ -308,14 +308,6 @@ class Conv2D(_WeightedOp):
         _, oh, ow, _ = out_shapes[0]
         return oh * ow * kh * kw * cin * cout
 
-    def _weight_as_matrix(self, w: np.ndarray) -> np.ndarray:
-        # (kh, kw, Cin, Cout) -> (kh*kw*Cin, Cout): reduction per output channel
-        return w.reshape(-1, w.shape[-1])
-
-    def _reduction_len(self, graph: "Graph") -> int:
-        kh, kw, cin, _ = graph.param_shape(self.attrs["weight"])
-        return kh * kw * cin
-
 
 class DepthwiseConv2D(Conv2D):
     op_type = "depthwise_conv2d"
@@ -341,14 +333,6 @@ class DepthwiseConv2D(Conv2D):
         kh, kw, c, _ = graph.param_shape(self.attrs["weight"])
         _, oh, ow, _ = out_shapes[0]
         return oh * ow * kh * kw * c
-
-    def _weight_as_matrix(self, w: np.ndarray) -> np.ndarray:
-        # (kh, kw, C, 1) -> (kh*kw, C): per-channel window reduction
-        return w[..., 0].reshape(-1, w.shape[2])
-
-    def _reduction_len(self, graph: "Graph") -> int:
-        kh, kw, _, _ = graph.param_shape(self.attrs["weight"])
-        return kh * kw
 
 
 class FullyConnected(_WeightedOp):

@@ -10,7 +10,7 @@ Table 3 (NNAPI vs Neuron) and the Exynos 990 -> 2100 segmentation uplift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..graph.graph import Graph
 from ..kernels.numerics import Numerics
@@ -135,15 +135,26 @@ class CompiledModel:
     # end-to-end mode (App. E) adds it to the measured latency
     preprocess_cpu_ops: float = 0.0
 
-    @property
-    def num_boundaries(self) -> int:
-        return max(len(self.segments) - 1, 0)
-
     def accelerators(self) -> list[AcceleratorSpec]:
         seen: dict[str, AcceleratorSpec] = {}
         for seg in self.segments:
             seen[seg.accelerator.name] = seg.accelerator
         return list(seen.values())
+
+    def hop_seconds(self, i: int, batch: int = 1) -> tuple[float, ...]:
+        """The cost terms, in seconds, of the hop into segment ``i`` (> 0).
+
+        Every hop pays the runtime's HAL synchronization; hops between two
+        non-CPU engines additionally pay the SoC IP-block sync and the
+        interconnect transfer of the activations entering the segment (the
+        Exynos 990 -> 2100 software story, paper §7.1).
+        """
+        seg = self.segments[i]
+        hal = self.framework.per_boundary_ms * 1e-3
+        if self.segments[i - 1].accelerator.kind == "cpu" or seg.accelerator.kind == "cpu":
+            return (hal,)
+        return (hal, self.soc.segment_sync_ms * 1e-3,
+                seg.boundary_bytes * batch / (self.soc.interconnect_gbps * 1e9))
 
     def latency_seconds(
         self,
@@ -163,15 +174,8 @@ class CompiledModel:
                         + seg.num_ops * seg.accelerator.per_op_overhead_us) * 1e-6
             total += max(compute / scale, mem) + overhead / scale
             if i > 0:
-                # every hop pays the runtime's HAL synchronization; hops
-                # between two non-CPU engines additionally pay the SoC
-                # IP-block sync and the interconnect transfer (the Exynos
-                # 990 -> 2100 software story, paper §7.1)
-                total += self.framework.per_boundary_ms * 1e-3
-                prev = self.segments[i - 1].accelerator
-                if prev.kind != "cpu" and seg.accelerator.kind != "cpu":
-                    total += self.soc.segment_sync_ms * 1e-3
-                    total += seg.boundary_bytes * batch / (self.soc.interconnect_gbps * 1e9)
+                for term in self.hop_seconds(i, batch):
+                    total += term
         extra_cpu_ops = self.postprocess_cpu_ops + self.preprocess_cpu_ops
         if extra_cpu_ops:
             cpu = self.soc.accelerator("cpu")

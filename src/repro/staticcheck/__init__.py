@@ -2,14 +2,15 @@
 
 Proves graph-level invariants *before* anything runs, the way the MLPerf
 submission checker statically vets result bundles: typed dataflow
-(independent shape re-inference, connectivity), quantization soundness
-(int32 accumulator bounds, qparam sanity), backend placement prediction
-(vendor-profile partitioning, the Table-3 delegate-gap story as a lint) and
-execution-plan consistency (tensor liveness). See DESIGN.md §8 for the rule
-catalog; ``python -m repro.staticcheck`` sweeps the model zoo.
+(connectivity, and each op's own shape inference re-run against the
+recorded specs), quantization soundness (int32 accumulator bounds, qparam
+sanity), backend placement (each vendor runtime's compiled partition, the
+Table-3 delegate-gap story as a lint) and execution-plan consistency
+(tensor liveness). See DESIGN.md §8 for the rule catalog;
+``python -m repro.staticcheck`` sweeps the model zoo.
 """
 
-from .dataflow import check_dataflow, independent_shapes
+from .dataflow import check_dataflow
 from .findings import (
     RULE_CATALOG,
     RULESET_VERSION,
@@ -18,13 +19,7 @@ from .findings import (
     Rule,
     Severity,
 )
-from .placement import (
-    PlacementPrediction,
-    check_placement,
-    predict_op_targets,
-    predict_placement,
-    sweep_vendor_placements,
-)
+from .placement import check_placement, check_schedulable, sweep_vendor_placements
 from .plancheck import check_plan
 from .quantcheck import accumulator_bound, check_quantization
 from .verifier import (
@@ -39,7 +34,6 @@ from .verifier import (
 __all__ = [
     "ALL_FAMILIES",
     "Finding",
-    "PlacementPrediction",
     "Report",
     "Rule",
     "RULE_CATALOG",
@@ -52,9 +46,7 @@ __all__ = [
     "check_placement",
     "check_plan",
     "check_quantization",
-    "independent_shapes",
-    "predict_op_targets",
-    "predict_placement",
+    "check_schedulable",
     "sweep_vendor_placements",
     "sweep_zoo",
     "verify_graph",

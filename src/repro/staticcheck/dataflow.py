@@ -1,184 +1,27 @@
-"""Typed dataflow verifier (rules DF001–DF011).
+"""Typed dataflow verifier (rules DF001–DF010).
 
-Runs a *second*, independent whole-graph shape inference over the op list —
-its own per-op-type arithmetic, deliberately not calling
-``op.infer_shapes`` — and double-enters the result against the shapes the
-builder recorded. A disagreement means either the builder's inference or
-this verifier is wrong; both reading the same answer is the static analogue
-of double-entry bookkeeping. On top of that it checks pure connectivity
-invariants: dangling tensors, dead ops, unused params, duplicate producers
-and unreachable outputs.
+Checks the connectivity invariants of an op list: dangling tensors, dead
+ops, unused and missing params, duplicate producers and names, unreachable
+outputs. DF006 re-runs each op's own ``infer_shapes`` on the input specs the
+graph recorded and compares the result with the recorded output specs.
+Checking every op locally is equivalent to forward shape propagation, and a
+disagreement names the op at fault. Whether ``infer_shapes`` itself is
+right is a separate question; ``tests/test_plan.py`` answers it by tapping
+real runs of every zoo model.
 """
 
 from __future__ import annotations
 
 from ..graph.graph import Graph
-from ..graph.ops import Op
 from .findings import Finding
 
-__all__ = ["check_dataflow", "independent_shapes"]
+__all__ = ["check_dataflow"]
 
 _DATA_ROLES = ("data",)  # ids/mask tensors keep their own numerics by design
 
 
-# -- independent shape rules --------------------------------------------------
-#
-# Each rule maps (op, input shapes, graph) -> output shapes using only op
-# attrs and parameter shapes. Batch dims are symbolic (-1) and preserved.
-
-
-def _conv_spatial(h: int, w: int, kh: int, kw: int, stride: int, padding: str,
-                  dilation: int = 1) -> tuple[int, int]:
-    ekh = (kh - 1) * dilation + 1
-    ekw = (kw - 1) * dilation + 1
-    if padding == "same":
-        return (h + stride - 1) // stride, (w + stride - 1) // stride
-    if padding == "valid":
-        return (h - ekh) // stride + 1, (w - ekw) // stride + 1
-    raise ValueError(f"unknown padding mode {padding!r}")
-
-
-def _rule_conv2d(op, ins, g):
-    n, h, w, _ = ins[0]
-    kh, kw, _, cout = g.param_shape(op.attrs["weight"])
-    oh, ow = _conv_spatial(h, w, kh, kw, op.attrs["stride"], op.attrs["padding"],
-                           op.attrs.get("dilation", 1))
-    return [(n, oh, ow, cout)]
-
-
-def _rule_depthwise(op, ins, g):
-    n, h, w, c = ins[0]
-    kh, kw, _, _ = g.param_shape(op.attrs["weight"])
-    oh, ow = _conv_spatial(h, w, kh, kw, op.attrs["stride"], op.attrs["padding"])
-    return [(n, oh, ow, c)]
-
-
-def _rule_fc(op, ins, g):
-    _, fout = g.param_shape(op.attrs["weight"])
-    return [ins[0][:-1] + (fout,)]
-
-
-def _rule_pool(op, ins, g):
-    n, h, w, c = ins[0]
-    k = op.attrs["k"]
-    oh, ow = _conv_spatial(h, w, k, k, op.attrs["stride"], op.attrs["padding"])
-    return [(n, oh, ow, c)]
-
-
-def _rule_global_pool(op, ins, g):
-    n, _, _, c = ins[0]
-    return [(n, 1, 1, c)] if op.attrs.get("keepdims", True) else [(n, c)]
-
-
-def _rule_resize(op, ins, g):
-    n, _, _, c = ins[0]
-    return [(n, op.attrs["out_h"], op.attrs["out_w"], c)]
-
-
-def _rule_elementwise(op, ins, g):
-    return [ins[0]]
-
-
-def _rule_concat(op, ins, g):
-    axis = op.attrs["axis"]
-    out = list(ins[0])
-    out[axis] = sum(s[axis] for s in ins)
-    return [tuple(out)]
-
-
-def _rule_reshape(op, ins, g):
-    return [(ins[0][0],) + tuple(op.attrs["shape"])]
-
-
-def _rule_attention(op, ins, g):
-    return [ins[0]]
-
-
-def _rule_embedding(op, ins, g):
-    n, s = ins[0]
-    _, d = g.param_shape(op.attrs["table"])
-    return [(n, s, d)]
-
-
-def _rule_split(op, ins, g):
-    parts = op.attrs["parts"]
-    return [ins[0][:-1] + (ins[0][-1] // parts,)] * parts
-
-
-def _rule_lstm(op, ins, g):
-    n, t, _ = ins[0]
-    hidden = g.param_shape(op.attrs["w_hh"])[0]
-    return [(n, t, hidden)]
-
-
-def _rule_depth_to_space(op, ins, g):
-    n, h, w, c = ins[0]
-    b = op.attrs["block"]
-    return [(n, h * b, w * b, c // (b * b))]
-
-
-def _rule_constant(op, ins, g):
-    return [(-1,) + g.param_shape(op.attrs["value"])]
-
-
-def _rule_pad(op, ins, g):
-    n, h, w, c = ins[0]
-    t, b = op.attrs["pads_h"]
-    left, r = op.attrs["pads_w"]
-    return [(n, h + t + b, w + left + r, c)]
-
-
-_SHAPE_RULES = {
-    "conv2d": _rule_conv2d,
-    "depthwise_conv2d": _rule_depthwise,
-    "fully_connected": _rule_fc,
-    "avg_pool2d": _rule_pool,
-    "max_pool2d": _rule_pool,
-    "global_avg_pool": _rule_global_pool,
-    "resize_bilinear": _rule_resize,
-    "add": _rule_elementwise,
-    "activation": _rule_elementwise,
-    "softmax": _rule_elementwise,
-    "batch_norm": _rule_elementwise,
-    "layer_norm": _rule_elementwise,
-    "concat": _rule_concat,
-    "reshape": _rule_reshape,
-    "attention": _rule_attention,
-    "embedding": _rule_embedding,
-    "split": _rule_split,
-    "lstm": _rule_lstm,
-    "depth_to_space": _rule_depth_to_space,
-    "constant": _rule_constant,
-    "pad": _rule_pad,
-}
-
-
-def independent_shapes(graph: Graph) -> tuple[dict[str, tuple[int, ...]], list[Op]]:
-    """Re-infer every tensor shape from the inputs forward.
-
-    Returns ``(shapes, unverifiable)`` where ``unverifiable`` lists ops with
-    no independent rule (their outputs — and anything downstream of them —
-    are left out of the double-entry comparison).
-    """
-    shapes: dict[str, tuple[int, ...]] = {s.name: tuple(s.shape) for s in graph.inputs}
-    unverifiable: list[Op] = []
-    for op in graph.ops:
-        rule = _SHAPE_RULES.get(op.op_type)
-        if rule is None or any(t not in shapes for t in op.inputs):
-            unverifiable.append(op)
-            continue
-        try:
-            outs = rule(op, [shapes[t] for t in op.inputs], graph)
-        except Exception:
-            unverifiable.append(op)
-            continue
-        for t, shape in zip(op.outputs, outs):
-            shapes[t] = tuple(int(d) for d in shape)
-    return shapes, unverifiable
-
-
 def check_dataflow(graph: Graph) -> list[Finding]:
-    """Rules DF001–DF011 over one graph (materialized or symbolic)."""
+    """Rules DF001–DF010 over one graph (materialized or symbolic)."""
     out: list[Finding] = []
     gname = graph.name
     input_names = {s.name for s in graph.inputs}
@@ -249,24 +92,38 @@ def check_dataflow(graph: Graph) -> list[Finding]:
                 "DF003", gname, tensor=p,
                 message=f"parameter {p!r} is referenced by no op"))
 
-    # DF006 double-entry shape inference / DF011 coverage
-    shapes, unverifiable = independent_shapes(graph)
-    for op in unverifiable:
-        if op.op_type not in _SHAPE_RULES:
+    # DF006 each op's own shape inference against the recorded specs
+    for op in graph.ops:
+        if any(t not in graph.tensor_specs for t in op.inputs) or any(
+                p not in graph.params for p in op.param_names()):
+            continue  # no spec to infer from; a missing param is DF009
+        in_shapes = [tuple(graph.spec(t).shape) for t in op.inputs]
+        # a ShapeError, or a ValueError from unpacking a shape of the wrong
+        # rank; NotImplementedError is an op type with no inference at all
+        try:
+            inferred = op.infer_shapes(in_shapes, graph)
+        except (ValueError, NotImplementedError) as exc:
             out.append(Finding(
-                "DF011", gname, op=op.name,
-                message=f"op {op.name!r} has type {op.op_type!r} with no "
-                        f"independent shape rule; its shapes are unverified"))
-    for name, shape in shapes.items():
-        spec = graph.tensor_specs.get(name)
-        if spec is None:
-            continue  # already reported via connectivity rules
-        if tuple(spec.shape) != shape:
+                "DF006", gname, op=op.name,
+                message=f"op {op.name!r} ({op.op_type}) cannot infer shapes from "
+                        f"its recorded inputs {in_shapes}: "
+                        f"{type(exc).__name__}: {exc}"))
+            continue
+        if len(inferred) != len(op.outputs):
             out.append(Finding(
-                "DF006", gname, tensor=name, op=producers.get(name),
-                message=f"recorded shape {tuple(spec.shape)} of {name!r} "
-                        f"disagrees with independent inference {shape}",
-                details={"recorded": list(spec.shape), "inferred": list(shape)}))
+                "DF006", gname, op=op.name,
+                message=f"op {op.name!r} infers {len(inferred)} output(s) but "
+                        f"records {len(op.outputs)}"))
+            continue
+        for name, shape in zip(op.outputs, inferred):
+            spec = graph.tensor_specs.get(name)
+            shape = tuple(int(d) for d in shape)
+            if spec is not None and tuple(spec.shape) != shape:
+                out.append(Finding(
+                    "DF006", gname, tensor=name, op=op.name,
+                    message=f"recorded shape {tuple(spec.shape)} of {name!r} "
+                            f"disagrees with {op.name!r}'s infer_shapes {shape}",
+                    details={"recorded": list(spec.shape), "inferred": list(shape)}))
 
     # DF007 numerics tags
     for name, spec in graph.tensor_specs.items():

@@ -23,7 +23,7 @@ __all__ = [
 
 # bump when rule semantics change: attestations record the ruleset they
 # were produced under, so stale "verified" stamps are detectable
-RULESET_VERSION = 6
+RULESET_VERSION = 7
 
 
 class Severity(enum.Enum):
@@ -55,8 +55,8 @@ RULE_CATALOG: dict[str, Rule] = {r.rule_id: r for r in [
     Rule("DF005", _E, "dataflow", "unreachable output",
          "every declared output is actually produced by the graph"),
     Rule("DF006", _E, "dataflow", "shape disagreement",
-         "an independent whole-graph shape inference pass reproduces every "
-         "recorded tensor shape (double-entry against op.infer_shapes)"),
+         "every op's own infer_shapes, re-run on its recorded input specs, "
+         "reproduces its recorded output specs"),
     Rule("DF007", _E, "dataflow", "numerics mismatch",
          "every data tensor carries the graph's numerics tag"),
     Rule("DF008", _E, "dataflow", "duplicate op name",
@@ -65,8 +65,6 @@ RULE_CATALOG: dict[str, Rule] = {r.rule_id: r for r in [
          "every parameter an op references exists in the graph"),
     Rule("DF010", _E, "dataflow", "parameter shadows input",
          "parameter names never collide with input tensor names"),
-    Rule("DF011", _W, "dataflow", "unverifiable op",
-         "every op type has an independent shape rule in the verifier"),
     # -- quantization soundness analyzer ----------------------------------
     Rule("QS001", _E, "quantization", "int32 accumulator overflow",
          "no integer kernel's accumulator can exceed int32 under worst-case "
@@ -85,14 +83,14 @@ RULE_CATALOG: dict[str, Rule] = {r.rule_id: r for r in [
          "int32 bias scales equal input_scale * weight_scale exactly"),
     Rule("QS007", _W, "quantization", "missing activation qparams",
          "every data tensor in a quantized graph carries qparams"),
-    # -- backend placement predictor ---------------------------------------
+    # -- backend placement lint --------------------------------------------
     Rule("BP001", _E, "placement", "unschedulable op",
          "every op can execute somewhere on the SoC (at least the CPU)"),
     Rule("BP002", _W, "placement", "primary engine rejects numerics",
          "the requested numerics actually runs on the primary engine "
          "(otherwise the whole graph silently falls back)"),
     Rule("BP003", _W, "placement", "excessive fragmentation",
-         "predicted partition count stays below the fragmentation budget"),
+         "the compiled partition count stays below the fragmentation budget"),
     Rule("BP004", _W, "placement", "fallback dominates compute",
          "the primary engine keeps the majority of the graph's MACs"),
     # -- plan consistency checker ------------------------------------------

@@ -1,37 +1,27 @@
-"""Backend placement predictor (rules BP001–BP004).
+"""Backend placement lint (rules BP001–BP004).
 
-Re-derives, from the op list alone, how each vendor runtime would partition
-a graph across an SoC's engines — which ops fall back to the CPU, how many
-contiguous segments result, and what the boundary synchronization costs.
-This is the Table-3 delegate-gap story turned into a lint: the decision
-procedure here is written independently of :func:`repro.hardware.scheduler
-.partition_graph` (same op-support ground truth, separately implemented
-placement logic) and a test cross-checks the two op-by-op.
+Compiles a graph the way each vendor runtime would ship it
+(:meth:`repro.backends.Backend.compile_single_stream`, which partitions it
+with :func:`repro.hardware.scheduler.partition_graph`) and lints the
+resulting segments: which ops fall back off the primary engine, how many
+contiguous segments result, and what the boundary synchronization costs
+(the hop terms :meth:`CompiledModel.hop_seconds` charges). This is the
+Table-3 delegate-gap story turned into a lint, read from the one placement
+the performance simulator runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ..backends.base import Backend
 from ..backends.vendors import BACKEND_FACTORIES
 from ..graph.graph import Graph
-from ..hardware.accelerator import OP_SUPPORT, AcceleratorSpec
-from ..hardware.scheduler import FrameworkProfile
-from ..hardware.soc import SOC_CATALOG, SoCSpec
+from ..hardware.accelerator import OP_SUPPORT
+from ..hardware.scheduler import CompiledModel
+from ..hardware.soc import SOC_CATALOG
 from ..kernels.numerics import Numerics
 from .findings import Finding
 
-__all__ = [
-    "PlacementPrediction",
-    "predict_op_targets",
-    "predict_placement",
-    "check_placement",
-    "sweep_vendor_placements",
-]
-
-# engines with fixed-function compilers: driver op exclusions and dilated
-# convolutions keep work off these even when the raw hardware could manage
-_FIXED_FUNCTION = frozenset({"npu", "apu", "dsp", "hta", "hvx", "ane"})
+__all__ = ["check_schedulable", "check_placement", "sweep_vendor_placements"]
 
 # more segments than this on one graph means the placement is shredded into
 # confetti and boundary sync will dominate (paper Insight 4); the zoo's worst
@@ -42,221 +32,102 @@ _MAX_SEGMENTS = 24
 _MIN_PRIMARY_MAC_FRACTION = 0.5
 
 
-@dataclass
-class PlacementPrediction:
-    """Statically predicted partition of one graph under one runtime."""
+def check_schedulable(graph: Graph, ctx: str = "") -> list[Finding]:
+    """Rule BP001, decided from the op list alone.
 
-    backend: str
-    soc: str
-    task: str
-    numerics: Numerics
-    primary: str
-    op_targets: list[tuple[str, str]]  # (op name, accelerator name)
-    segments: list[tuple[str, list[str]]]  # (accelerator name, op names)
-    fallback_ops: list[str] = field(default_factory=list)  # ops not on primary
-    fallback_op_types: list[str] = field(default_factory=list)
-    primary_mac_fraction: float = 1.0
-    boundary_sync_ms: float = 0.0
-
-    @property
-    def partition_count(self) -> int:
-        return len(self.segments)
-
-    @property
-    def num_boundaries(self) -> int:
-        return max(len(self.segments) - 1, 0)
-
-    def to_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "soc": self.soc,
-            "task": self.task,
-            "numerics": self.numerics.value,
-            "primary": self.primary,
-            "partition_count": self.partition_count,
-            "segments": [{"accelerator": acc, "ops": ops} for acc, ops in self.segments],
-            "fallback_ops": list(self.fallback_ops),
-            "fallback_op_types": list(self.fallback_op_types),
-            "primary_mac_fraction": round(self.primary_mac_fraction, 4),
-            "boundary_sync_ms": round(self.boundary_sync_ms, 4),
-        }
-
-
-def _eligible(op, acc: AcceleratorSpec, excluded: frozenset[str]) -> bool:
-    """Can this engine's compiler take this op? (independent re-derivation)"""
-    if op.op_type not in OP_SUPPORT[acc.kind]:
-        return False
-    if acc.kind in _FIXED_FUNCTION:
-        if op.op_type in excluded:
-            return False
-        if op.attrs.get("dilation", 1) > 1:
-            return False
-    return True
-
-
-def predict_op_targets(
-    graph: Graph,
-    primary: AcceleratorSpec,
-    fallback: AcceleratorSpec,
-    numerics: Numerics,
-    secondary: AcceleratorSpec | None = None,
-    excluded_ops: frozenset[str] = frozenset(),
-) -> list[tuple[str, AcceleratorSpec]]:
-    """Predict the engine every op lands on, in execution order.
-
-    Placement policy, re-derived from first principles: an op goes to the
-    primary engine when the engine both runs the model's numeric format
-    natively (no silent FP32→FP16 down-conversion) and compiles the op;
-    otherwise to the secondary (which may up-convert to FP16); otherwise to
-    the CPU fallback.
+    The CPU fallback takes any op the framework implements (partitioning
+    never rejects the fallback target), so only op types no engine class
+    has ever heard of — or batch norms the scheduler refuses — are fatal.
     """
-    primary_usable = numerics in primary.effective_tops
-    secondary_usable = secondary is not None and (
-        numerics in secondary.effective_tops
-        or Numerics.FP16 in secondary.effective_tops
-    )
-    targets: list[tuple[str, AcceleratorSpec]] = []
-    for op in graph.ops:
-        if primary_usable and _eligible(op, primary, excluded_ops):
-            acc = primary
-        elif secondary_usable and _eligible(op, secondary, excluded_ops):
-            acc = secondary
-        else:
-            acc = fallback
-        targets.append((op.name, acc))
-    return targets
-
-
-def predict_placement(
-    graph: Graph,
-    *,
-    backend: str,
-    task: str,
-    numerics: Numerics,
-    soc: SoCSpec,
-    primary: AcceleratorSpec,
-    fallback: AcceleratorSpec,
-    secondary: AcceleratorSpec | None = None,
-    framework: FrameworkProfile | None = None,
-) -> PlacementPrediction:
-    """Full static placement: targets, segments, MAC split, boundary cost."""
-    targets = predict_op_targets(
-        graph, primary, fallback, numerics, secondary,
-        framework.unsupported_ops if framework else frozenset())
-    target_of = dict(targets)
-
-    segments: list[tuple[str, list[str]]] = []
-    for name, acc in targets:
-        if not segments or segments[-1][0] != acc.name:
-            segments.append((acc.name, []))
-        segments[-1][1].append(name)
-
-    costs = list(graph.op_costs(numerics))
-    total_macs = sum(cost.macs for _op, cost in costs)
-    primary_macs = sum(cost.macs for op, cost in costs
-                       if target_of[op.name].name == primary.name)
-
-    # boundary cost: every hop pays the runtime's HAL sync; hops between two
-    # non-CPU engines add the SoC IP-block sync plus the interconnect transfer
-    # of the activations entering the new segment
-    per_boundary = framework.per_boundary_ms if framework else 0.0
-    sync_ms = 0.0
-    prev: AcceleratorSpec | None = None
-    for op, _cost in costs:
-        acc = target_of[op.name]
-        if prev is not None and acc.name != prev.name:
-            sync_ms += per_boundary
-            if prev.kind != "cpu" and acc.kind != "cpu":
-                sync_ms += soc.segment_sync_ms
-                in_bytes = sum(
-                    graph.spec(t).elements_per_sample * numerics.bytes_per_element
-                    for t in op.inputs
-                )
-                sync_ms += in_bytes / (soc.interconnect_gbps * 1e9) * 1e3
-        prev = acc
-
-    fallback_ops = [name for name, acc in targets if acc.name != primary.name]
-    fallback_types = sorted({
-        op.op_type for op in graph.ops if op.name in set(fallback_ops)
-    })
-    return PlacementPrediction(
-        backend=backend, soc=soc.name, task=task, numerics=numerics,
-        primary=primary.name,
-        op_targets=[(name, acc.name) for name, acc in targets],
-        segments=segments,
-        fallback_ops=fallback_ops,
-        fallback_op_types=fallback_types,
-        primary_mac_fraction=(primary_macs / total_macs) if total_macs else 1.0,
-        boundary_sync_ms=sync_ms,
-    )
-
-
-def check_placement(graph: Graph, prediction: PlacementPrediction,
-                    soc: SoCSpec) -> list[Finding]:
-    """Rules BP001–BP004 for one (graph, backend, SoC) placement."""
     out: list[Finding] = []
-    gname = graph.name
-    ctx = f"[{prediction.backend}@{prediction.soc}]"
-
-    # the CPU fallback takes any op the framework implements (partitioning
-    # never rejects the fallback target), so only op types no engine class
-    # has ever heard of — or batch norms the scheduler refuses — are fatal
     known_op_types = set().union(*OP_SUPPORT.values())
     for op in graph.ops:
         if op.op_type == "batch_norm":
             out.append(Finding(
-                "BP001", gname, op=op.name,
+                "BP001", graph.name, op=op.name,
                 message=f"{ctx} op {op.name!r} is an unfolded batch_norm; the "
                         f"scheduler refuses unexported graphs"))
         elif op.op_type not in known_op_types:
             out.append(Finding(
-                "BP001", gname, op=op.name,
+                "BP001", graph.name, op=op.name,
                 message=f"{ctx} op {op.name!r} has unknown type {op.op_type!r}; "
                         f"no engine class implements it"))
+    return out
 
-    primary_acc = soc.accelerator(prediction.primary)
-    if prediction.numerics not in primary_acc.effective_tops:
+
+def check_placement(
+    graph: Graph, compiled: CompiledModel, primary: str, backend: str
+) -> tuple[list[Finding], dict]:
+    """Rules BP002–BP004 over one compiled placement, plus its summary."""
+    soc = compiled.soc
+    primary_acc = soc.accelerator(primary)
+    op_types = {op.name: op.op_type for op in graph.ops}
+    fallback_ops = [name for seg in compiled.segments if seg.accelerator.name != primary
+                    for name in seg.op_names]
+    fallback_types = sorted({op_types[name] for name in fallback_ops})
+    total_macs = sum(seg.macs for seg in compiled.segments)
+    primary_macs = sum(seg.macs for seg in compiled.segments
+                       if seg.accelerator.name == primary)
+    mac_fraction = (primary_macs / total_macs) if total_macs else 1.0
+    sync_ms = sum(sum(compiled.hop_seconds(i)) for i in range(1, len(compiled.segments))) * 1e3
+    partitions = len(compiled.segments)
+    summary = {
+        "backend": backend,
+        "soc": soc.name,
+        "task": compiled.task,
+        "numerics": compiled.numerics.value,
+        "primary": primary,
+        "partition_count": partitions,
+        "segments": [{"accelerator": seg.accelerator.name, "ops": list(seg.op_names)}
+                     for seg in compiled.segments],
+        "fallback_ops": fallback_ops,
+        "fallback_op_types": fallback_types,
+        "primary_mac_fraction": round(mac_fraction, 4),
+        "boundary_sync_ms": round(sync_ms, 4),
+    }
+
+    out: list[Finding] = []
+    gname = graph.name
+    ctx = f"[{backend}@{soc.name}]"
+    if compiled.numerics not in primary_acc.effective_tops:
         out.append(Finding(
             "BP002", gname,
-            message=f"{ctx} primary engine {prediction.primary!r} does not run "
-                    f"{prediction.numerics.value}; the whole graph silently "
+            message=f"{ctx} primary engine {primary!r} does not run "
+                    f"{compiled.numerics.value}; the whole graph silently "
                     f"falls back"))
 
-    if prediction.partition_count > _MAX_SEGMENTS:
+    if partitions > _MAX_SEGMENTS:
         out.append(Finding(
             "BP003", gname,
-            message=f"{ctx} graph fragments into {prediction.partition_count} "
-                    f"segments (budget {_MAX_SEGMENTS}); boundary sync "
-                    f"~{prediction.boundary_sync_ms:.2f} ms will dominate",
-            details={"partition_count": prediction.partition_count,
-                     "budget": _MAX_SEGMENTS}))
+            message=f"{ctx} graph fragments into {partitions} segments (budget "
+                    f"{_MAX_SEGMENTS}); boundary sync ~{sync_ms:.2f} ms will dominate",
+            details={"partition_count": partitions, "budget": _MAX_SEGMENTS}))
 
-    if (primary_acc.kind != "cpu"
-            and prediction.primary_mac_fraction < _MIN_PRIMARY_MAC_FRACTION):
+    if primary_acc.kind != "cpu" and mac_fraction < _MIN_PRIMARY_MAC_FRACTION:
         out.append(Finding(
             "BP004", gname,
-            message=f"{ctx} primary engine {prediction.primary!r} keeps only "
-                    f"{prediction.primary_mac_fraction:.0%} of the MACs; "
-                    f"fallback ops dominate compute "
-                    f"(types: {', '.join(prediction.fallback_op_types)})",
-            details={"primary_mac_fraction": prediction.primary_mac_fraction}))
-    return out
+            message=f"{ctx} primary engine {primary!r} keeps only "
+                    f"{mac_fraction:.0%} of the MACs; fallback ops dominate "
+                    f"compute (types: {', '.join(fallback_types)})",
+            details={"primary_mac_fraction": mac_fraction}))
+    return out, summary
 
 
 def sweep_vendor_placements(
     graph: Graph, numerics: Numerics
-) -> tuple[list[Finding], list[PlacementPrediction]]:
-    """Predict this graph's placement under every applicable vendor profile.
+) -> tuple[list[Finding], list[dict]]:
+    """Lint this graph's placement under every applicable vendor profile.
 
     A profile applies when the backend supports the graph's task *and* runs
     it in the graph's numeric format (each numerics variant of a model is
-    linted against the runtimes that would actually ship it).
+    linted against the runtimes that would actually ship it). A graph that
+    draws BP001 is not compiled: the scheduler refuses it.
     """
     task = str(graph.metadata.get("task", "unknown"))
     findings: list[Finding] = []
-    predictions: list[PlacementPrediction] = []
+    summaries: list[dict] = []
     for backend_name, factory in sorted(BACKEND_FACTORIES.items()):
-        for soc_name, soc in sorted(SOC_CATALOG.items()):
+        for _soc_name, soc in sorted(SOC_CATALOG.items()):
             config = factory(soc)
             if config.vendor is not None and config.vendor != soc.vendor:
                 continue
@@ -265,15 +136,12 @@ def sweep_vendor_placements(
             cfg = config.tasks.get(task)
             if cfg is None or cfg.numerics != numerics:
                 continue
-            framework = cfg.framework or config.framework
-            prediction = predict_placement(
-                graph,
-                backend=backend_name, task=task, numerics=numerics, soc=soc,
-                primary=soc.accelerator(cfg.primary),
-                fallback=soc.accelerator("cpu"),
-                secondary=soc.accelerator(cfg.secondary) if cfg.secondary else None,
-                framework=framework,
-            )
-            findings.extend(check_placement(graph, prediction, soc))
-            predictions.append(prediction)
-    return findings, predictions
+            unschedulable = check_schedulable(graph, f"[{backend_name}@{soc.name}]")
+            if unschedulable:
+                findings.extend(unschedulable)
+                continue
+            compiled = Backend(config, soc).compile_single_stream(graph, task)
+            found, summary = check_placement(graph, compiled, cfg.primary, backend_name)
+            findings.extend(found)
+            summaries.append(summary)
+    return findings, summaries

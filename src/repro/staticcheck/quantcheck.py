@@ -45,11 +45,6 @@ _SCALE_LO, _SCALE_HI = 1e-12, 1e6
 _ADD_SCALE_RATIO = 64.0
 
 
-def _real_range(qp: QuantParams) -> tuple[float, float]:
-    """The representable real-value interval of a quantized domain."""
-    return qp.representable_range()
-
-
 def _reduction_size(op, graph: Graph) -> int:
     w_shape = graph.param_shape(op.attrs["weight"])
     if isinstance(op, DepthwiseConv2D):
@@ -190,13 +185,13 @@ def check_quantization(graph: Graph) -> list[Finding]:
         if isinstance(op, Concat):
             out_qp = graph.spec(op.outputs[0]).qparams
             if out_qp is not None:
-                out_lo, out_hi = _real_range(out_qp)
+                out_lo, out_hi = out_qp.representable_range()
                 tol = float(np.max(out_qp.scale)) + 1e-9
                 for t in op.inputs:
                     in_qp = graph.spec(t).qparams
                     if in_qp is None:
                         continue
-                    in_lo, in_hi = _real_range(in_qp)
+                    in_lo, in_hi = in_qp.representable_range()
                     if in_lo < out_lo - tol or in_hi > out_hi + tol:
                         out.append(Finding(
                             "QS004", gname, op=op.name, tensor=t,

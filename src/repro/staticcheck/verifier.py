@@ -52,9 +52,9 @@ def verify_graph(
     if "quantization" in families:
         report.extend(check_quantization(graph))
     if "placement" in families:
-        findings, predictions = sweep_vendor_placements(graph, graph.numerics)
+        findings, placements = sweep_vendor_placements(graph, graph.numerics)
         report.extend(findings)
-        report.metrics["placements"] = [p.to_dict() for p in predictions]
+        report.metrics["placements"] = placements
     if "plan" in families and not graph.is_symbolic:
         from ..graph.plan import ExecutionPlan
 

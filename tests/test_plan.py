@@ -9,7 +9,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.graph import ExecutionPlan, ExecutionProfiler, Executor, export_mobile
+from repro.graph import (
+    ExecutionPlan, ExecutionProfiler, Executor, Graph, TensorSpec, export_mobile,
+)
+from repro.graph import ops as graph_ops
 from repro.kernels import Numerics, quantize
 from repro.loadgen.qsl import QuerySampleLibrary
 from repro.datasets.base import IndexDataset
@@ -73,6 +76,79 @@ class TestBitExactness:
         b = plan.run(feeds)
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
+
+
+def _rare_ops_graph() -> Graph:
+    """The op types no zoo model runs: pad, both pools and a constant."""
+    g = Graph("rare_ops")
+    g.add_input(TensorSpec("x", (-1, 8, 8, 4)))
+    g.add_param("bias", np.linspace(-1, 1, 5 * 5 * 4, dtype=np.float32).reshape(5, 5, 4))
+    g.add_op(graph_ops.Pad("pad", ["x"], ["p"], pads_h=(1, 1), pads_w=(0, 2)))
+    g.add_op(graph_ops.MaxPool2D("max", ["p"], ["m"], k=2, stride=2, padding="valid"))
+    g.add_op(graph_ops.AvgPool2D("avg", ["m"], ["a"], k=3, stride=1, padding="same"))
+    g.add_op(graph_ops.Constant("const", [], ["c"], value="bias"))
+    g.add_op(graph_ops.Add("add", ["a", "c"], ["y"]))
+    g.set_outputs(["y"])
+    return g
+
+
+@pytest.fixture(scope="module")
+def zoo_graphs():
+    """Every zoo model, unfitted, as built (batch norms unfolded) and exported."""
+    graphs = []
+    for name in available_models():
+        graph = create_reference_model(name, fitted=False).graph
+        graphs += [(name, graph), (name, export_mobile(graph))]
+    return graphs
+
+
+class TestShapeOracle:
+    """Every ``Op.infer_shapes`` against what its kernel really returns.
+
+    Staticcheck's DF006 re-runs ``infer_shapes`` on recorded specs, so it can
+    only show that the specs are consistent with the inference; this run-time
+    tap shows that the inference is right.
+    """
+
+    BATCH = 4
+
+    @staticmethod
+    def _mismatches(graph, feeds, batch):
+        producers = graph.producers()
+        bad, seen = [], []
+
+        def tap(name, arr):
+            # a Constant broadcasts along the batch with a leading dim of 1
+            op = producers.get(name)
+            n = 1 if op is not None and op.op_type == "constant" else batch
+            expected = graph.spec(name).with_batch(n)
+            seen.append(name)
+            if arr.shape != expected:
+                bad.append((name, arr.shape, expected))
+
+        ExecutionPlan.for_graph(graph).run(feeds, tap=tap)
+        assert sorted(seen) == sorted(graph.tensor_specs), graph.name  # none escapes
+        return bad
+
+    def test_zoo_tensors_match_their_specs(self, zoo_graphs):
+        for name, g in zoo_graphs:
+            feeds = golden_outputs.model_feeds(name, g, self.BATCH)
+            assert self._mismatches(g, feeds, self.BATCH) == [], name
+
+    def test_rare_ops_match_their_specs(self):
+        g = _rare_ops_graph()
+        x = np.random.default_rng(0).normal(size=(self.BATCH, 8, 8, 4)).astype(np.float32)
+        assert self._mismatches(g, {"x": x}, self.BATCH) == []
+
+    def test_every_op_type_is_exercised(self, zoo_graphs):
+        exercised = {op.op_type for _, g in zoo_graphs for op in g.ops}
+        exercised |= {op.op_type for op in _rare_ops_graph().ops}
+        op_types = {
+            cls.op_type for cls in vars(graph_ops).values()
+            if isinstance(cls, type) and issubclass(cls, graph_ops.Op)
+            and cls.op_type != graph_ops.Op.op_type
+        }
+        assert op_types - exercised == set()
 
 
 class TestIntegerOperands:

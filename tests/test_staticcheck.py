@@ -1,6 +1,6 @@
 """Static verifier tests: every rule fires on a seeded-broken graph, the
-clean zoo stays silent, and the placement predictor agrees with the hardware
-simulator op-by-op on every applicable vendor profile."""
+clean zoo stays silent, and the placement lint reports the segments the
+scheduler compiles for each vendor profile."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import build_toy_graph
-from repro.backends.vendors import BACKEND_FACTORIES
+from repro.backends import create_backend
 from repro.core.export import validate_package
 from repro.graph import export_mobile
 from repro.graph.graph import Graph, GraphValidationError
@@ -28,7 +28,7 @@ from repro.graph.ops import (
 )
 from repro.graph.plan import ExecutionPlan
 from repro.graph.tensor import TensorSpec
-from repro.hardware.scheduler import FrameworkProfile, partition_graph
+from repro.hardware.scheduler import FrameworkProfile, compile_model
 from repro.hardware.soc import SOC_CATALOG
 from repro.kernels.numerics import Numerics, QuantParams
 from repro.models import available_models, create_reference_model
@@ -45,9 +45,8 @@ from repro.staticcheck import (
     check_placement,
     check_plan,
     check_quantization,
-    independent_shapes,
-    predict_op_targets,
-    predict_placement,
+    check_schedulable,
+    sweep_vendor_placements,
     sweep_zoo,
     verify_graph,
 )
@@ -77,7 +76,7 @@ def _base():
 
 
 # ---------------------------------------------------------------------------
-# dataflow rules DF001-DF011: one deliberately broken graph each
+# dataflow rules DF001-DF010: one deliberately broken graph each
 # ---------------------------------------------------------------------------
 
 def _df_dangling():
@@ -156,7 +155,7 @@ class _Mystery(Op):
         return [in_shapes[0]]
 
 
-def _df_unverifiable():
+def _mystery_graph():
     g = _base()
     _wire(g, _Mystery("m", ["x"], ["y"]), [(-1, 8, 8, 4)])
     g.output_names = ["y"]
@@ -174,7 +173,6 @@ DATAFLOW_BREAKERS = {
     "DF008": _df_duplicate_op_name,
     "DF009": _df_missing_param,
     "DF010": _df_param_shadows_input,
-    "DF011": _df_unverifiable,
 }
 
 
@@ -192,11 +190,44 @@ def test_clean_toy_graph_has_no_dataflow_findings():
     assert check_dataflow(export_mobile(graph)) == []
 
 
-def test_independent_shapes_reports_unverifiable_ops():
-    g = _df_unverifiable()
-    shapes, unverifiable = independent_shapes(g)
-    assert [op.name for op in unverifiable] == ["m"]
-    assert "y" not in shapes  # nothing downstream of a mystery op is claimed
+class _Shapeless(Op):
+    op_type = "shapeless"  # inherits Op.infer_shapes, which raises
+
+
+def _df_conv_channel_mismatch():
+    g = _base()
+    g.add_param("w", np.zeros((3, 3, 5, 8), np.float32))  # expects 5 channels
+    _wire(g, Conv2D("c", ["x"], ["y"], weight="w", stride=1, padding="same"),
+          [(-1, 8, 8, 8)])
+    g.output_names = ["y"]
+    return g
+
+
+def _df_shapeless():
+    g = _base()
+    _wire(g, _Shapeless("s", ["x"], ["y"]), [(-1, 8, 8, 4)])
+    g.output_names = ["y"]
+    return g
+
+
+@pytest.mark.parametrize("breaker", [_df_conv_channel_mismatch, _df_shapeless])
+def test_df006_fires_when_infer_shapes_rejects_recorded_inputs(breaker):
+    """A ShapeError or NotImplementedError from the op's own inference is a
+    shape disagreement located at that op, not a crash of the verifier."""
+    g = breaker()
+    hits = [f for f in check_dataflow(g) if f.rule_id == "DF006"]
+    assert [f.op for f in hits] == [g.ops[0].name]
+
+
+def test_df006_names_the_op_at_fault():
+    """Each op is checked on its own recorded inputs, so a wrong spec is
+    reported once, at its producer, not again at every consumer."""
+    g = _base()
+    _wire(g, _relu("a", "x", "y"), [(-1, 4, 4, 4)])  # wrong: relu keeps shape
+    _wire(g, _relu("b", "y", "z"), [(-1, 4, 4, 4)])  # right, given y's spec
+    g.output_names = ["z"]
+    hits = [f for f in check_dataflow(g) if f.rule_id == "DF006"]
+    assert [(f.op, f.tensor) for f in hits] == [("a", "y")]
 
 
 # ---------------------------------------------------------------------------
@@ -406,23 +437,26 @@ PLACEMENT_RULES = {"BP001", "BP002", "BP003", "BP004"}
 _EXY = SOC_CATALOG["exynos_990"]
 
 
-def _predict(g, numerics=Numerics.INT8, framework=None, soc=_EXY):
-    return predict_placement(
-        g, backend="test", task="t", numerics=numerics, soc=soc,
-        primary=soc.accelerator("npu"), fallback=soc.accelerator("cpu"),
-        framework=framework)
+def _place(g, numerics=Numerics.INT8, framework=None):
+    """Compile onto exynos_990's NPU with CPU fallback, then lint."""
+    compiled = compile_model(g, _EXY, primary="npu", numerics=numerics,
+                             framework=framework or FrameworkProfile("t"))
+    return check_placement(g, compiled, "npu", "test")
 
 
 def test_bp001_fires_on_unknown_op_type():
-    g = _df_unverifiable()  # "mystery" is known to no engine class
-    findings = check_placement(g, _predict(g), _EXY)
-    assert "BP001" in _ids(findings)
+    g = _mystery_graph()  # "mystery" is known to no engine class
+    assert "BP001" in _ids(check_schedulable(g))
 
 
 def test_bp001_fires_on_unfolded_batch_norm():
     graph, _ = build_toy_graph()  # pre-export: still has batch norms
-    findings = check_placement(graph, _predict(graph), _EXY)
-    assert any(f.rule_id == "BP001" and "batch_norm" in f.message
+    graph.metadata["task"] = "image_classification"
+    # the scheduler refuses the graph, so the sweep reports BP001 per
+    # applicable profile instead of compiling it
+    findings, placements = sweep_vendor_placements(graph, graph.numerics)
+    assert placements == [] and findings
+    assert all(f.rule_id == "BP001" and "batch_norm" in f.message
                for f in findings)
 
 
@@ -430,10 +464,9 @@ def test_bp002_fires_when_primary_rejects_numerics():
     g = _base()
     g.add_op(_relu("a", "x", "y"))
     g.set_outputs(["y"])
-    pred = _predict(g, numerics=Numerics.FP32)  # the NPU has no FP32 path
-    findings = check_placement(g, pred, _EXY)
+    findings, summary = _place(g, numerics=Numerics.FP32)  # the NPU has no FP32 path
     assert "BP002" in _ids(findings)
-    assert all(acc == "cpu" for _n, acc in pred.op_targets)
+    assert [seg["accelerator"] for seg in summary["segments"]] == ["cpu"]
 
 
 def test_bp003_fires_on_shredded_graph():
@@ -445,9 +478,9 @@ def test_bp003_fires_on_shredded_graph():
         g.add_op(Softmax(f"s{i}", [f"r{i}"], [f"p{i}"]))
         prev = f"p{i}"
     g.set_outputs([prev])
-    pred = _predict(g)
-    assert pred.partition_count == 26
-    assert "BP003" in _ids(check_placement(g, pred, _EXY))
+    findings, summary = _place(g)
+    assert summary["partition_count"] == 26
+    assert "BP003" in _ids(findings)
 
 
 def test_bp004_fires_when_fallback_owns_the_macs():
@@ -458,10 +491,10 @@ def test_bp004_fires_when_fallback_owns_the_macs():
     g.add_op(FullyConnected("fc", ["h"], ["y"], weight="w"))
     g.set_outputs(["y"])
     fw = FrameworkProfile("t", unsupported_ops=frozenset({"fully_connected"}))
-    pred = _predict(g, framework=fw)
-    assert pred.fallback_op_types == ["fully_connected"]
-    assert pred.primary_mac_fraction == 0.0
-    assert "BP004" in _ids(check_placement(g, pred, _EXY))
+    findings, summary = _place(g, framework=fw)
+    assert summary["fallback_op_types"] == ["fully_connected"]
+    assert summary["primary_mac_fraction"] == 0.0
+    assert "BP004" in _ids(findings)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +568,7 @@ RULESETS = {
     4: {"BP": 4, "DF": 11, "PL": 7, "QS": 7, "VR": 6},
     5: {"BP": 4, "DF": 11, "PL": 6, "QS": 7, "VR": 6},
     6: {"BP": 4, "DF": 11, "PL": 6, "QS": 7},
+    7: {"BP": 4, "DF": 10, "PL": 6, "QS": 7},
 }
 
 
@@ -548,10 +582,6 @@ def test_ruleset_version_pins_the_catalog():
     assert sorted(RULE_CATALOG) == expected
 
 
-# ---------------------------------------------------------------------------
-# cross-validation: predictor vs the hardware simulator, every vendor profile
-# ---------------------------------------------------------------------------
-
 @pytest.fixture(scope="module")
 def exported_zoo():
     graphs = {}
@@ -563,77 +593,26 @@ def exported_zoo():
     return graphs
 
 
-def _applicable_profiles():
-    for backend_name, factory in sorted(BACKEND_FACTORIES.items()):
-        for _soc_name, soc in sorted(SOC_CATALOG.items()):
-            config = factory(soc)
-            if config.vendor is not None and config.vendor != soc.vendor:
-                continue
-            if config.vendor is None and soc.name != "snapdragon_888":
-                continue
-            yield backend_name, config, soc
-
-
-def test_predictor_agrees_with_simulator(exported_zoo):
-    """For every (vendor profile, SoC, model): the static predictor and the
-    runtime partitioner must assign every op to the same engine, yield the
-    same segment count, and the same fallback-op set."""
-    compared = 0
-    for backend_name, config, soc in _applicable_profiles():
-        for model, g in exported_zoo.items():
-            task = str(g.metadata.get("task", "unknown"))
-            cfg = config.tasks.get(task)
-            if cfg is None:
-                continue
-            fw = cfg.framework or config.framework
-            primary = soc.accelerator(cfg.primary)
-            fallback = soc.accelerator("cpu")
-            secondary = soc.accelerator(cfg.secondary) if cfg.secondary else None
-
-            targets = predict_op_targets(
-                g, primary, fallback, cfg.numerics, secondary, fw.unsupported_ops)
-            segments = partition_graph(
-                g, primary, fallback, cfg.numerics, secondary, fw.unsupported_ops)
-            simulated = {name: seg.accelerator.name
-                         for seg in segments for name in seg.op_names}
-            where = f"{backend_name}@{soc.name}/{model}"
-            assert {n: a.name for n, a in targets} == simulated, where
-
-            pred = predict_placement(
-                g, backend=backend_name, task=task, numerics=cfg.numerics,
-                soc=soc, primary=primary, fallback=fallback,
-                secondary=secondary, framework=fw)
-            assert pred.partition_count == len(segments), where
-            assert set(pred.fallback_ops) == {
-                n for n, acc in simulated.items() if acc != primary.name}, where
-            compared += 1
-    assert compared >= 20  # every vendor profile exercised
-
-
 def test_enn_v07_concat_exclusion_fragments_deeplab(exported_zoo):
     """The paper's 12.7x segmentation story: the v0.7 ENN driver cannot place
     concat on the NPU, shredding DeepLab; the v1.0 driver fixes it."""
     g = exported_zoo["deeplab_v3plus"]
+    task = "semantic_segmentation"
 
     def place(soc_name):
-        soc = SOC_CATALOG[soc_name]
-        config = BACKEND_FACTORIES["enn"](soc)
-        cfg = config.tasks["semantic_segmentation"]
-        fw = cfg.framework or config.framework
-        return fw, predict_placement(
-            g, backend="enn", task="semantic_segmentation", numerics=cfg.numerics,
-            soc=soc, primary=soc.accelerator(cfg.primary),
-            fallback=soc.accelerator("cpu"),
-            secondary=soc.accelerator(cfg.secondary) if cfg.secondary else None,
-            framework=fw)
+        backend = create_backend("enn", SOC_CATALOG[soc_name])
+        cfg = backend.task_execution(task)
+        fw = cfg.framework or backend.config.framework
+        compiled = backend.compile_single_stream(g, task)
+        return fw, check_placement(g, compiled, cfg.primary, "enn")[1]
 
     fw_990, old = place("exynos_990")
     fw_2100, new = place("exynos_2100")
     assert "concat" in fw_990.unsupported_ops
     assert "concat" not in fw_2100.unsupported_ops
-    assert "concat" in old.fallback_op_types
-    assert old.partition_count > new.partition_count
-    assert old.boundary_sync_ms > new.boundary_sync_ms
+    assert "concat" in old["fallback_op_types"]
+    assert old["partition_count"] > new["partition_count"]
+    assert old["boundary_sync_ms"] > new["boundary_sync_ms"]
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +624,7 @@ def test_zoo_sweep_is_clean():
     assert len(reports) == 4 * len(available_models())
     offenders = [f.render() for r in reports for f in r.findings]
     assert offenders == []
-    # placement metrics exist and the predicted fragmentation stays in budget
+    # placement metrics exist and the compiled fragmentation stays in budget
     worst = max(p["partition_count"] for r in reports
                 for p in r.metrics.get("placements", []))
     assert 1 <= worst <= 24
