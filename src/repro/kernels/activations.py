@@ -20,6 +20,7 @@ __all__ = [
     "tanh",
     "gelu",
     "softmax",
+    "softmax_inplace",
     "log_softmax",
     "quantized_lut",
     "apply_quantized_lut",
@@ -51,18 +52,39 @@ def tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(np.asarray(x, dtype=np.float64)).astype(np.float32)
 
 
+_SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
-    """tanh approximation of GELU, as used by MobileBERT."""
-    x = np.asarray(x, dtype=np.float64)
-    inner = np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)
-    return (0.5 * x * (1.0 + np.tanh(inner))).astype(np.float32)
+    """tanh approximation of GELU, as used by MobileBERT.
+
+    Evaluated in place on one float64 buffer; ``x`` itself is only read. The
+    cube is ``x*x*x``, not ``x**3`` (float64 ``pow``): for a float32 operand
+    ``x*x`` is exact in float64, so ``x*x*x`` is the correctly rounded cube.
+    """
+    x = np.asarray(x)
+    y = np.multiply(x, x, dtype=np.float64)
+    y *= x
+    y *= 0.044715
+    y += x
+    y *= _SQRT_2_OVER_PI
+    np.tanh(y, out=y)
+    y += 1.0
+    np.multiply(x, y, out=y)  # x first: a NaN operand keeps its payload
+    y *= 0.5
+    return y.astype(np.float32)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    x = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(x)
-    return (e / e.sum(axis=axis, keepdims=True)).astype(np.float32)
+    return softmax_inplace(np.array(x, dtype=np.float64), axis)
+
+
+def softmax_inplace(y: np.ndarray, axis: int = -1) -> np.ndarray:
+    """softmax of a private float64 buffer, computed in it; returns float32."""
+    y -= y.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+    return y.astype(np.float32)
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .activations import softmax
+from .activations import softmax_inplace
 from .linear import batched_matmul
 
 __all__ = ["multi_head_attention"]
@@ -31,10 +31,11 @@ def multi_head_attention(
         return x.reshape(b, -1, num_heads, d).transpose(0, 2, 1, 3)  # (b, h, s, d)
 
     qh, kh, vh = split(q), split(k), split(v)
-    scores = batched_matmul(qh, kh.transpose(0, 1, 3, 2)) / np.sqrt(d)
+    # a fresh float64 buffer; the mask and the softmax then work in it
+    scores = np.divide(batched_matmul(qh, kh.transpose(0, 1, 3, 2)), np.sqrt(d),
+                       dtype=np.float64)
     if mask is not None:
-        neg = np.where(mask[:, None, None, :] > 0, 0.0, -1e9).astype(np.float32)
-        scores = scores + neg
-    probs = softmax(scores, axis=-1)
+        scores += np.where(mask[:, None, None, :] > 0, 0.0, -1e9)
+    probs = softmax_inplace(scores, axis=-1)
     ctx = batched_matmul(probs, vh)  # (b, h, s, d)
-    return ctx.transpose(0, 2, 1, 3).reshape(b, s, hidden).astype(np.float32)
+    return ctx.transpose(0, 2, 1, 3).reshape(b, s, hidden)

@@ -124,4 +124,4 @@ def prepare_fully_connected_quantized(
 
 def batched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Float batched matmul used inside attention blocks."""
-    return (np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)).astype(np.float32)
+    return np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)

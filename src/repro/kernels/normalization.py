@@ -27,11 +27,19 @@ def batch_norm(
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Layer norm over the last axis."""
+    """Layer norm over the last axis.
+
+    The deviation ``d = x - mean`` is formed once and finished in place; the
+    variance is ``np.var``'s own sequence over it (sum of squares, then / n).
+    """
     x = np.asarray(x, dtype=np.float32)
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return ((x - mean) / np.sqrt(var + eps) * gamma + beta).astype(np.float32)
+    d = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(d).sum(axis=-1, keepdims=True)
+    var /= x.shape[-1]
+    d /= np.sqrt(var + eps)
+    d *= gamma
+    d += beta
+    return d
 
 
 def fold_batch_norm(

@@ -15,6 +15,7 @@ from .zoo import (
     create_full_model,
     create_reference_model,
     model_card,
+    model_feeds,
 )
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "create_reference_model",
     "create_full_model",
     "model_card",
+    "model_feeds",
     "create_mobilenet_edgetpu",
     "create_ssd_mobilenet_v2",
     "create_mobiledet_ssd",

@@ -13,8 +13,11 @@ substitution in DESIGN.md relies on.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .common import ModelBundle
 from .deeplabv3plus import create_deeplab_v3plus
@@ -32,6 +35,7 @@ __all__ = [
     "create_reference_model",
     "create_full_model",
     "model_card",
+    "model_feeds",
 ]
 
 
@@ -174,6 +178,29 @@ def create_full_model(name: str) -> ModelBundle:
     """Symbolic paper-size model (drives the latency/throughput model)."""
     entry = _entry(name)
     return entry.factory(materialize=False, **entry.full_kwargs)
+
+
+def model_feeds(name: str, graph, batch: int) -> dict[str, np.ndarray]:
+    """Fixed role-aware read-only feeds for a zoo model, seeded by its name.
+
+    Token ids, an all-ones mask, or N(0, 0.5) values per input role: the one
+    probe batch the golden digests, the static verifier and the plan tests
+    share.
+    """
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    feeds = {}
+    for spec in graph.inputs:
+        shape = spec.with_batch(batch)
+        if spec.role == "ids":
+            arr = rng.integers(0, 28, size=shape).astype(np.float32)
+        elif spec.role == "mask":
+            arr = np.ones(shape, dtype=np.float32)
+        else:
+            arr = rng.normal(0, 0.5, size=shape).astype(np.float32)
+        # a kernel that ever writes into an operand raises instead of passing
+        arr.flags.writeable = False
+        feeds[spec.name] = arr
+    return feeds
 
 
 def model_card(name: str) -> dict:

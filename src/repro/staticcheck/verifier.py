@@ -10,10 +10,6 @@ version proved it) — the shape of MLPerf's submission-checker contract.
 
 from __future__ import annotations
 
-import zlib
-
-import numpy as np
-
 from ..graph.graph import Graph
 from .dataflow import check_dataflow
 from .findings import Report, RULESET_VERSION
@@ -116,12 +112,12 @@ def zoo_deployments(
     """Yield ``(numerics, graph)`` deployment variants of one zoo model.
 
     Builds the same artifacts the harness would ship: export the reference
-    graph, calibrate on deterministic role-aware feeds, then derive each
+    graph, calibrate on the zoo's fixed role-aware feeds, then derive each
     numerics variant. Imported lazily so ``repro.graph`` never depends on the
     model zoo at import time.
     """
     from ..kernels.numerics import Numerics
-    from ..models import create_reference_model
+    from ..models import create_reference_model, model_feeds
     from ..quantization import calibrate, convert_fp16, quantize_graph
 
     bundle = create_reference_model(model, fitted=False)
@@ -130,16 +126,7 @@ def zoo_deployments(
         from ..graph.converter import export_mobile
 
         exported = export_mobile(exported)
-    rng = np.random.default_rng(zlib.crc32(model.encode()))
-    feeds = {}
-    for spec in exported.inputs:
-        shape = spec.with_batch(batch)
-        if spec.role == "ids":
-            feeds[spec.name] = rng.integers(0, 28, size=shape).astype(np.float32)
-        elif spec.role == "mask":
-            feeds[spec.name] = np.ones(shape, dtype=np.float32)
-        else:
-            feeds[spec.name] = rng.normal(0, 0.5, size=shape).astype(np.float32)
+    feeds = model_feeds(model, exported, batch)
     stats = None
     for numerics in numerics_modes:
         if numerics == Numerics.FP32:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graph import Executor, GraphBuilder, export_mobile
-from repro.models import create_reference_model
+from repro.models import available_models, create_reference_model
 from repro.datasets import create_dataset
 
 
@@ -48,6 +48,21 @@ def toy_inputs(rng):
 
 
 # ---- session-scoped heavy artifacts (built once per test session) ----------
+
+@pytest.fixture(scope="session")
+def unfitted_zoo():
+    """``{name: (built, exported)}`` for every zoo model, unfitted.
+
+    ``built`` is the graph as the factory returns it (batch norms unfolded);
+    ``exported`` is frozen (read-only params), so tests can share both as
+    long as they only read them.
+    """
+    zoo = {}
+    for name in available_models():
+        built = create_reference_model(name, fitted=False).graph
+        zoo[name] = (built, export_mobile(built))
+    return zoo
+
 
 @pytest.fixture(scope="session")
 def cls_bundle():

@@ -206,3 +206,139 @@ class TestAttention:
         a = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
         b = rng.normal(size=(2, 3, 5, 6)).astype(np.float32)
         np.testing.assert_allclose(batched_matmul(a, b), a @ b, atol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# bit-exactness oracles: the in-place rewrites of gelu, softmax, layer_norm
+# and attention against the expressions they replaced, kept here verbatim
+# ---------------------------------------------------------------------------
+
+def _old_gelu(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    inner = np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)
+    return (0.5 * x * (1.0 + np.tanh(inner))).astype(np.float32)
+
+
+def _old_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    x = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(x)
+    return (e / e.sum(axis=axis, keepdims=True)).astype(np.float32)
+
+
+def _old_layer_norm(x, gamma, beta, eps=1e-6):
+    x = np.asarray(x, dtype=np.float32)
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return ((x - mean) / np.sqrt(var + eps) * gamma + beta).astype(np.float32)
+
+
+def _old_batched_matmul(a, b):
+    return (np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)).astype(np.float32)
+
+
+def _old_multi_head_attention(q, k, v, num_heads, mask=None):
+    b, s, hidden = q.shape
+    d = hidden // num_heads
+
+    def split(x):
+        return x.reshape(b, -1, num_heads, d).transpose(0, 2, 1, 3)  # (b, h, s, d)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = _old_batched_matmul(qh, kh.transpose(0, 1, 3, 2)) / np.sqrt(d)
+    if mask is not None:
+        neg = np.where(mask[:, None, None, :] > 0, 0.0, -1e9).astype(np.float32)
+        scores = scores + neg
+    probs = _old_softmax(scores, axis=-1)
+    ctx = _old_batched_matmul(probs, vh)  # (b, h, s, d)
+    return ctx.transpose(0, 2, 1, 3).reshape(b, s, hidden).astype(np.float32)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _assert_fresh_same_bytes(got, want, *operands):
+    """``got`` is a new float32 array holding exactly ``want``'s bytes."""
+    assert got.dtype == np.float32 and got.shape == want.shape
+    for operand in operands:
+        assert not np.shares_memory(got, operand)
+    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+class TestBitExactRewrites:
+    def test_gelu_every_float16_value(self):
+        """All 65536 patterns: +-0, subnormals, +-inf and the NaNs."""
+        x, = _read_only(np.arange(2**16, dtype=np.uint16).view(np.float16).astype(np.float32))
+        with np.errstate(invalid="ignore", over="ignore"):
+            _assert_fresh_same_bytes(gelu(x), _old_gelu(x), x)
+
+    def test_gelu_float32_extremes(self):
+        f = np.finfo(np.float32)
+        mags = [f.max, f.smallest_normal, f.smallest_subnormal, 0.0, np.inf]
+        x, = _read_only(np.array(mags + [-m for m in mags], dtype=np.float32))
+        with np.errstate(invalid="ignore", over="ignore"):
+            _assert_fresh_same_bytes(gelu(x), _old_gelu(x), x)
+
+    def test_gelu_a_million_float32(self):
+        rng = np.random.default_rng(17)
+        scale = 10.0 ** rng.uniform(-4, 3, 10**6)
+        x, = _read_only((rng.standard_normal(10**6) * scale).astype(np.float32))
+        _assert_fresh_same_bytes(gelu(x), _old_gelu(x), x)
+
+    @pytest.mark.parametrize("numerics", [Numerics.INT8, Numerics.UINT8])
+    @pytest.mark.parametrize("span", [1e-3, 0.05, 0.7, 4.0, 30.0, 500.0])
+    def test_gelu_lut(self, numerics, span):
+        """The quantized path: gelu over the 256 dequantized codes, requantized."""
+        def read_only_gelu(x):
+            _read_only(x)
+            return gelu(x)
+
+        for lo in (-span, -span / 4, 0.0):
+            in_qp = choose_qparams(lo, span, numerics)
+            out_qp = choose_qparams(-0.2, span, numerics)
+            got = quantized_lut(read_only_gelu, in_qp, out_qp)
+            want = quantized_lut(_old_gelu, in_qp, out_qp)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [0, 1, 2, 3, -1])
+    def test_softmax_every_axis(self, dtype, axis):
+        x = np.random.default_rng(3).normal(0, 4, (3, 5, 7, 16)).astype(dtype)
+        x[0, 0, 0] = 80.0  # a dominant logit
+        x, = _read_only(x)
+        _assert_fresh_same_bytes(softmax(x, axis), _old_softmax(x, axis), x)
+
+    def test_softmax_strided_input(self):
+        """A transposed view: the private copy keeps the operand's layout, so
+        each sum runs in the same order as before."""
+        base, = _read_only(np.random.default_rng(4).normal(0, 3, (6, 9, 32)).astype(np.float32))
+        x = base.transpose(2, 0, 1)
+        for axis in range(3):
+            _assert_fresh_same_bytes(softmax(x, axis), _old_softmax(x, axis), base)
+
+    def test_layer_norm(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(0, 1, (4, 24, 128)) * rng.uniform(0.01, 50, (4, 24, 1)) + 7.0
+        gamma = rng.normal(1, 0.2, 128)
+        beta = rng.normal(0, 0.3, 128)
+        x, gamma, beta = _read_only(*(a.astype(np.float32) for a in (x, gamma, beta)))
+        _assert_fresh_same_bytes(
+            layer_norm(x, gamma, beta), _old_layer_norm(x, gamma, beta), x, gamma, beta)
+
+    def test_attention_partial_and_fully_masked(self):
+        rng = np.random.default_rng(6)
+        q, k, v = (rng.normal(0, 1, (3, 20, 32)).astype(np.float32) for _ in range(3))
+        mask = np.ones((3, 20), dtype=np.float32)
+        mask[1, 13:] = 0.0  # padding
+        mask[2] = 0.0  # a row with no valid token at all
+        q, k, v, mask = _read_only(q, k, v, mask)
+        for heads in (1, 4):
+            _assert_fresh_same_bytes(
+                multi_head_attention(q, k, v, heads, mask),
+                _old_multi_head_attention(q, k, v, heads, mask), q, k, v, mask)
+        _assert_fresh_same_bytes(
+            multi_head_attention(q, k, v, 4), _old_multi_head_attention(q, k, v, 4), q, k, v)

@@ -16,7 +16,7 @@ from repro.graph import ops as graph_ops
 from repro.kernels import Numerics, quantize
 from repro.loadgen.qsl import QuerySampleLibrary
 from repro.datasets.base import IndexDataset
-from repro.models import available_models, create_reference_model
+from repro.models import available_models, create_reference_model, model_feeds
 from repro.quantization import calibrate, convert_fp16, quantize_graph
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -28,11 +28,11 @@ INTEGER_KERNELS = ("conv2d", "depthwise_conv2d", "fully_connected")
 
 
 @pytest.fixture(scope="module", params=available_models())
-def zoo_artifacts(request):
+def zoo_artifacts(request, unfitted_zoo):
     """Per-model: exported FP32 graph and its fixed read-only feeds."""
     name = request.param
-    exported = export_mobile(create_reference_model(name, fitted=False).graph)
-    return exported, golden_outputs.model_feeds(name, exported)
+    _, exported = unfitted_zoo[name]
+    return exported, model_feeds(name, exported, golden_outputs.BATCH)
 
 
 @pytest.fixture(scope="module")
@@ -93,13 +93,9 @@ def _rare_ops_graph() -> Graph:
 
 
 @pytest.fixture(scope="module")
-def zoo_graphs():
+def zoo_graphs(unfitted_zoo):
     """Every zoo model, unfitted, as built (batch norms unfolded) and exported."""
-    graphs = []
-    for name in available_models():
-        graph = create_reference_model(name, fitted=False).graph
-        graphs += [(name, graph), (name, export_mobile(graph))]
-    return graphs
+    return [(name, graph) for name, pair in unfitted_zoo.items() for graph in pair]
 
 
 class TestShapeOracle:
@@ -132,7 +128,7 @@ class TestShapeOracle:
 
     def test_zoo_tensors_match_their_specs(self, zoo_graphs):
         for name, g in zoo_graphs:
-            feeds = golden_outputs.model_feeds(name, g, self.BATCH)
+            feeds = model_feeds(name, g, self.BATCH)
             assert self._mismatches(g, feeds, self.BATCH) == [], name
 
     def test_rare_ops_match_their_specs(self):
@@ -154,12 +150,15 @@ class TestShapeOracle:
 class TestIntegerOperands:
     @pytest.mark.parametrize("fitted", [False, True])
     @pytest.mark.parametrize("name", available_models())
-    def test_zoo_integer_kernels_prove_float32(self, name, fitted):
+    def test_zoo_integer_kernels_prove_float32(self, name, fitted, unfitted_zoo):
         """Every integer kernel of every zoo model, INT8 and UINT8, fitted or
         not, passes the float32 exactness bound, so losing the proof fails
         here instead of silently running float64 operands at twice the cost."""
-        exported = export_mobile(create_reference_model(name, fitted=fitted).graph)
-        stats = calibrate(exported, [golden_outputs.model_feeds(name, exported)])
+        if fitted:
+            exported = export_mobile(create_reference_model(name).graph)
+        else:
+            _, exported = unfitted_zoo[name]
+        stats = calibrate(exported, [model_feeds(name, exported, golden_outputs.BATCH)])
         for numerics in (Numerics.INT8, Numerics.UINT8):
             q = quantize_graph(exported, stats, numerics)
             kernels = sum(op.op_type in INTEGER_KERNELS for op in q.ops)

@@ -134,6 +134,39 @@ def test_sl005_globals_and_tuple_unpacking_exempt():
     assert selflint.lint_source(src) == []
 
 
+KERNEL = "src/repro/kernels/activations.py"
+
+
+def test_sl006_fires_on_the_old_gelu_cube():
+    # the gelu line that sent MobileBERT's cube through float64 pow
+    src = "inner = np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)\n"
+    violations = selflint.lint_source(src, KERNEL)
+    assert _ids(violations) == ["SL006"]
+    assert "x * x * x" in violations[0].message
+
+
+def test_sl006_fires_on_any_non_constant_base():
+    src = (
+        "a = (x - m) ** 4\n"
+        "b = arr.sum() ** 3\n"
+        "y **= 5\n"
+    )
+    assert _ids(selflint.lint_source(src, KERNEL)) == ["SL006"] * 3
+
+
+def test_sl006_allows_squares_constants_and_other_paths():
+    src = (
+        "a = x**2\n"
+        "b = 2**24\n"
+        "c = -(2**31) - 1\n"
+        "d = (1 << 7) ** 3\n"
+        "e = x ** 0.5\n"
+        "f = x ** n\n"
+    )
+    assert selflint.lint_source(src, KERNEL) == []
+    assert selflint.lint_source("y = x**3\n", "src/repro/metrics/qa.py") == []
+
+
 def test_sl000_syntax_error():
     violations = selflint.lint_source("def broken(:\n")
     assert _ids(violations) == ["SL000"]

@@ -31,7 +31,7 @@ from repro.graph.tensor import TensorSpec
 from repro.hardware.scheduler import FrameworkProfile, compile_model
 from repro.hardware.soc import SOC_CATALOG
 from repro.kernels.numerics import Numerics, QuantParams
-from repro.models import available_models, create_reference_model
+from repro.models import available_models
 from repro.staticcheck import (
     RULE_CATALOG,
     RULESET_VERSION,
@@ -582,21 +582,10 @@ def test_ruleset_version_pins_the_catalog():
     assert sorted(RULE_CATALOG) == expected
 
 
-@pytest.fixture(scope="module")
-def exported_zoo():
-    graphs = {}
-    for name in available_models():
-        g = create_reference_model(name, fitted=False).graph
-        if not g.frozen:
-            g = export_mobile(g)
-        graphs[name] = g
-    return graphs
-
-
-def test_enn_v07_concat_exclusion_fragments_deeplab(exported_zoo):
+def test_enn_v07_concat_exclusion_fragments_deeplab(unfitted_zoo):
     """The paper's 12.7x segmentation story: the v0.7 ENN driver cannot place
     concat on the NPU, shredding DeepLab; the v1.0 driver fixes it."""
-    g = exported_zoo["deeplab_v3plus"]
+    _, g = unfitted_zoo["deeplab_v3plus"]
     task = "semantic_segmentation"
 
     def place(soc_name):

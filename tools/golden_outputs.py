@@ -32,31 +32,13 @@ import hashlib  # noqa: E402
 import json  # noqa: E402
 import pathlib  # noqa: E402
 import sys  # noqa: E402
-import zlib  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden_outputs.json"
 NUMERICS = ("fp32", "fp16", "int8", "uint8")
-
-
-def model_feeds(name: str, graph, batch: int = 4) -> dict[str, np.ndarray]:
-    """Fixed role-aware read-only feeds for a zoo model, seeded by its name."""
-    rng = np.random.default_rng(zlib.crc32(name.encode()))
-    feeds = {}
-    for spec in graph.inputs:
-        shape = spec.with_batch(batch)
-        if spec.role == "ids":
-            arr = rng.integers(0, 28, size=shape).astype(np.float32)
-        elif spec.role == "mask":
-            arr = np.ones(shape, dtype=np.float32)
-        else:
-            arr = rng.normal(0, 0.5, size=shape).astype(np.float32)
-        # a kernel that ever writes into an operand raises instead of passing
-        arr.flags.writeable = False
-        feeds[spec.name] = arr
-    return feeds
+BATCH = 4
 
 
 def digest(outputs: dict[str, np.ndarray]) -> str:
@@ -74,13 +56,13 @@ def compute() -> dict[str, dict[str, str]]:
     """Digest of every zoo model x numerics pair."""
     from repro.graph import Executor, export_mobile
     from repro.kernels import Numerics
-    from repro.models import available_models, create_reference_model
+    from repro.models import available_models, create_reference_model, model_feeds
     from repro.quantization import calibrate, convert_fp16, quantize_graph
 
     digests: dict[str, dict[str, str]] = {}
     for name in available_models():
         exported = export_mobile(create_reference_model(name, fitted=False).graph)
-        feeds = model_feeds(name, exported)
+        feeds = model_feeds(name, exported, BATCH)
         stats = calibrate(exported, [feeds])
         deployments = {
             "fp32": exported,
@@ -120,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
 
     digests = compute()
     if args.write:
-        payload = {"blas_threads": BLAS_THREADS, "batch": 4, "digests": digests}
+        payload = {"blas_threads": BLAS_THREADS, "batch": BATCH, "digests": digests}
         GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {len(digests)} models x {len(NUMERICS)} numerics to {GOLDEN}")
         return 0
