@@ -101,10 +101,8 @@ def measure_offline(
     version = version or soc.benchmark_version
     backend = create_backend(backend_name, soc) if backend_name else default_backend_for(soc)
     graph = full_graph_cache(_model_for(task, version))
-    compiled = backend.compile_single_stream(graph, task)
     pipelines = backend.compile_offline(graph, task)
-    sut = PerformanceSUT(SimulatedDevice(soc), compiled, pipelines)
-    result = sut.run_offline(sample_count)
+    result = SimulatedDevice(soc).run_offline(pipelines, sample_count)
     return {
         "soc": soc_name,
         "backend": backend.name,

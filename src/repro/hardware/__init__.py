@@ -1,7 +1,7 @@
 """Mobile-SoC hardware simulation: accelerators, scheduling, thermal, power."""
 
 from .accelerator import OP_SUPPORT, AcceleratorSpec
-from .device import QueryResult, SimulatedDevice
+from .device import OfflineResult, QueryResult, SimulatedDevice
 from .power import PowerModel, QueryEnergy
 from .scheduler import CompiledModel, FrameworkProfile, Segment, compile_model, partition_graph
 from .soc import GENERATION_PAIRS, SOC_CATALOG, SoCSpec, get_soc
@@ -24,4 +24,5 @@ __all__ = [
     "QueryEnergy",
     "SimulatedDevice",
     "QueryResult",
+    "OfflineResult",
 ]

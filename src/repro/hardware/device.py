@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .power import PowerModel, QueryEnergy
-from .scheduler import CompiledModel
+from .scheduler import CompiledModel, offline_throughput
 from .soc import SoCSpec
 from .thermal import ThermalModel
 
-__all__ = ["QueryResult", "SimulatedDevice"]
+__all__ = ["QueryResult", "OfflineResult", "SimulatedDevice"]
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,18 @@ class QueryResult:
     energy: QueryEnergy
     temperature_c: float
     clock_scale: float
+
+
+@dataclass(frozen=True)
+class OfflineResult:
+    total_samples: int
+    total_seconds: float
+    steady_clock_scale: float
+    energy_joules: float
+
+    @property
+    def throughput_fps(self) -> float:
+        return self.total_samples / self.total_seconds
 
 
 class SimulatedDevice:
@@ -38,13 +50,30 @@ class SimulatedDevice:
     def run_query(self, compiled: CompiledModel, batch: int = 1) -> QueryResult:
         """Execute one query on the performance model, mutating device state."""
         scale = self.thermal.clock_scale()
-        scales = {a.name: scale for a in self.soc.accelerators}
-        latency = compiled.latency_seconds(scales, batch)
-        energy = self.power.query_energy(compiled, latency, scales, batch)
+        latency, busy = compiled.query_seconds(scale, batch)
+        energy = self.power.query_energy(busy, latency)
         self.thermal.advance(latency, energy.average_watts)
         self.virtual_time += latency
         self.total_energy_joules += energy.energy_joules
         return QueryResult(latency, energy, self.thermal.temperature_c, scale)
+
+    def run_offline(self, pipelines: list[CompiledModel], total_samples: int) -> OfflineResult:
+        """Offline burst: ALP pipelines at thermal steady state.
+
+        Batched execution with concurrent engines saturates the chip: it runs
+        flat-out at the TDP cap, settles at the corresponding steady-state
+        temperature, and the sustained throughput carries that throttle.
+        """
+        power = self.soc.tdp_watts
+        steady_c = self.thermal.steady_state_c(power)
+        clock = self.thermal.clock_scale_at(steady_c)
+        total_seconds = total_samples / (offline_throughput(pipelines) * clock)
+        energy = power * total_seconds
+        # the burst leaves the die at its steady state, at most 95 degC
+        self.thermal.temperature_c = max(self.thermal.temperature_c, min(steady_c, 95.0))
+        self.virtual_time += total_seconds
+        self.total_energy_joules += energy
+        return OfflineResult(total_samples, total_seconds, clock, energy)
 
     def cooldown(self, seconds: float) -> None:
         self.thermal.cooldown(seconds)

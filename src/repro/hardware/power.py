@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scheduler import CompiledModel
 from .soc import SoCSpec
 
 __all__ = ["PowerModel", "QueryEnergy"]
@@ -31,17 +30,11 @@ class PowerModel:
         self.soc = soc
         self.idle_watts = sum(a.idle_watts for a in soc.accelerators)
 
-    def query_energy(
-        self,
-        compiled: CompiledModel,
-        latency_seconds: float,
-        clock_scale: dict[str, float] | None = None,
-        batch: int = 1,
-    ) -> QueryEnergy:
-        busy = compiled.busy_seconds(clock_scale, batch)
+    def query_energy(self, busy: dict[str, float], latency_seconds: float) -> QueryEnergy:
+        """Energy of one query from each accelerator's ``busy`` seconds."""
         active = 0.0
         for name, seconds in busy.items():
-            active += seconds * compiled.soc.accelerator(name).tdp_watts
+            active += seconds * self.soc.accelerator(name).tdp_watts
         cpu = self.soc.accelerator("cpu")
         orchestration = cpu.tdp_watts * self.ORCHESTRATION_FRACTION * latency_seconds
         energy = active + orchestration + self.idle_watts * latency_seconds

@@ -156,23 +156,23 @@ class CompiledModel:
         return (hal, self.soc.segment_sync_ms * 1e-3,
                 seg.boundary_bytes * batch / (self.soc.interconnect_gbps * 1e9))
 
-    def latency_seconds(
-        self,
-        clock_scale: dict[str, float] | None = None,
-        batch: int = 1,
-    ) -> float:
-        """End-to-end latency for one query of ``batch`` samples."""
-        clock_scale = clock_scale or {}
+    def query_seconds(
+        self, clock_scale: float = 1.0, batch: int = 1
+    ) -> tuple[float, dict[str, float]]:
+        """One query of ``batch`` samples at ``clock_scale``: its end-to-end
+        latency and each accelerator's busy seconds (power accounting)."""
         total = self.framework.per_inference_ms * 1e-3
+        busy: dict[str, float] = {}
         for i, seg in enumerate(self.segments):
-            scale = clock_scale.get(seg.accelerator.name, 1.0)
             compute = seg.compute_seconds(self.numerics, self.framework.tops_derate) * batch
-            mem = seg.memory_seconds(batch)
+            active = max(compute / clock_scale, seg.memory_seconds(batch))
+            name = seg.accelerator.name
+            busy[name] = busy.get(name, 0.0) + active
             # dispatch and per-op fill costs are clocked logic: they derate
             # with the engine clock just like the MACs do
             overhead = (seg.accelerator.dispatch_overhead_us
                         + seg.num_ops * seg.accelerator.per_op_overhead_us) * 1e-6
-            total += max(compute / scale, mem) + overhead / scale
+            total += active + overhead / clock_scale
             if i > 0:
                 for term in self.hop_seconds(i, batch):
                     total += term
@@ -182,20 +182,11 @@ class CompiledModel:
             total += batch * extra_cpu_ops / (
                 cpu.effective_tops[Numerics.FP32] * 1e12
             )
-        return total
+        return total, busy
 
-    def busy_seconds(
-        self, clock_scale: dict[str, float] | None = None, batch: int = 1
-    ) -> dict[str, float]:
-        """Per-accelerator active time for one query (power accounting)."""
-        clock_scale = clock_scale or {}
-        busy: dict[str, float] = {}
-        for seg in self.segments:
-            scale = clock_scale.get(seg.accelerator.name, 1.0)
-            compute = seg.compute_seconds(self.numerics, self.framework.tops_derate) * batch
-            t = max(compute / scale, seg.memory_seconds(batch))
-            busy[seg.accelerator.name] = busy.get(seg.accelerator.name, 0.0) + t
-        return busy
+    def latency_seconds(self, clock_scale: float = 1.0, batch: int = 1) -> float:
+        """End-to-end latency for one query of ``batch`` samples."""
+        return self.query_seconds(clock_scale, batch)[0]
 
 
 def offline_throughput(pipelines: list["CompiledModel"]) -> float:

@@ -8,6 +8,7 @@ single-stream latency distribution — the reason the benchmark mandates the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .soc import SoCSpec
@@ -28,11 +29,19 @@ class ThermalModel:
         self.temperature_c = max(self.temperature_c, self.ambient_c)
 
     def clock_scale(self) -> float:
-        """Current frequency derate in (min_clock_scale, 1]."""
-        over = self.temperature_c - self.soc.throttle_temp
+        """Current frequency derate in [min_clock_scale, 1]."""
+        return self.clock_scale_at(self.temperature_c)
+
+    def clock_scale_at(self, temperature_c: float) -> float:
+        """Frequency derate of this die at ``temperature_c``."""
+        over = temperature_c - self.soc.throttle_temp
         if over <= 0:
             return 1.0
         return max(self.min_clock_scale, 1.0 - self.soc.throttle_slope * over)
+
+    def steady_state_c(self, power_watts: float) -> float:
+        """The temperature a constant draw of ``power_watts`` settles at."""
+        return self.ambient_c + power_watts * self.soc.thermal_resistance
 
     def advance(self, seconds: float, power_watts: float) -> None:
         """Integrate the RC model over ``seconds`` at constant power."""
@@ -42,9 +51,7 @@ class ThermalModel:
             return
         r, c = self.soc.thermal_resistance, self.soc.thermal_capacitance
         # exact solution of the linear ODE over the interval
-        import math
-
-        t_inf = self.ambient_c + power_watts * r
+        t_inf = self.steady_state_c(power_watts)
         decay = math.exp(-seconds / (r * c))
         self.temperature_c = t_inf + (self.temperature_c - t_inf) * decay
 

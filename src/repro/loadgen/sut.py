@@ -9,29 +9,16 @@ latencies from the hardware model and mutate thermal state.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..datasets.base import TaskDataset
 from ..graph.executor import Executor
 from ..graph.graph import Graph
-from ..hardware.device import SimulatedDevice
-from ..hardware.scheduler import CompiledModel, offline_throughput
+from ..hardware.device import OfflineResult, SimulatedDevice
+from ..hardware.scheduler import CompiledModel
 
 __all__ = ["SystemUnderTest", "AccuracySUT", "PerformanceSUT", "OfflineResult"]
-
-
-@dataclass(frozen=True)
-class OfflineResult:
-    total_samples: int
-    total_seconds: float
-    steady_clock_scale: float
-    energy_joules: float
-
-    @property
-    def throughput_fps(self) -> float:
-        return self.total_samples / self.total_seconds
 
 
 class SystemUnderTest(abc.ABC):
@@ -82,25 +69,4 @@ class PerformanceSUT(SystemUnderTest):
         return self.device.run_query(self.single_stream_model, batch=len(indices)).latency_seconds
 
     def run_offline(self, total_samples: int) -> OfflineResult:
-        """Offline burst: ALP pipelines at thermal steady state.
-
-        Batched execution with concurrent engines saturates the chip: it runs
-        flat-out at the TDP cap, settles at the corresponding steady-state
-        temperature, and the sustained throughput carries that throttle.
-        """
-        soc = self.device.soc
-        power = soc.tdp_watts
-        steady_temp = self.device.thermal.ambient_c + power * soc.thermal_resistance
-        over = steady_temp - soc.throttle_temp
-        clock = 1.0 if over <= 0 else max(
-            self.device.thermal.min_clock_scale, 1.0 - soc.throttle_slope * over
-        )
-        fps = offline_throughput(self.offline_pipelines) * clock
-        total_seconds = total_samples / fps
-        energy = power * total_seconds
-        self.device.thermal.temperature_c = max(
-            self.device.thermal.temperature_c, min(steady_temp, 95.0)
-        )
-        self.device.virtual_time += total_seconds
-        self.device.total_energy_joules += energy
-        return OfflineResult(total_samples, total_seconds, clock, energy)
+        return self.device.run_offline(self.offline_pipelines, total_samples)

@@ -144,7 +144,7 @@ class TestCompiledModel:
         assert t64 < t1
 
     def test_throttling_slows(self, compiled):
-        hot = compiled.latency_seconds({a.name: 0.6 for a in compiled.soc.accelerators})
+        hot = compiled.latency_seconds(0.6)
         assert hot > compiled.latency_seconds()
 
     def test_framework_overhead_additive(self):
@@ -156,8 +156,9 @@ class TestCompiledModel:
         assert slow.latency_seconds() - fast.latency_seconds() == pytest.approx(5e-3, rel=0.01)
 
     def test_busy_seconds_below_latency(self, compiled):
-        busy = compiled.busy_seconds()
-        assert sum(busy.values()) <= compiled.latency_seconds()
+        latency, busy = compiled.query_seconds()
+        assert latency == compiled.latency_seconds()
+        assert sum(busy.values()) <= latency
 
     def test_offline_throughput_sums_pipelines(self):
         g = full_graph_cache("mobilenet_edgetpu")
@@ -219,8 +220,8 @@ class TestPowerAndDevice:
         soc = get_soc("dimensity_1100")
         cm = compile_model(g, soc, primary="apu", numerics=Numerics.UINT8, framework=FW)
         pm = PowerModel(soc)
-        lat = cm.latency_seconds()
-        e = pm.query_energy(cm, lat)
+        lat, busy = cm.query_seconds()
+        e = pm.query_energy(busy, lat)
         assert e.energy_joules > 0
         assert e.average_watts <= soc.tdp_watts + 1e-9
 
