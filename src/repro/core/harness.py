@@ -119,27 +119,19 @@ class BenchmarkHarness:
         return art.fp32_accuracy
 
     def run_performance(
-        self, task: str, backend: Backend, device: SimulatedDevice
+        self, task: str, backend: Backend, device: SimulatedDevice,
+        scenario: Scenario = Scenario.SINGLE_STREAM,
     ) -> LoadGenLog:
+        """Performance mode on the full-size graph, single-stream or offline."""
         graph = self.full_graph(task)
-        compiled = backend.compile_single_stream(graph, task)
-        sut = PerformanceSUT(device, compiled, name=f"perf/{backend.soc.name}/{backend.name}")
-        settings = self.rules.loadgen_settings(Scenario.SINGLE_STREAM, Mode.PERFORMANCE)
-        art = self.artifacts(task)
-        return LoadGenerator(settings).run(
-            sut, QuerySampleLibrary(art.dataset, settings.performance_sample_count),
-            task=task, model_name=self.model_for(task),
-        )
-
-    def run_offline(
-        self, task: str, backend: Backend, device: SimulatedDevice
-    ) -> LoadGenLog:
-        graph = self.full_graph(task)
-        compiled = backend.compile_single_stream(graph, task)
-        pipelines = backend.compile_offline(graph, task)
-        sut = PerformanceSUT(device, compiled, pipelines,
-                             name=f"offline/{backend.soc.name}/{backend.name}")
-        settings = self.rules.loadgen_settings(Scenario.OFFLINE, Mode.PERFORMANCE)
+        where = f"{backend.soc.name}/{backend.name}"
+        if scenario is Scenario.OFFLINE:
+            sut = PerformanceSUT(device, None, backend.compile_offline(graph, task),
+                                 name=f"offline/{where}")
+        else:
+            sut = PerformanceSUT(device, backend.compile_single_stream(graph, task),
+                                 name=f"perf/{where}")
+        settings = self.rules.loadgen_settings(scenario, Mode.PERFORMANCE)
         art = self.artifacts(task)
         return LoadGenerator(settings).run(
             sut, QuerySampleLibrary(art.dataset, settings.performance_sample_count),
@@ -235,7 +227,7 @@ class BenchmarkHarness:
             performance_log=perf_log,
         )
         if include_offline and spec.offline_scenario:
-            off_log = self.run_offline(task, backend, device)
+            off_log = self.run_performance(task, backend, device, Scenario.OFFLINE)
             if off_log.offline_seconds > 0:
                 result.offline_fps = off_log.throughput_fps()
             result.offline_log = off_log

@@ -51,12 +51,15 @@ class AccuracySUT(SystemUnderTest):
 
 
 class PerformanceSUT(SystemUnderTest):
-    """Latency/throughput from the hardware simulator; used by perf mode."""
+    """Latency/throughput from the hardware simulator; used by perf mode.
+
+    An offline-only SUT passes ``single_stream_model=None`` and its pipelines.
+    """
 
     def __init__(
         self,
         device: SimulatedDevice,
-        single_stream_model: CompiledModel,
+        single_stream_model: CompiledModel | None,
         offline_pipelines: list[CompiledModel] | None = None,
         name: str = "performance-sut",
     ):
