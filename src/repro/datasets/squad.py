@@ -13,6 +13,9 @@ from ..synthdata import token_sequence_batch
 
 __all__ = ["SyntheticSQuAD"]
 
+# longest answer span, in tokens, that labelling and prediction extract
+MAX_ANSWER_LENGTH = 12
+
 
 class SyntheticSQuAD(TaskDataset):
     """Oracle-labelled extractive-QA set.
@@ -45,7 +48,6 @@ class SyntheticSQuAD(TaskDataset):
         calibration_size: int = 64,
         seed: int = 45,
         oracle_fidelity: float = 0.90,
-        max_answer_length: int = 12,
         batch_size: int = 32,
     ) -> "SyntheticSQuAD":
         seq_len = model_config["seq_len"]
@@ -62,7 +64,7 @@ class SyntheticSQuAD(TaskDataset):
             for j, i in enumerate(idx):
                 span = extract_answer_span(
                     out[start_name][j], out[end_name][j],
-                    max_answer_length=max_answer_length,
+                    max_answer_length=MAX_ANSWER_LENGTH,
                     context_start=int(ctx[i]),
                 )
                 oracle_spans.append(span)
@@ -73,7 +75,7 @@ class SyntheticSQuAD(TaskDataset):
                 seq_used = int(masks[i].sum())
                 lo = int(ctx[i])
                 start = int(rng.integers(lo, max(seq_used - 1, lo + 1)))
-                length = int(rng.integers(1, max_answer_length + 1))
+                length = int(rng.integers(1, MAX_ANSWER_LENGTH + 1))
                 truths.append((start, min(start + length - 1, seq_used - 1)))
 
         cal_ids, cal_masks, _ = token_sequence_batch(
@@ -94,9 +96,8 @@ class SyntheticSQuAD(TaskDataset):
     def postprocess(self, outputs: dict[str, np.ndarray], index: int) -> tuple[int, int]:
         start = outputs[next(k for k in outputs if "start" in k)]
         end = outputs[next(k for k in outputs if "end" in k)]
-        return extract_answer_span(
-            start, end, max_answer_length=12, context_start=int(self.context_starts[index])
-        )
+        return extract_answer_span(start, end, max_answer_length=MAX_ANSWER_LENGTH,
+                                   context_start=int(self.context_starts[index]))
 
     def evaluate(self, predictions: dict[int, tuple[int, int]]) -> dict[str, float]:
         idx = sorted(predictions)
