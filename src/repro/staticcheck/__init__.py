@@ -26,6 +26,7 @@ from .verifier import (
     ALL_FAMILIES,
     attest,
     attestation_problems,
+    deployment_variants,
     sweep_zoo,
     verify_graph,
     zoo_deployments,
@@ -47,6 +48,7 @@ __all__ = [
     "check_plan",
     "check_quantization",
     "check_schedulable",
+    "deployment_variants",
     "sweep_vendor_placements",
     "sweep_zoo",
     "verify_graph",

@@ -23,6 +23,7 @@ __all__ = [
     "attest",
     "attestation_problems",
     "zoo_deployments",
+    "deployment_variants",
     "sweep_zoo",
 ]
 
@@ -111,22 +112,28 @@ def zoo_deployments(
 ):
     """Yield ``(numerics, graph)`` deployment variants of one zoo model.
 
-    Builds the same artifacts the harness would ship: export the reference
-    graph, calibrate on the zoo's fixed role-aware feeds, then derive each
-    numerics variant. Imported lazily so ``repro.graph`` never depends on the
-    model zoo at import time.
+    Builds the same artifacts the harness would ship: export the unfitted
+    reference graph, then :func:`deployment_variants`. Imported lazily so
+    ``repro.graph`` never depends on the model zoo at import time.
     """
+    from ..graph.converter import export_mobile
+    from ..models import create_reference_model
+
+    graph = create_reference_model(model, fitted=False).graph
+    exported = graph if graph.frozen else export_mobile(graph)
+    yield from deployment_variants(model, exported, numerics_modes, batch=batch)
+
+
+def deployment_variants(
+    model: str, exported: Graph, numerics_modes: tuple, *, batch: int = 2
+):
+    """Yield ``(numerics, graph)`` variants of an exported zoo graph:
+    calibrate on the zoo's fixed role-aware feeds, then derive each
+    numerics variant."""
     from ..kernels.numerics import Numerics
-    from ..models import create_reference_model, model_feeds
+    from ..models import model_feeds
     from ..quantization import calibrate, convert_fp16, quantize_graph
 
-    bundle = create_reference_model(model, fitted=False)
-    exported = bundle.graph
-    if not exported.frozen:
-        from ..graph.converter import export_mobile
-
-        exported = export_mobile(exported)
-    feeds = model_feeds(model, exported, batch)
     stats = None
     for numerics in numerics_modes:
         if numerics == Numerics.FP32:
@@ -135,7 +142,7 @@ def zoo_deployments(
             yield numerics, convert_fp16(exported)
         else:
             if stats is None:
-                stats = calibrate(exported, [feeds])
+                stats = calibrate(exported, [model_feeds(model, exported, batch)])
             yield numerics, quantize_graph(exported, stats, numerics)
 
 

@@ -46,8 +46,8 @@ from repro.staticcheck import (
     check_plan,
     check_quantization,
     check_schedulable,
+    deployment_variants,
     sweep_vendor_placements,
-    sweep_zoo,
     verify_graph,
 )
 from repro.staticcheck.__main__ import main as staticcheck_main
@@ -608,8 +608,11 @@ def test_enn_v07_concat_exclusion_fragments_deeplab(unfitted_zoo):
 # zoo sweep: the whole model zoo x all numerics must come back clean
 # ---------------------------------------------------------------------------
 
-def test_zoo_sweep_is_clean():
-    reports = sweep_zoo()
+def test_zoo_sweep_is_clean(unfitted_zoo):
+    """``sweep_zoo``'s deployments, derived from the session's exported zoo."""
+    numerics = (Numerics.FP32, Numerics.FP16, Numerics.INT8, Numerics.UINT8)
+    reports = [verify_graph(graph) for name, (_, exported) in unfitted_zoo.items()
+               for _, graph in deployment_variants(name, exported, numerics)]
     assert len(reports) == 4 * len(available_models())
     offenders = [f.render() for r in reports for f in r.findings]
     assert offenders == []
