@@ -7,7 +7,7 @@ drifts latencies upward exactly the way the run rules anticipate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .power import PowerModel, QueryEnergy
 from .scheduler import CompiledModel, offline_throughput
