@@ -5,7 +5,7 @@ from .faults import FaultySUT, QueryFailure, QueryFault, QueryTimeout
 from .logging import LOG_SCHEMA_VERSION, LoadGenLog, QueryRecord
 from .qsl import QuerySampleLibrary
 from .scenarios import LoadGenerator, Mode, Scenario, TestSettings, loadgen_checksum
-from .sut import AccuracySUT, OfflineResult, PerformanceSUT, SystemUnderTest
+from .sut import AccuracySUT, PerformanceSUT, SystemUnderTest
 from .validation import validate_log, validate_serialized
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "SystemUnderTest",
     "AccuracySUT",
     "PerformanceSUT",
-    "OfflineResult",
     "FaultySUT",
     "QueryFault",
     "QueryFailure",

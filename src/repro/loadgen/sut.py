@@ -18,7 +18,7 @@ from ..graph.graph import Graph
 from ..hardware.device import OfflineResult, SimulatedDevice
 from ..hardware.scheduler import CompiledModel
 
-__all__ = ["SystemUnderTest", "AccuracySUT", "PerformanceSUT", "OfflineResult"]
+__all__ = ["SystemUnderTest", "AccuracySUT", "PerformanceSUT"]
 
 
 class SystemUnderTest(abc.ABC):

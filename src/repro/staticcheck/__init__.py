@@ -24,6 +24,7 @@ from .plancheck import check_plan
 from .quantcheck import accumulator_bound, check_quantization
 from .verifier import (
     ALL_FAMILIES,
+    ZOO_NUMERICS,
     attest,
     attestation_problems,
     deployment_variants,
@@ -39,6 +40,7 @@ __all__ = [
     "Rule",
     "RULE_CATALOG",
     "RULESET_VERSION",
+    "ZOO_NUMERICS",
     "Severity",
     "accumulator_bound",
     "attest",

@@ -17,13 +17,11 @@ import argparse
 import json
 import sys
 
-from ..kernels.numerics import Numerics
 from ..models import available_models
 from .findings import RULESET_VERSION
-from .verifier import ALL_FAMILIES, sweep_zoo
+from .verifier import ALL_FAMILIES, ZOO_NUMERICS, sweep_zoo
 
-_NUMERICS = {n.value: n for n in
-             (Numerics.FP32, Numerics.FP16, Numerics.INT8, Numerics.UINT8)}
+_NUMERICS = {n.value: n for n in ZOO_NUMERICS}
 
 
 def _csv(choices: dict | tuple, label: str):

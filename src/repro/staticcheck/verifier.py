@@ -11,6 +11,7 @@ version proved it) — the shape of MLPerf's submission-checker contract.
 from __future__ import annotations
 
 from ..graph.graph import Graph
+from ..kernels.numerics import Numerics
 from .dataflow import check_dataflow
 from .findings import Report, RULESET_VERSION
 from .placement import sweep_vendor_placements
@@ -19,6 +20,7 @@ from .quantcheck import check_quantization
 
 __all__ = [
     "ALL_FAMILIES",
+    "ZOO_NUMERICS",
     "verify_graph",
     "attest",
     "attestation_problems",
@@ -28,6 +30,10 @@ __all__ = [
 ]
 
 ALL_FAMILIES = ("dataflow", "quantization", "placement", "plan")
+
+# the numerics formats a zoo sweep covers, and the batch it calibrates on
+ZOO_NUMERICS = (Numerics.FP32, Numerics.FP16, Numerics.INT8, Numerics.UINT8)
+CALIBRATION_BATCH = 2
 
 # families cheap enough to run inline on every export (plan compilation
 # prepares every kernel, so the export path leaves it to the CLI/tests)
@@ -107,9 +113,7 @@ def attestation_problems(graph: Graph) -> list[str]:
     return problems
 
 
-def zoo_deployments(
-    model: str, numerics_modes: tuple, *, batch: int = 2
-):
+def zoo_deployments(model: str, numerics_modes: tuple):
     """Yield ``(numerics, graph)`` deployment variants of one zoo model.
 
     Builds the same artifacts the harness would ship: export the unfitted
@@ -121,16 +125,13 @@ def zoo_deployments(
 
     graph = create_reference_model(model, fitted=False).graph
     exported = graph if graph.frozen else export_mobile(graph)
-    yield from deployment_variants(model, exported, numerics_modes, batch=batch)
+    yield from deployment_variants(model, exported, numerics_modes)
 
 
-def deployment_variants(
-    model: str, exported: Graph, numerics_modes: tuple, *, batch: int = 2
-):
+def deployment_variants(model: str, exported: Graph, numerics_modes: tuple):
     """Yield ``(numerics, graph)`` variants of an exported zoo graph:
     calibrate on the zoo's fixed role-aware feeds, then derive each
     numerics variant."""
-    from ..kernels.numerics import Numerics
     from ..models import model_feeds
     from ..quantization import calibrate, convert_fp16, quantize_graph
 
@@ -142,7 +143,7 @@ def deployment_variants(
             yield numerics, convert_fp16(exported)
         else:
             if stats is None:
-                stats = calibrate(exported, [model_feeds(model, exported, batch)])
+                stats = calibrate(exported, [model_feeds(model, exported, CALIBRATION_BATCH)])
             yield numerics, quantize_graph(exported, stats, numerics)
 
 
@@ -153,13 +154,12 @@ def sweep_zoo(
     families: tuple[str, ...] = ALL_FAMILIES,
 ) -> list[Report]:
     """Verify every (zoo model, numerics) deployment; the CLI/CI workhorse."""
-    from ..kernels.numerics import Numerics
     from ..models import available_models
 
     if models is None:
         models = tuple(available_models())
     if numerics_modes is None:
-        numerics_modes = (Numerics.FP32, Numerics.FP16, Numerics.INT8, Numerics.UINT8)
+        numerics_modes = ZOO_NUMERICS
     reports = []
     for model in models:
         for _numerics, graph in zoo_deployments(model, numerics_modes):

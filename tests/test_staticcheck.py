@@ -35,6 +35,7 @@ from repro.models import available_models
 from repro.staticcheck import (
     RULE_CATALOG,
     RULESET_VERSION,
+    ZOO_NUMERICS,
     Finding,
     Report,
     Severity,
@@ -610,10 +611,9 @@ def test_enn_v07_concat_exclusion_fragments_deeplab(unfitted_zoo):
 
 def test_zoo_sweep_is_clean(unfitted_zoo):
     """``sweep_zoo``'s deployments, derived from the session's exported zoo."""
-    numerics = (Numerics.FP32, Numerics.FP16, Numerics.INT8, Numerics.UINT8)
     reports = [verify_graph(graph) for name, (_, exported) in unfitted_zoo.items()
-               for _, graph in deployment_variants(name, exported, numerics)]
-    assert len(reports) == 4 * len(available_models())
+               for _, graph in deployment_variants(name, exported, ZOO_NUMERICS)]
+    assert len(reports) == len(ZOO_NUMERICS) * len(available_models())
     offenders = [f.render() for r in reports for f in r.findings]
     assert offenders == []
     # placement metrics exist and the compiled fragmentation stays in budget
