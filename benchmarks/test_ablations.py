@@ -69,7 +69,7 @@ def test_ablation_fitted_heads(benchmark):
             for s in range(0, len(ds), 64):
                 idx = np.arange(s, min(s + 64, len(ds)))
                 out = ex.run(ds.input_batch(idx))
-                correct += (next(iter(out.values())).argmax(-1) == ds.labels[idx]).sum()
+                correct += (next(iter(out.values())).argmax(-1) == ds.truths[idx]).sum()
             return correct / len(ds) * 100
 
         return {"fitted_top1": top1(g_fit), "unfitted_top1": top1(g_raw)}

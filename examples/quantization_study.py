@@ -24,7 +24,7 @@ def top1(graph, dataset) -> float:
     for start in range(0, len(dataset), 64):
         idx = np.arange(start, min(start + 64, len(dataset)))
         out = ex.run(dataset.input_batch(idx))
-        correct += (next(iter(out.values())).argmax(-1) == dataset.labels[idx]).sum()
+        correct += (next(iter(out.values())).argmax(-1) == dataset.truths[idx]).sum()
     return correct / len(dataset) * 100
 
 

@@ -1,7 +1,7 @@
 """Synthetic datasets standing in for the Table-1 data sets."""
 
 from .ade20k import SyntheticADE20K
-from .base import IndexDataset, TaskDataset, batched_indices
+from .base import IndexDataset, TaskDataset, feed_batches
 from .coco import SyntheticCOCO
 from .imagenet import SyntheticImageNet
 from .registry import DATASET_REGISTRY, DEFAULT_SIZES, create_dataset
@@ -12,7 +12,7 @@ from .superres import SyntheticSuperRes
 __all__ = [
     "TaskDataset",
     "IndexDataset",
-    "batched_indices",
+    "feed_batches",
     "SyntheticImageNet",
     "SyntheticCOCO",
     "SyntheticADE20K",

@@ -11,11 +11,13 @@ import numpy as np
 
 from ..metrics.segmentation import miou_frequent_classes
 from ..pipelines.postprocess import segmentation_map
-from ..pipelines.preprocess import dense_preprocess
+from ..pipelines.preprocess import dense_preprocess, preprocess_batch
 from ..synthdata import segmentation_scene_batch
 from .base import TaskDataset
 
 __all__ = ["SyntheticADE20K"]
+
+CALIBRATION_SIZE = 32
 
 
 class SyntheticADE20K(TaskDataset):
@@ -23,55 +25,30 @@ class SyntheticADE20K(TaskDataset):
     task = "semantic_segmentation"
     metric_name = "mIoU"
 
-    def __init__(self, inputs, labels, calibration_inputs, num_classes):
-        self.inputs = inputs
-        self.labels = labels
-        self._calibration_inputs = calibration_inputs
+    def __init__(self, feeds, truths, calibration, num_classes):
+        super().__init__(feeds, truths, calibration)
         self.num_classes = num_classes
 
     @classmethod
-    def generate(
-        cls,
-        model_config: dict,
-        *,
-        size: int = 96,
-        calibration_size: int = 32,
-        seed: int = 44,
-    ) -> "SyntheticADE20K":
+    def generate(cls, model_config: dict, *, size: int, seed: int = 44) -> "SyntheticADE20K":
         input_size = model_config["input_size"]
         num_classes = model_config["num_classes"]
 
         # scenes at exact network resolution keep labels pixel-aligned
         raws, labels = segmentation_scene_batch(size, input_size, num_classes, seed)
-        inputs = np.stack([dense_preprocess(im, input_size) for im in raws]).astype(np.float32)
-
         cal_raws, _ = segmentation_scene_batch(
-            calibration_size, input_size, num_classes, seed + 10_000
+            CALIBRATION_SIZE, input_size, num_classes, seed + 10_000
         )
-        cal_inputs = np.stack([dense_preprocess(im, input_size) for im in cal_raws]).astype(np.float32)
-        return cls(inputs, labels, cal_inputs, num_classes)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def input_batch(self, indices: np.ndarray) -> dict[str, np.ndarray]:
-        return {"images": self.inputs[np.asarray(indices)]}
-
-    def ground_truth(self, index: int) -> np.ndarray:
-        return self.labels[index]
+        return cls(
+            {"images": preprocess_batch(raws, dense_preprocess, input_size)},
+            labels,
+            {"images": preprocess_batch(cal_raws, dense_preprocess, input_size)},
+            num_classes,
+        )
 
     def postprocess(self, outputs: dict[str, np.ndarray], index: int) -> np.ndarray:
         logits = next(iter(outputs.values()))
         return segmentation_map(logits)
 
-    def evaluate(self, predictions: dict[int, np.ndarray]) -> dict[str, float]:
-        idx = sorted(predictions)
-        preds = [predictions[i] for i in idx]
-        truths = [self.labels[i] for i in idx]
-        return {"mIoU": miou_frequent_classes(preds, truths, self.num_classes) * 100.0}
-
-    def calibration_batches(self, batch_size: int = 16) -> list[dict[str, np.ndarray]]:
-        return [
-            {"images": self._calibration_inputs[i : i + batch_size]}
-            for i in range(0, len(self._calibration_inputs), batch_size)
-        ]
+    def score(self, predictions: list[np.ndarray], truths: list[np.ndarray]) -> dict[str, float]:
+        return {"mIoU": miou_frequent_classes(predictions, truths, self.num_classes) * 100.0}

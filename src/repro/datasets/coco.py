@@ -12,11 +12,14 @@ import numpy as np
 from ..metrics.detection_map import GroundTruthBox, coco_map
 from ..pipelines.anchors import anchors_for_model
 from ..pipelines.detection import Detection, postprocess_detections
-from ..pipelines.preprocess import dense_preprocess
+from ..pipelines.preprocess import dense_preprocess, preprocess_batch
 from ..synthdata import detection_scene_batch
 from .base import TaskDataset
 
 __all__ = ["SyntheticCOCO"]
+
+CALIBRATION_SIZE = 64
+SCORE_THRESHOLD = 0.25  # detections below this class score are dropped
 
 
 class SyntheticCOCO(TaskDataset):
@@ -24,67 +27,39 @@ class SyntheticCOCO(TaskDataset):
     task = "object_detection"
     metric_name = "mAP"
 
-    def __init__(self, inputs, truths, calibration_inputs, anchors, config):
-        self.inputs = inputs
-        self.truths = truths
-        self._calibration_inputs = calibration_inputs
+    def __init__(self, feeds, truths, calibration, anchors, box_variances):
+        super().__init__(feeds, truths, calibration)
         self.anchors = anchors
-        self.config = config
+        self.box_variances = box_variances
 
     @classmethod
-    def generate(
-        cls,
-        model_config: dict,
-        *,
-        size: int = 192,
-        calibration_size: int = 64,
-        seed: int = 43,
-        score_threshold: float = 0.25,
-    ) -> "SyntheticCOCO":
+    def generate(cls, model_config: dict, *, size: int, seed: int = 43) -> "SyntheticCOCO":
         input_size = model_config["input_size"]
         num_classes = model_config["num_classes"]
 
         raws, objects = detection_scene_batch(size, input_size + 16, num_classes, seed)
-        inputs = np.stack([dense_preprocess(im, input_size) for im in raws]).astype(np.float32)
         truths = [
             [GroundTruthBox(o.box, o.class_id) for o in objs] for objs in objects
         ]
-
         cal_raws, _ = detection_scene_batch(
-            calibration_size, input_size + 16, num_classes, seed + 10_000
+            CALIBRATION_SIZE, input_size + 16, num_classes, seed + 10_000
         )
-        cal_inputs = np.stack([dense_preprocess(im, input_size) for im in cal_raws]).astype(np.float32)
-        anchors = anchors_for_model(model_config)
-        config = dict(model_config)
-        config["score_threshold"] = score_threshold
-        return cls(inputs, truths, cal_inputs, anchors, config)
-
-    def __len__(self) -> int:
-        return len(self.truths)
-
-    def input_batch(self, indices: np.ndarray) -> dict[str, np.ndarray]:
-        return {"images": self.inputs[np.asarray(indices)]}
-
-    def ground_truth(self, index: int) -> list[GroundTruthBox]:
-        return self.truths[index]
+        return cls(
+            {"images": preprocess_batch(raws, dense_preprocess, input_size)},
+            truths,
+            {"images": preprocess_batch(cal_raws, dense_preprocess, input_size)},
+            anchors_for_model(model_config),
+            model_config["box_variances"],
+        )
 
     def postprocess(self, outputs: dict[str, np.ndarray], index: int) -> list[Detection]:
         scores = outputs[next(k for k in outputs if "scores" in k)]
         boxes = outputs[next(k for k in outputs if "box" in k)]
         return postprocess_detections(
             scores, boxes, self.anchors,
-            score_threshold=self.config["score_threshold"],
-            variances=self.config["box_variances"],
+            score_threshold=SCORE_THRESHOLD, variances=self.box_variances,
         )
 
-    def evaluate(self, predictions: dict[int, list[Detection]]) -> dict[str, float]:
-        idx = sorted(predictions)
-        dets = [predictions[i] for i in idx]
-        truths = [self.truths[i] for i in idx]
-        return {"mAP": coco_map(dets, truths) * 100.0}
-
-    def calibration_batches(self, batch_size: int = 16) -> list[dict[str, np.ndarray]]:
-        return [
-            {"images": self._calibration_inputs[i : i + batch_size]}
-            for i in range(0, len(self._calibration_inputs), batch_size)
-        ]
+    def score(self, predictions: list[list[Detection]],
+              truths: list[list[GroundTruthBox]]) -> dict[str, float]:
+        return {"mAP": coco_map(predictions, truths) * 100.0}

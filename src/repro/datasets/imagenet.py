@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..metrics.classification import top1_accuracy, topk_accuracy
+from ..metrics.classification import top1_accuracy
 from ..pipelines.postprocess import top_k
-from ..pipelines.preprocess import classification_preprocess
+from ..pipelines.preprocess import classification_preprocess, preprocess_batch
 from ..synthdata import classification_scene_batch
 from .base import TaskDataset
 
 __all__ = ["SyntheticImageNet"]
+
+CALIBRATION_SIZE = 128
+SIGNAL = 1.0  # class-prototype amplitude
+NOISE = 0.65  # per-scene noise amplitude
 
 
 class SyntheticImageNet(TaskDataset):
@@ -24,59 +28,27 @@ class SyntheticImageNet(TaskDataset):
     task = "image_classification"
     metric_name = "top1"
 
-    def __init__(self, inputs: np.ndarray, labels: np.ndarray,
-                 calibration_inputs: np.ndarray):
-        self.inputs = inputs
-        self.labels = labels
-        self._calibration_inputs = calibration_inputs
-
     @classmethod
-    def generate(
-        cls,
-        model_config: dict,
-        *,
-        size: int = 512,
-        calibration_size: int = 128,
-        seed: int = 42,
-        signal: float = 1.0,
-        noise: float = 0.65,
-    ) -> "SyntheticImageNet":
+    def generate(cls, model_config: dict, *, size: int, seed: int = 42) -> "SyntheticImageNet":
         input_size = model_config["input_size"]
         num_classes = model_config["num_classes"]
         raw_size = int(round(input_size * 256 / 224)) + 8
 
         raws, labels = classification_scene_batch(
-            size, raw_size, num_classes, seed, signal=signal, noise=noise
+            size, raw_size, num_classes, seed, signal=SIGNAL, noise=NOISE
         )
-        inputs = np.stack([classification_preprocess(im, input_size) for im in raws])
-
         cal_raws, _ = classification_scene_batch(
-            calibration_size, raw_size, num_classes, seed + 10_000, signal=signal, noise=noise
+            CALIBRATION_SIZE, raw_size, num_classes, seed + 10_000, signal=SIGNAL, noise=NOISE
         )
-        cal_inputs = np.stack([classification_preprocess(im, input_size) for im in cal_raws])
-        return cls(inputs.astype(np.float32), labels, cal_inputs.astype(np.float32))
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def input_batch(self, indices: np.ndarray) -> dict[str, np.ndarray]:
-        return {"images": self.inputs[np.asarray(indices)]}
-
-    def ground_truth(self, index: int) -> int:
-        return int(self.labels[index])
+        return cls(
+            {"images": preprocess_batch(raws, classification_preprocess, input_size)},
+            labels,
+            {"images": preprocess_batch(cal_raws, classification_preprocess, input_size)},
+        )
 
     def postprocess(self, outputs: dict[str, np.ndarray], index: int) -> int:
         probs = next(iter(outputs.values()))
         return int(top_k(probs, k=1)[0])
 
-    def evaluate(self, predictions: dict[int, int]) -> dict[str, float]:
-        idx = sorted(predictions)
-        pred = np.asarray([predictions[i] for i in idx])
-        truth = self.labels[idx]
-        return {"top1": top1_accuracy(pred, truth) * 100.0}
-
-    def calibration_batches(self, batch_size: int = 16) -> list[dict[str, np.ndarray]]:
-        return [
-            {"images": self._calibration_inputs[i : i + batch_size]}
-            for i in range(0, len(self._calibration_inputs), batch_size)
-        ]
+    def score(self, predictions: list[int], truths: list[int]) -> dict[str, float]:
+        return {"top1": top1_accuracy(predictions, truths) * 100.0}

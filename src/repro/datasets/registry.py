@@ -42,18 +42,17 @@ def create_dataset(
     *,
     size: int | None = None,
     seed: int | None = None,
-    **kwargs,
 ) -> TaskDataset:
-    """Generate the synthetic dataset ``name``.
+    """Generate the synthetic dataset ``name`` (``DEFAULT_SIZES`` unless ``size``).
 
     Vision datasets carry real scene ground truth and ignore the oracle;
     SQuAD is oracle-labelled (DESIGN.md §1) and requires ``oracle_graph`` —
-    the exported FP32 reference graph.
+    the exported FP32 reference graph. ``seed=None`` keeps each dataset's
+    own default seed.
     """
     if name not in DATASET_REGISTRY:
         raise KeyError(f"unknown dataset {name!r}; available: {sorted(DATASET_REGISTRY)}")
-    gen_kwargs = dict(kwargs)
-    gen_kwargs["size"] = size or DEFAULT_SIZES[name]
+    gen_kwargs = {"size": size or DEFAULT_SIZES[name]}
     if seed is not None:
         gen_kwargs["seed"] = seed
     if name == "squad":

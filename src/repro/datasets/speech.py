@@ -11,61 +11,33 @@ from .base import TaskDataset
 
 __all__ = ["SyntheticSpeech"]
 
+CALIBRATION_SIZE = 32
+
 
 class SyntheticSpeech(TaskDataset):
     name = "speech"
     task = "speech_recognition"
     metric_name = "token_accuracy"
 
-    def __init__(self, features, transcripts, cal_features, blank_id):
-        self.features = features
-        self.transcripts = transcripts
-        self._cal_features = cal_features
+    def __init__(self, feeds, truths, calibration, blank_id):
+        super().__init__(feeds, truths, calibration)
         self.blank_id = blank_id
 
     @classmethod
-    def generate(
-        cls,
-        model_config: dict,
-        *,
-        size: int = 96,
-        calibration_size: int = 32,
-        seed: int = 46,
-    ) -> "SyntheticSpeech":
-        feats, transcripts, _ = speech_sequence_batch(
-            size, model_config["num_frames"], model_config["feature_dim"],
-            model_config["vocab_size"], seed,
-        )
-        cal, _, _ = speech_sequence_batch(
-            calibration_size, model_config["num_frames"], model_config["feature_dim"],
-            model_config["vocab_size"], seed + 10_000,
-        )
-        return cls(feats, transcripts, cal, model_config["blank_id"])
-
-    def __len__(self) -> int:
-        return len(self.transcripts)
-
-    def input_batch(self, indices: np.ndarray) -> dict[str, np.ndarray]:
-        return {"features": self.features[np.asarray(indices)]}
-
-    def ground_truth(self, index: int) -> list[int]:
-        return self.transcripts[index]
+    def generate(cls, model_config: dict, *, size: int, seed: int = 46) -> "SyntheticSpeech":
+        dims = (model_config["num_frames"], model_config["feature_dim"],
+                model_config["vocab_size"])
+        feats, transcripts, _ = speech_sequence_batch(size, *dims, seed)
+        cal, _, _ = speech_sequence_batch(CALIBRATION_SIZE, *dims, seed + 10_000)
+        return cls({"features": feats}, transcripts, {"features": cal},
+                   model_config["blank_id"])
 
     def postprocess(self, outputs: dict[str, np.ndarray], index: int) -> list[int]:
         logits = next(iter(outputs.values()))
         return greedy_ctc_decode(logits, blank_id=self.blank_id)
 
-    def evaluate(self, predictions: dict[int, list[int]]) -> dict[str, float]:
-        idx = sorted(predictions)
-        hyps = [predictions[i] for i in idx]
-        refs = [self.transcripts[i] for i in idx]
+    def score(self, predictions: list[list[int]], truths: list[list[int]]) -> dict[str, float]:
         return {
-            "token_accuracy": token_accuracy(hyps, refs),
-            "wer": word_error_rate(hyps, refs) * 100.0,
+            "token_accuracy": token_accuracy(predictions, truths),
+            "wer": word_error_rate(predictions, truths) * 100.0,
         }
-
-    def calibration_batches(self, batch_size: int = 16) -> list[dict[str, np.ndarray]]:
-        return [
-            {"features": self._cal_features[i : i + batch_size]}
-            for i in range(0, len(self._cal_features), batch_size)
-        ]

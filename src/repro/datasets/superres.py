@@ -11,6 +11,8 @@ from .base import TaskDataset
 
 __all__ = ["SyntheticSuperRes"]
 
+CALIBRATION_SIZE = 16
+
 
 def denormalize_image(x: np.ndarray) -> np.ndarray:
     """Inverse of normalize_image: [-1, 1] floats -> [0, 255] pixels."""
@@ -22,50 +24,18 @@ class SyntheticSuperRes(TaskDataset):
     task = "super_resolution"
     metric_name = "psnr"
 
-    def __init__(self, lr_inputs, hr_targets, cal_inputs, scale):
-        self.lr_inputs = lr_inputs
-        self.hr_targets = hr_targets
-        self._cal_inputs = cal_inputs
-        self.scale = scale
-
     @classmethod
-    def generate(
-        cls,
-        model_config: dict,
-        *,
-        size: int = 48,
-        calibration_size: int = 16,
-        seed: int = 47,
-    ) -> "SyntheticSuperRes":
+    def generate(cls, model_config: dict, *, size: int, seed: int = 47) -> "SyntheticSuperRes":
         scale = model_config["scale"]
         hr_size = model_config["lr_size"] * scale
         lr, hr = super_resolution_batch(size, hr_size, scale, seed)
-        cal_lr, _ = super_resolution_batch(calibration_size, hr_size, scale, seed + 10_000)
+        cal_lr, _ = super_resolution_batch(CALIBRATION_SIZE, hr_size, scale, seed + 10_000)
         return cls(
-            normalize_image(lr).astype(np.float32), hr,
-            normalize_image(cal_lr).astype(np.float32), scale,
+            {"lr_images": normalize_image(lr)}, hr, {"lr_images": normalize_image(cal_lr)},
         )
-
-    def __len__(self) -> int:
-        return len(self.hr_targets)
-
-    def input_batch(self, indices: np.ndarray) -> dict[str, np.ndarray]:
-        return {"lr_images": self.lr_inputs[np.asarray(indices)]}
-
-    def ground_truth(self, index: int) -> np.ndarray:
-        return self.hr_targets[index]
 
     def postprocess(self, outputs: dict[str, np.ndarray], index: int) -> np.ndarray:
         return denormalize_image(next(iter(outputs.values())))
 
-    def evaluate(self, predictions: dict[int, np.ndarray]) -> dict[str, float]:
-        idx = sorted(predictions)
-        preds = [predictions[i] for i in idx]
-        targets = [self.hr_targets[i].astype(np.float32) for i in idx]
-        return {"psnr": mean_psnr(preds, targets)}
-
-    def calibration_batches(self, batch_size: int = 16) -> list[dict[str, np.ndarray]]:
-        return [
-            {"lr_images": self._cal_inputs[i : i + batch_size]}
-            for i in range(0, len(self._cal_inputs), batch_size)
-        ]
+    def score(self, predictions: list[np.ndarray], truths: list[np.ndarray]) -> dict[str, float]:
+        return {"psnr": mean_psnr(predictions, [t.astype(np.float32) for t in truths])}

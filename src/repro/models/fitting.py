@@ -24,11 +24,12 @@ import pathlib
 
 import numpy as np
 
+from ..datasets.base import feed_batches
 from ..graph.executor import Executor
 from ..graph.graph import Graph
 from ..pipelines.anchors import anchors_for_model
 from ..pipelines.detection import encode_boxes, iou_matrix
-from ..pipelines.preprocess import classification_preprocess, dense_preprocess
+from ..pipelines.preprocess import classification_preprocess, dense_preprocess, preprocess_batch
 from ..synthdata import (
     classification_scene_batch,
     detection_scene_batch,
@@ -122,10 +123,6 @@ def capture_tensors(
     return {t: np.concatenate(v, axis=0) for t, v in collected.items()}
 
 
-def _batched(inputs: np.ndarray, batch: int) -> list[dict[str, np.ndarray]]:
-    return [{"images": inputs[i : i + batch]} for i in range(0, len(inputs), batch)]
-
-
 def fit_classification_head(bundle: ModelBundle, *, seed: int = 7000) -> None:
     """Fit the classifier FC by ridge regression on GAP features."""
     graph = bundle.graph
@@ -135,12 +132,12 @@ def fit_classification_head(bundle: ModelBundle, *, seed: int = 7000) -> None:
         train_samples, int(cfg["input_size"] * 256 / 224) + 8, cfg["num_classes"], seed,
         noise=CLASSIFICATION_NOISE,
     )
-    inputs = np.stack([classification_preprocess(im, cfg["input_size"]) for im in raws])
+    inputs = preprocess_batch(raws, classification_preprocess, cfg["input_size"])
     # BN statistics must match the data distribution the model will see
-    calibrate_batch_norms(graph, {"images": inputs[:64].astype(np.float32)})
+    calibrate_batch_norms(graph, {"images": inputs[:64]})
     head_op = next(op for op in graph.ops if op.name == "classifier")
     feat_tensor = head_op.inputs[0]
-    feats = capture_tensors(graph, _batched(inputs.astype(np.float32), 64), [feat_tensor])[feat_tensor]
+    feats = capture_tensors(graph, feed_batches({"images": inputs}, 64), [feat_tensor])[feat_tensor]
     onehot = np.full((train_samples, cfg["num_classes"]), -LOGIT_SCALE / 2, dtype=np.float64)
     onehot[np.arange(train_samples), labels] = LOGIT_SCALE / 2
     w, b = ridge_fit(feats, onehot)
@@ -165,7 +162,7 @@ def fit_detection_heads(bundle: ModelBundle, *, seed: int = 7100) -> None:
     anchors = anchors_for_model(cfg)
     train_samples = TRAIN_SAMPLES["detection"]
     raws, truths = detection_scene_batch(train_samples, size + 16, num_classes, seed)
-    inputs = np.stack([dense_preprocess(im, size) for im in raws]).astype(np.float32)
+    inputs = preprocess_batch(raws, dense_preprocess, size)
     calibrate_batch_norms(graph, {"images": inputs[:48]})
 
     # per-anchor match against ground truth (anchor-major layout matches heads)
@@ -198,7 +195,7 @@ def fit_detection_heads(bundle: ModelBundle, *, seed: int = 7100) -> None:
         box_op = next(op for op in graph.ops if op.name == f"box_head_{j}/pw")
         head_inputs.append((cls_op.inputs[0], box_op.inputs[0]))
     tensors = [t for pair in head_inputs for t in pair]
-    feats = capture_tensors(graph, _batched(inputs, 32), tensors)
+    feats = capture_tensors(graph, feed_batches({"images": inputs}, 32), tensors)
 
     offset = 0
     for j, (fh, fw) in enumerate(cfg["feature_shapes"]):
@@ -238,12 +235,12 @@ def fit_segmentation_head(bundle: ModelBundle, *, seed: int = 7200) -> None:
     # map stays pixel-aligned with the (no-op) resize in dense_preprocess
     train_samples = TRAIN_SAMPLES["segmentation"]
     raws, labels = segmentation_scene_batch(train_samples, size, num_classes, seed)
-    inputs = np.stack([dense_preprocess(im, size) for im in raws]).astype(np.float32)
+    inputs = preprocess_batch(raws, dense_preprocess, size)
     calibrate_batch_norms(graph, {"images": inputs[:32]})
 
     head_op = next(op for op in graph.ops if op.name == "classifier")
     feat_tensor = head_op.inputs[0]
-    feats = capture_tensors(graph, _batched(inputs, 16), [feat_tensor])[feat_tensor]
+    feats = capture_tensors(graph, feed_batches({"images": inputs}, 16), [feat_tensor])[feat_tensor]
     _, fh, fw, fc = feats.shape
     # nearest-downsample the dense labels to the classifier's resolution
     ys = (np.arange(fh) * size // fh).clip(max=size - 1)
@@ -269,7 +266,7 @@ def fit_speech_head(bundle: ModelBundle, *, seed: int = 7300) -> None:
         train_samples, cfg["num_frames"], cfg["feature_dim"], vocab, seed
     )
     head_op = next(op for op in graph.ops if op.name == "token_head")
-    batches = [{"features": feats[i : i + 32]} for i in range(0, train_samples, 32)]
+    batches = feed_batches({"features": feats}, 32)
     states = capture_tensors(graph, batches, [head_op.inputs[0]])[head_op.inputs[0]]
     x = states.reshape(-1, states.shape[-1])
     y = np.full((x.shape[0], vocab + 1), -LOGIT_SCALE / 2, dtype=np.float64)
@@ -295,7 +292,7 @@ def fit_super_resolution_head(bundle: ModelBundle, *, seed: int = 7400) -> None:
 
     calibrate_batch_norms(graph, {"lr_images": lr_in[:32]})
     head_op = next(op for op in graph.ops if op.name == "upsampler")
-    batches = [{"lr_images": lr_in[i : i + 16]} for i in range(0, train_samples, 16)]
+    batches = feed_batches({"lr_images": lr_in}, 16)
     feats = capture_tensors(graph, batches, [head_op.inputs[0]])[head_op.inputs[0]]
     n, fh, fw, fc = feats.shape
     # 3x3 neighbourhood features (same padding) -> exactly the conv's receptive field

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from typing import Callable
+
 from ..kernels.pooling import resize_bilinear
 
 __all__ = [
@@ -18,6 +20,7 @@ __all__ = [
     "normalize_image",
     "classification_preprocess",
     "dense_preprocess",
+    "preprocess_batch",
     "qa_preprocess",
 ]
 
@@ -54,6 +57,13 @@ def dense_preprocess(image: np.ndarray, input_size: int) -> np.ndarray:
     """Detection/segmentation: direct resize to the network input, normalize."""
     image = resize_image(image, input_size, input_size)
     return normalize_image(image)
+
+
+def preprocess_batch(
+    images: np.ndarray, fn: Callable[[np.ndarray, int], np.ndarray], size: int
+) -> np.ndarray:
+    """``fn(image, size)`` over a batch of raw images, stacked as float32."""
+    return np.stack([fn(im, size) for im in images]).astype(np.float32)
 
 
 def qa_preprocess(token_ids: np.ndarray, seq_len: int) -> tuple[np.ndarray, np.ndarray]:

@@ -53,7 +53,7 @@ class TestImageNet:
         cal = np.concatenate([b["images"] for b in batches])
         assert len(cal) == 128
         # different seed stream: calibration images differ from validation
-        assert not np.array_equal(cal[0], cls_dataset.inputs[0])
+        assert not np.array_equal(cal[0], cls_dataset.feeds["images"][0])
 
     def test_postprocess_argmax(self, cls_dataset, cls_bundle):
         k = cls_bundle.config["num_classes"]
@@ -64,8 +64,8 @@ class TestImageNet:
     def test_determinism(self, cls_bundle, cls_exported):
         a = create_dataset("imagenet", cls_exported, cls_bundle.config, size=16)
         b = create_dataset("imagenet", cls_exported, cls_bundle.config, size=16)
-        np.testing.assert_array_equal(a.inputs, b.inputs)
-        np.testing.assert_array_equal(a.labels, b.labels)
+        np.testing.assert_array_equal(a.feeds["images"], b.feeds["images"])
+        np.testing.assert_array_equal(a.truths, b.truths)
 
 
 class TestCOCO:
@@ -109,7 +109,7 @@ class TestADE20K:
     def test_label_alignment(self, seg):
         bundle, ds = seg
         size = bundle.config["input_size"]
-        assert ds.labels.shape == (8, size, size)
+        assert ds.truths.shape == (8, size, size)
 
     def test_perfect_prediction(self, seg):
         _, ds = seg

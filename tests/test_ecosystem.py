@@ -93,7 +93,7 @@ class TestSeedRobustness:
             for s in range(0, len(ds), 64):
                 idx = np.arange(s, min(s + 64, len(ds)))
                 out = ex.run(ds.input_batch(idx))
-                c += (next(iter(out.values())).argmax(-1) == ds.labels[idx]).sum()
+                c += (next(iter(out.values())).argmax(-1) == ds.truths[idx]).sum()
             return c / len(ds) * 100
 
         fp32 = top1(g)

@@ -215,7 +215,7 @@ class TestEndToEnd:
             idx = np.arange(s, min(s + 8, len(ds)))
             feed = ds.input_batch(idx)
             out = next(iter(ex.run(feed).values()))
-            hr = ds.hr_targets[idx].astype(np.float32)
+            hr = ds.truths[idx].astype(np.float32)
             up = resize_bilinear(denormalize_image(feed["lr_images"]),
                                  hr.shape[1], hr.shape[2])
             for j in range(len(idx)):
