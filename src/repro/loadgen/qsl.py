@@ -13,6 +13,8 @@ from ..datasets.base import TaskDataset
 
 __all__ = ["QuerySampleLibrary"]
 
+BLOCK_SIZE = 256  # single-query indices pre-drawn per RNG call
+
 
 class QuerySampleLibrary:
     def __init__(
@@ -20,12 +22,10 @@ class QuerySampleLibrary:
         dataset: TaskDataset,
         performance_sample_count: int = 1024,
         seed: int = 0x9E3779B9,
-        block_size: int = 256,
     ):
         self.dataset = dataset
         self.performance_sample_count = min(performance_sample_count, len(dataset))
         self.seed = seed
-        self.block_size = block_size
         self._rng = np.random.default_rng(seed)
         self._loaded: set[int] = set()
         # pre-drawn single-query index block (see next_sample_index)
@@ -74,13 +74,9 @@ class QuerySampleLibrary:
             self._pool = np.sort(np.fromiter(self._loaded, dtype=np.int64))
         return self._pool
 
-    def sample_indices(self, n: int, from_loaded: bool = True) -> np.ndarray:
-        """Seeded random query-sample selection."""
-        if from_loaded:
-            pool = self._loaded_pool()
-        else:
-            pool = np.arange(self.total_sample_count)
-        return self._rng.choice(pool, size=n, replace=True)
+    def sample_indices(self, n: int) -> np.ndarray:
+        """Seeded random selection of ``n`` loaded query samples."""
+        return self._rng.choice(self._loaded_pool(), size=n, replace=True)
 
     def next_sample_index(self) -> int:
         """One single-query draw, served from a pre-drawn index block.
@@ -88,14 +84,14 @@ class QuerySampleLibrary:
         Emits exactly the same sequence as repeated ``sample_indices(1)``
         calls for the same seed (one size-``B`` draw of the generator equals
         ``B`` successive size-1 draws), but amortizes the RNG and pool-array
-        overhead over ``block_size`` queries — the single-stream scenario
+        overhead over ``BLOCK_SIZE`` queries — the single-stream scenario
         calls this once per query. The block is discarded whenever residency
         changes, so don't interleave residency mutation with an in-flight
         block if the exact legacy stream matters.
         """
         if self._block is None or self._block_pos >= len(self._block):
             self._block = self._rng.choice(
-                self._loaded_pool(), size=self.block_size, replace=True
+                self._loaded_pool(), size=BLOCK_SIZE, replace=True
             )
             self._block_pos = 0
         idx = int(self._block[self._block_pos])

@@ -14,7 +14,7 @@ from repro.graph import (
 )
 from repro.graph import ops as graph_ops
 from repro.kernels import Numerics, quantize
-from repro.loadgen.qsl import QuerySampleLibrary
+from repro.loadgen.qsl import BLOCK_SIZE, QuerySampleLibrary
 from repro.datasets.base import IndexDataset
 from repro.models import available_models, create_reference_model, model_feeds
 from repro.quantization import calibrate, convert_fp16, quantize_graph
@@ -319,7 +319,7 @@ class TestQSLBlockSampling:
         a.load_performance_set()
         b.load_performance_set()
         # cross the block boundary to cover at least one refill
-        n = a.block_size + 50
+        n = BLOCK_SIZE + 50
         legacy = [int(a.sample_indices(1)[0]) for _ in range(n)]
         blocked = [b.next_sample_index() for _ in range(n)]
         assert legacy == blocked
