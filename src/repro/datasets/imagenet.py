@@ -20,7 +20,7 @@ __all__ = ["SyntheticImageNet"]
 
 CALIBRATION_SIZE = 128
 SIGNAL = 1.0  # class-prototype amplitude
-NOISE = 0.65  # per-scene noise amplitude
+NOISE = 0.65  # amplitude of each scene's fresh smooth field; the ratio sets Top-1
 
 
 class SyntheticImageNet(TaskDataset):
