@@ -14,6 +14,10 @@
 #   - the golden output digest check (tools/golden_outputs.py --check, in
 #     tests/test_plan.py): every zoo model in FP32/FP16/INT8/UINT8 must
 #     reproduce its checked-in output digest.
+# Last, the dataset oracle (tests/test_dataset_oracle.py) runs again at 1 and
+# at 4 OpenBLAS threads. Its bytes and metrics are documented as independent
+# of the BLAS thread count; running it at three counts keeps synthesis,
+# preprocessing and metric code from picking up a thread dependence.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -30,3 +34,7 @@ python tools/selflint.py src tests tools
 python -m repro.staticcheck --format json > benchmarks/results/STATICCHECK.json
 
 python -m pytest -x -q tests
+
+for threads in 1 4; do
+    OPENBLAS_NUM_THREADS=$threads python -m pytest -x -q tests/test_dataset_oracle.py
+done

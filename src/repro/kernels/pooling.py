@@ -81,9 +81,11 @@ def resize_bilinear(x: np.ndarray, out_h: int, out_w: int, align_corners: bool =
     wy = (ys - y0).astype(np.float32)[None, :, None, None]
     wx = (xs - x0).astype(np.float32)[None, None, :, None]
     x = np.asarray(x, dtype=np.float32)
-    top = x[:, y0][:, :, x0] * (1 - wx) + x[:, y0][:, :, x1] * wx
-    bot = x[:, y1][:, :, x0] * (1 - wx) + x[:, y1][:, :, x1] * wx
-    return (top * (1 - wy) + bot * wy).astype(np.float32)
+    # separable: the x pass once per input row, then the y pass. A row
+    # gather only selects values, so each output element gets the same
+    # float32 operations as interpolating its two gathered rows (DESIGN.md §5)
+    cols = x[:, :, x0] * (1 - wx) + x[:, :, x1] * wx
+    return (cols[:, y0] * (1 - wy) + cols[:, y1] * wy).astype(np.float32)
 
 
 def resize_nearest(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

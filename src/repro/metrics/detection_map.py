@@ -24,36 +24,6 @@ class GroundTruthBox:
     class_id: int
 
 
-def _match_detections(
-    detections: list[Detection],
-    truths: list[GroundTruthBox],
-    iou_threshold: float,
-) -> tuple[np.ndarray, int]:
-    """Greedy score-ordered matching for one image and one class.
-
-    Returns (tp flags aligned with detections sorted by score, num truths).
-    """
-    if not detections:
-        return np.zeros(0, dtype=bool), len(truths)
-    det_boxes = np.asarray([d.box for d in detections], dtype=np.float64)
-    order = np.argsort([-d.score for d in detections], kind="stable")
-    tp = np.zeros(len(detections), dtype=bool)
-    if not truths:
-        return tp[order], 0
-    gt_boxes = np.asarray([t.box for t in truths], dtype=np.float64)
-    ious = iou_matrix(det_boxes, gt_boxes)
-    taken = np.zeros(len(truths), dtype=bool)
-    for pos, i in enumerate(order):
-        cand = np.flatnonzero(~taken)
-        if cand.size == 0:
-            break
-        j = cand[np.argmax(ious[i, cand])]
-        if ious[i, j] >= iou_threshold:
-            taken[j] = True
-            tp[pos] = True
-    return tp, len(truths)
-
-
 def average_precision(recalls: np.ndarray, precisions: np.ndarray) -> float:
     """COCO 101-point interpolated AP from monotonic recall/precision arrays."""
     if len(recalls) == 0:
@@ -84,27 +54,53 @@ def coco_map(
     )
     if not class_ids:
         return 0.0
+    thresholds = np.asarray(iou_thresholds, dtype=np.float64)
+    rows = np.arange(len(thresholds))
+    # pycocotools' evaluateImg loop order: per (class, image), sort the
+    # detections once, compute their IoUs once, and match greedily at every
+    # threshold from that one matrix. per_class holds, for each class with
+    # truths, its tp flags (thresholds x detections, in score order) and
+    # its number of truths.
+    per_class = []
+    for c in class_ids:
+        tps, scores, n_truth = [], [], 0
+        for dets, truths in zip(all_detections, all_truths):
+            dets_c = [d for d in dets if d.class_id == c]
+            truths_c = [t for t in truths if t.class_id == c]
+            n_truth += len(truths_c)
+            if not dets_c:
+                continue
+            neg = [-d.score for d in dets_c]
+            order = np.argsort(neg, kind="stable")
+            scores.extend(neg[i] for i in order)
+            tp = np.zeros((len(thresholds), len(dets_c)), dtype=bool)
+            tps.append(tp)
+            if not truths_c:
+                continue
+            ious = iou_matrix(
+                np.asarray([dets_c[i].box for i in order], dtype=np.float64),
+                np.asarray([t.box for t in truths_c], dtype=np.float64),
+            )
+            taken = np.zeros((len(thresholds), len(truths_c)), dtype=bool)
+            for pos, row in enumerate(ious):
+                # best untaken truth per threshold; a threshold whose truths
+                # are all taken sees -inf and matches nothing
+                masked = np.where(taken, -np.inf, row)
+                j = masked.argmax(axis=1)
+                hit = masked[rows, j] >= thresholds
+                taken[rows[hit], j[hit]] = True
+                tp[:, pos] = hit
+        if n_truth == 0:
+            continue
+        flat_tp = np.concatenate(tps, axis=1) if tps else np.zeros((len(thresholds), 0), bool)
+        per_class.append((flat_tp[:, np.argsort(scores, kind="stable")], n_truth))
     aps = []
-    for thr in iou_thresholds:
-        for c in class_ids:
-            scores, tps, n_truth = [], [], 0
-            for dets, truths in zip(all_detections, all_truths):
-                dets_c = [d for d in dets if d.class_id == c]
-                truths_c = [t for t in truths if t.class_id == c]
-                tp, n = _match_detections(dets_c, truths_c, thr)
-                tps.append(tp)
-                scores.extend(-d.score for d in sorted(dets_c, key=lambda d: -d.score))
-                n_truth += n
-            if n_truth == 0:
-                continue
-            flat_tp = np.concatenate(tps) if tps else np.zeros(0, dtype=bool)
-            if flat_tp.size == 0:
-                aps.append(0.0)
-                continue
-            order = np.argsort(scores, kind="stable")
-            flat_tp = flat_tp[order]
-            cum_tp = np.cumsum(flat_tp)
-            cum_fp = np.cumsum(~flat_tp)
+    # threshold-major, then class: the order np.mean sums the APs in (a
+    # class with no detections scores 0.0 through average_precision)
+    for t in range(len(thresholds)):
+        for flat_tp, n_truth in per_class:
+            cum_tp = np.cumsum(flat_tp[t])
+            cum_fp = np.cumsum(~flat_tp[t])
             recalls = cum_tp / n_truth
             precisions = cum_tp / np.maximum(cum_tp + cum_fp, 1)
             aps.append(average_precision(recalls, precisions))

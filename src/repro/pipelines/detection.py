@@ -73,14 +73,14 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float = 0.5,
     order = np.argsort(-scores, kind="stable")
     selected: list[int] = []
     suppressed = np.zeros(len(scores), dtype=bool)
+    ious = iou_matrix(boxes, boxes)
     for idx in order:
         if suppressed[idx]:
             continue
         selected.append(int(idx))
         if len(selected) >= max_outputs:
             break
-        ious = iou_matrix(boxes[idx : idx + 1], boxes)[0]
-        suppressed |= ious > iou_threshold
+        suppressed |= ious[idx] > iou_threshold
         suppressed[idx] = True
     return np.asarray(selected, dtype=np.int64)
 

@@ -82,13 +82,24 @@ def _separated_colors(k: int, channels: int, rng: np.random.Generator) -> np.nda
     by the model, not by an unwinnable generator.
     """
     candidates = rng.uniform(-1.3, 1.3, size=(max(64, 8 * k), channels)).astype(np.float32)
-    chosen = [candidates[0]]
+    picks = [0]
+    # each candidate's distance to its nearest chosen cast, updated per pick
+    nearest = np.full(len(candidates), np.inf, dtype=np.float32)
     for _ in range(k - 1):
-        d = np.min(
-            np.linalg.norm(candidates[:, None] - np.asarray(chosen)[None], axis=-1), axis=1
-        )
-        chosen.append(candidates[int(d.argmax())])
-    return np.asarray(chosen, dtype=np.float32)
+        nearest = np.minimum(nearest, np.linalg.norm(candidates - candidates[picks[-1]], axis=-1))
+        picks.append(int(nearest.argmax()))
+    return candidates[picks]
+
+
+def _add_pixel_noise(rng: np.random.Generator, images: np.ndarray) -> None:
+    """Add N(0, 0.15) pixel noise to a float32 batch in place, image by image.
+
+    The generator fills normals sequentially, so per-image draws are the
+    same values in the same order as one whole-batch draw, and leave the
+    generator in the same state, without a batch-sized float64 temporary.
+    """
+    for image in images:
+        image += rng.normal(0, 0.15, size=image.shape).astype(np.float32)
 
 
 def _to_uint8(field: np.ndarray) -> np.ndarray:
@@ -126,7 +137,7 @@ def classification_scene_batch(
     )
     labels = rng.integers(0, num_classes, size=n)
     fields = signal * protos[labels] + noise * smooth_field(rng, n, size, size)
-    fields += rng.normal(0, 0.15, size=fields.shape).astype(np.float32)
+    _add_pixel_noise(rng, fields)
     return _to_uint8(fields), labels.astype(np.int64)
 
 
@@ -178,7 +189,7 @@ def detection_scene_batch(
             box[...] = box * 0.3 + signal * protos[c, y0:y1, x0:x1]
             objects.append(DetectionObject((cy - h / 2, cx - w / 2, cy + h / 2, cx + w / 2), c))
         truths.append(objects)
-    images += rng.normal(0, 0.15, size=images.shape).astype(np.float32)
+    _add_pixel_noise(rng, images)
     return _to_uint8(images), truths
 
 
@@ -214,7 +225,7 @@ def segmentation_scene_batch(
         images[i] = images[i] * 0.4 + signal * np.take_along_axis(
             protos, label[None, ..., None], axis=0
         )[0]
-    images += rng.normal(0, 0.15, size=images.shape).astype(np.float32)
+    _add_pixel_noise(rng, images)
     return _to_uint8(images), labels
 
 

@@ -361,3 +361,71 @@ class TestResize:
     def test_bilinear_shape(self, oh, ow):
         x = np.ones((1, 4, 6, 2), dtype=np.float32)
         assert resize_bilinear(x, oh, ow).shape == (1, oh, ow, 2)
+
+
+def four_gather_resize_bilinear(x, out_h, out_w, align_corners=False):
+    """The original (non-separable) bilinear resize: both row pairs gathered
+    for every output row, then both column pairs from each."""
+    n, in_h, in_w, c = x.shape
+    if (in_h, in_w) == (out_h, out_w):
+        return np.asarray(x, dtype=np.float32)
+    if align_corners and out_h > 1 and out_w > 1:
+        ys = np.linspace(0, in_h - 1, out_h)
+        xs = np.linspace(0, in_w - 1, out_w)
+    else:
+        ys = (np.arange(out_h) + 0.5) * in_h / out_h - 0.5
+        xs = (np.arange(out_w) + 0.5) * in_w / out_w - 0.5
+    ys = np.clip(ys, 0, in_h - 1)
+    xs = np.clip(xs, 0, in_w - 1)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    wy = (ys - y0).astype(np.float32)[None, :, None, None]
+    wx = (xs - x0).astype(np.float32)[None, None, :, None]
+    x = np.asarray(x, dtype=np.float32)
+    top = x[:, y0][:, :, x0] * (1 - wx) + x[:, y0][:, :, x1] * wx
+    bot = x[:, y1][:, :, x0] * (1 - wx) + x[:, y1][:, :, x1] * wx
+    return (top * (1 - wy) + bot * wy).astype(np.float32)
+
+
+RESIZE_CASES = [
+    ((3, 28, 28, 3), 112, 112),   # batched upsample (smooth_field)
+    ((2, 13, 13, 3), 54, 54),
+    ((2, 112, 112, 3), 96, 96),   # downsample (preprocessing)
+    ((1, 54, 54, 3), 46, 46),
+    ((2, 30, 17, 4), 7, 41),      # mixed: down in y, up in x
+    ((1, 9, 9, 2), 30, 5),        # mixed: up in y, down in x
+    ((1, 9, 9, 2), 9, 9),         # identity
+]
+
+
+class TestResizeSeparableExact:
+    """The separable resize must reproduce the four-gather bytes exactly."""
+
+    @pytest.mark.parametrize("align_corners", [False, True])
+    @pytest.mark.parametrize("shape,out_h,out_w", RESIZE_CASES)
+    def test_float_bytes(self, rng, shape, out_h, out_w, align_corners):
+        x = rng.normal(size=shape).astype(np.float32)
+        got = resize_bilinear(x, out_h, out_w, align_corners)
+        want = four_gather_resize_bilinear(x, out_h, out_w, align_corners)
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape,out_h,out_w", RESIZE_CASES)
+    def test_uint8_bytes(self, rng, shape, out_h, out_w):
+        x = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        assert (resize_bilinear(x, out_h, out_w).tobytes()
+                == four_gather_resize_bilinear(x, out_h, out_w).tobytes())
+
+    @pytest.mark.parametrize("align_corners", [False, True])
+    def test_graph_op_bytes(self, rng, align_corners):
+        from repro.graph.builder import GraphBuilder
+
+        b = GraphBuilder("resize")
+        x = b.input("x", (2, 12, 12, 64))
+        b.outputs(b.resize(x, 48, 48, align_corners=align_corners))
+        graph = b.build()
+        feed = rng.normal(size=(2, 12, 12, 64)).astype(np.float32)
+        (out,) = graph.ops[0].prepare(graph)([feed])
+        assert out.tobytes() == four_gather_resize_bilinear(feed, 48, 48, align_corners).tobytes()

@@ -18,6 +18,7 @@ from repro.metrics import (
     top1_accuracy,
     topk_accuracy,
 )
+from repro.metrics.detection_map import COCO_IOU_THRESHOLDS
 from repro.pipelines.detection import Detection
 
 
@@ -97,6 +98,140 @@ class TestCocoMap:
         # recall 0->1 at precision 1: AP = 1
         assert average_precision(np.array([1.0]), np.array([1.0])) == pytest.approx(1.0, abs=0.01)
         assert average_precision(np.array([]), np.array([])) == 0.0
+
+    def test_hand_computed_map(self):
+        # two truths, three detections ranked TP, FP, TP (every IoU is 0 or
+        # 1, so all ten thresholds agree): recall .5, .5, 1 at precision
+        # 1, 1/2, 2/3; the envelope is 1 up to recall .5 (51 of the 101
+        # points) and 2/3 above it (50 points)
+        truths = [[_gt((0.0, 0.0, 0.2, 0.2), 1), _gt((0.5, 0.5, 0.7, 0.7), 1)]]
+        dets = [[_det((0.5, 0.5, 0.7, 0.7), 0.7, 1),
+                 _det((0.0, 0.0, 0.2, 0.2), 0.9, 1),
+                 _det((0.8, 0.0, 0.9, 0.1), 0.8, 1)]]
+        assert coco_map(dets, truths) == pytest.approx((51 + 50 * 2 / 3) / 101, abs=1e-12)
+
+
+def per_threshold_coco_map(all_detections, all_truths, iou_thresholds):
+    """The original loop order: every threshold re-splits by class and
+    re-computes every (image, class) IoU matrix before its greedy match."""
+    from repro.pipelines.detection import iou_matrix
+
+    def match(detections, truths, iou_threshold):
+        if not detections:
+            return np.zeros(0, dtype=bool), len(truths)
+        det_boxes = np.asarray([d.box for d in detections], dtype=np.float64)
+        order = np.argsort([-d.score for d in detections], kind="stable")
+        tp = np.zeros(len(detections), dtype=bool)
+        if not truths:
+            return tp[order], 0
+        gt_boxes = np.asarray([t.box for t in truths], dtype=np.float64)
+        ious = iou_matrix(det_boxes, gt_boxes)
+        taken = np.zeros(len(truths), dtype=bool)
+        for pos, i in enumerate(order):
+            cand = np.flatnonzero(~taken)
+            if cand.size == 0:
+                break
+            j = cand[np.argmax(ious[i, cand])]
+            if ious[i, j] >= iou_threshold:
+                taken[j] = True
+                tp[pos] = True
+        return tp, len(truths)
+
+    class_ids = sorted(
+        {t.class_id for ts in all_truths for t in ts}
+        | {d.class_id for ds in all_detections for d in ds}
+    )
+    if not class_ids:
+        return 0.0
+    aps = []
+    for thr in iou_thresholds:
+        for c in class_ids:
+            scores, tps, n_truth = [], [], 0
+            for dets, truths in zip(all_detections, all_truths):
+                dets_c = [d for d in dets if d.class_id == c]
+                truths_c = [t for t in truths if t.class_id == c]
+                tp, n = match(dets_c, truths_c, thr)
+                tps.append(tp)
+                scores.extend(-d.score for d in sorted(dets_c, key=lambda d: -d.score))
+                n_truth += n
+            if n_truth == 0:
+                continue
+            flat_tp = np.concatenate(tps) if tps else np.zeros(0, dtype=bool)
+            if flat_tp.size == 0:
+                aps.append(0.0)
+                continue
+            order = np.argsort(scores, kind="stable")
+            flat_tp = flat_tp[order]
+            cum_tp = np.cumsum(flat_tp)
+            cum_fp = np.cumsum(~flat_tp)
+            recalls = cum_tp / n_truth
+            precisions = cum_tp / np.maximum(cum_tp + cum_fp, 1)
+            aps.append(average_precision(recalls, precisions))
+    return float(np.mean(aps)) if aps else 0.0
+
+
+def _random_detection_set(seed, n_images=24):
+    """Truths of classes 1-4 (and 6, never detected); detections jittered
+    around them plus clutter (and class 5, never true). Scores come from a
+    small grid so ties within and across images are common."""
+    rng = np.random.default_rng(seed)
+    all_dets, all_truths = [], []
+    for _ in range(n_images):
+        truths = []
+        for _ in range(rng.integers(0, 5)):
+            y0, x0 = rng.uniform(0.0, 0.6, size=2)
+            h, w = rng.uniform(0.1, 0.4, size=2)
+            truths.append(_gt((y0, x0, y0 + h, x0 + w), int(rng.choice([1, 2, 3, 4, 6]))))
+        dets = []
+        for t in truths:
+            for _ in range(rng.integers(0, 3)):
+                box = np.asarray(t.box) + rng.normal(0.0, 0.05, size=4)
+                cid = t.class_id if rng.random() < 0.8 else int(rng.integers(1, 6))
+                if cid != 6:
+                    dets.append(_det(box.tolist(), float(rng.choice([0.3, 0.5, 0.7, 0.9])), cid))
+        for _ in range(rng.integers(0, 4)):
+            y0, x0 = rng.uniform(0.0, 0.7, size=2)
+            box = (y0, x0, y0 + 0.2, x0 + 0.2)
+            dets.append(_det(box, float(rng.choice([0.3, 0.5, 0.7, 0.9])), int(rng.integers(1, 6))))
+        all_dets.append(dets)
+        all_truths.append(truths)
+    return all_dets, all_truths
+
+
+class TestCocoMapDifferential:
+    """coco_map against the per-threshold loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_sets(self, seed):
+        dets, truths = _random_detection_set(seed)
+        got = coco_map(dets, truths)
+        want = per_threshold_coco_map(dets, truths, COCO_IOU_THRESHOLDS)
+        assert 0.0 < got < 1.0
+        assert got.hex() == want.hex()
+
+    def test_custom_thresholds(self):
+        dets, truths = _random_detection_set(99)
+        thresholds = np.array([0.1, 0.33, 0.5, 0.9])
+        got = coco_map(dets, truths, iou_thresholds=thresholds)
+        assert got.hex() == per_threshold_coco_map(dets, truths, thresholds).hex()
+
+    def test_degenerate_sets(self):
+        box = (0.1, 0.1, 0.4, 0.4)
+        cases = [
+            ([[], []], [[_gt(box, 1)], []]),                  # no detections at all
+            ([[_det(box, 0.5, 2)], []], [[], []]),            # no truths at all
+            ([[_det(box, 0.5, 1), _det(box, 0.5, 1)]], [[_gt(box, 1)]]),  # tied duplicate
+            ([[], [_det(box, 0.9, 1)]], [[_gt(box, 1)], []]),  # truth and detection apart
+            # IoU exactly 0.5 and 0.75: a match at those thresholds
+            ([[_det((0.0, 0.0, 0.5, 1.0), 0.9, 1), _det((0.0, 0.0, 0.75, 1.0), 0.8, 1)]],
+             [[_gt((0.0, 0.0, 1.0, 1.0), 1), _gt((0.0, 0.0, 1.0, 1.0), 1)]]),
+            # twenty tied detections, a few of them hits, in score order
+            ([[_det((0.0, 0.05 * i, 0.3, 0.05 * i + 0.3), 0.5, 1) for i in range(20)]],
+             [[_gt((0.0, 0.25, 0.3, 0.55), 1), _gt((0.0, 0.7, 0.3, 1.0), 1)]]),
+        ]
+        for dets, truths in cases:
+            got = coco_map(dets, truths)
+            assert got.hex() == per_threshold_coco_map(dets, truths, COCO_IOU_THRESHOLDS).hex()
 
 
 class TestMiou:

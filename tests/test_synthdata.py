@@ -36,6 +36,44 @@ class TestPrototypes:
         assert np.abs(flat.mean(axis=(1, 2))).mean() > np.abs(tame.mean(axis=(1, 2))).mean()
 
 
+def brute_force_separated_colors(k, channels, rng):
+    """Farthest-point sampling that re-measures every chosen color per step."""
+    candidates = rng.uniform(-1.3, 1.3, size=(max(64, 8 * k), channels)).astype(np.float32)
+    chosen = [candidates[0]]
+    for _ in range(k - 1):
+        d = np.min(
+            np.linalg.norm(candidates[:, None] - np.asarray(chosen)[None], axis=-1), axis=1
+        )
+        chosen.append(candidates[int(d.argmax())])
+    return np.asarray(chosen, dtype=np.float32)
+
+
+class TestSeparatedColors:
+    @pytest.mark.parametrize("k", [1, 2, 11, 12, 100])
+    def test_matches_brute_force(self, k):
+        from repro.synthdata.scenes import _separated_colors
+
+        rng_fast, rng_ref = np.random.default_rng(k), np.random.default_rng(k)
+        got = _separated_colors(k, 3, rng_fast)
+        want = brute_force_separated_colors(k, 3, rng_ref)
+        assert got.dtype == np.float32 and got.shape == (k, 3)
+        assert got.tobytes() == want.tobytes()
+        # the caller keeps drawing from the same generator
+        assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_pixel_noise_matches_whole_batch_draw():
+    from repro.synthdata.scenes import _add_pixel_noise
+
+    images = np.random.default_rng(0).normal(size=(5, 9, 7, 3)).astype(np.float32)
+    rng_fast, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+    got = images.copy()
+    _add_pixel_noise(rng_fast, got)
+    want = images + rng_ref.normal(0, 0.15, size=images.shape).astype(np.float32)
+    assert got.tobytes() == want.tobytes()
+    assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+
+
 class TestClassificationScenes:
     def test_output_types(self):
         imgs, labels = classification_scene_batch(10, 24, 7, seed=5)
