@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: static analysis first (fastest, and it proves graph/plan
-# invariants before anything executes; one zoo sweep both gates and writes
-# benchmarks/results/STATICCHECK.json), then the full test suite, which runs
-# every other check once:
+# invariants before anything executes; one zoo sweep both gates and must
+# reproduce benchmarks/results/STATICCHECK.json), then the full test suite,
+# which runs every other check once:
 #   - the conformance/fault suites (tests/test_conformance.py,
 #     tests/test_faults.py) that guard the run-rule correctness the whole
 #     benchmark's credibility rests on;
@@ -29,9 +29,18 @@ python tools/selflint.py src tests tools
 
 # static verifier: the whole model zoo x {fp32, fp16, int8, uint8} must come
 # back clean from all four analyzer families (any finding exits 1). The JSON
-# report, with each plan's describe(), is kept as a build artifact next to
-# the BENCH files.
-python -m repro.staticcheck --format json > benchmarks/results/STATICCHECK.json
+# report, with each plan's describe(), is checked in next to the BENCH files
+# and must match byte for byte (it does not depend on the BLAS thread count).
+report=$(mktemp)
+trap 'rm -f "$report"' EXIT
+python -m repro.staticcheck --format json > "$report"
+if ! cmp -s "$report" benchmarks/results/STATICCHECK.json; then
+    diff "$report" benchmarks/results/STATICCHECK.json | head -20 >&2 || true
+    echo "ci.sh: the staticcheck report differs from benchmarks/results/STATICCHECK.json." \
+         "If the change is meant, regenerate it with" \
+         "'PYTHONPATH=src python -m repro.staticcheck --format json > benchmarks/results/STATICCHECK.json'." >&2
+    exit 1
+fi
 
 python -m pytest -x -q tests
 

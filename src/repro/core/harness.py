@@ -217,7 +217,7 @@ class BenchmarkHarness:
             metric=spec.metric,
             quality_target=target,
             quality_passed=passed,
-            latency_p90_ms=perf_log.percentile_latency(self.rules.latency_percentile) * 1e3,
+            latency_p90_ms=perf_log.percentile_latency(self.rules.loadgen.latency_percentile) * 1e3,
             latency_mean_ms=float(perf_log.latencies().mean()) * 1e3,
             throughput_fps=perf_log.throughput_fps(),
             energy_per_query_mj=(

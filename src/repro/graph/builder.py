@@ -225,18 +225,6 @@ class GraphBuilder:
         self.graph.add_op(O.Concat(name, xs, [out], axis=axis))
         return out
 
-    def avg_pool(self, x: str, k: int, stride: int | None = None, padding: str = "valid") -> str:
-        name = self._fresh("avgpool")
-        out = f"{name}/out"
-        self.graph.add_op(O.AvgPool2D(name, [x], [out], k=k, stride=stride or k, padding=padding))
-        return out
-
-    def max_pool(self, x: str, k: int, stride: int | None = None, padding: str = "valid") -> str:
-        name = self._fresh("maxpool")
-        out = f"{name}/out"
-        self.graph.add_op(O.MaxPool2D(name, [x], [out], k=k, stride=stride or k, padding=padding))
-        return out
-
     def global_pool(self, x: str, keepdims: bool = True) -> str:
         name = self._fresh("gap")
         out = f"{name}/out"
@@ -323,30 +311,6 @@ class GraphBuilder:
         self.graph.add_op(
             O.LSTM(name, [x], [out], w_ih=f"{name}/w_ih", w_hh=f"{name}/w_hh",
                    bias=f"{name}/b")
-        )
-        return out
-
-    def constant(self, value: np.ndarray, name: str | None = None) -> str:
-        """Materialize ``value`` as a tensor with a broadcast batch dim."""
-        name = name or self._fresh("const")
-        value = np.asarray(value, dtype=np.float32)
-        self.graph.add_param(f"{name}/value", value)
-        out = f"{name}/out"
-        self.graph.add_op(O.Constant(name, [], [out], value=f"{name}/value"))
-        return out
-
-    def pad(
-        self,
-        x: str,
-        pads_h: tuple[int, int],
-        pads_w: tuple[int, int],
-        value: float = 0.0,
-        name: str | None = None,
-    ) -> str:
-        name = name or self._fresh("pad")
-        out = f"{name}/out"
-        self.graph.add_op(
-            O.Pad(name, [x], [out], pads_h=tuple(pads_h), pads_w=tuple(pads_w), value=value)
         )
         return out
 

@@ -16,7 +16,7 @@ from .ops import Activation, BatchNorm, Conv2D, DepthwiseConv2D, FullyConnected
 __all__ = ["fold_batch_norms", "fuse_activations", "export_mobile"]
 
 _CONV_TYPES = (Conv2D, DepthwiseConv2D)
-_FUSABLE_ACTS = {"relu", "relu6", "hard_swish"}
+_FUSABLE_ACTS = {"relu", "relu6"}
 
 
 def fold_batch_norms(graph: Graph) -> Graph:
@@ -75,7 +75,11 @@ def fold_batch_norms(graph: Graph) -> Graph:
 
 
 def fuse_activations(graph: Graph) -> Graph:
-    """Fuse standalone relu/relu6/hard_swish ops into the producing conv/fc."""
+    """Fuse standalone relu/relu6 ops into the producing conv/fc.
+
+    These are the clamps a TFLite conv or fc kernel fuses; sigmoid and gelu
+    stay standalone ``Activation`` ops.
+    """
     g = graph.clone()
     producers = g.producers()
     consumers = g.consumers()

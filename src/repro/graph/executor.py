@@ -61,6 +61,3 @@ class Executor:
         the name must stay until the benchmark changes with it.
         """
         return self.plan.run(feeds, profiler=profiler)
-
-    def __call__(self, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        return self.run(feeds)

@@ -38,8 +38,6 @@ __all__ = [
     "Conv2D",
     "DepthwiseConv2D",
     "FullyConnected",
-    "AvgPool2D",
-    "MaxPool2D",
     "GlobalAvgPool",
     "ResizeBilinear",
     "Add",
@@ -54,8 +52,6 @@ __all__ = [
     "Split",
     "LSTM",
     "DepthToSpace",
-    "Constant",
-    "Pad",
     "ACTIVATION_FUNCTIONS",
     "Kernel",
 ]
@@ -67,10 +63,7 @@ Kernel = Callable[[list[np.ndarray]], list[np.ndarray]]
 ACTIVATION_FUNCTIONS = {
     "relu": K.relu,
     "relu6": K.relu6,
-    "hard_swish": K.hard_swish,
-    "hard_sigmoid": K.hard_sigmoid,
     "sigmoid": K.sigmoid,
-    "tanh": K.tanh,
     "gelu": K.gelu,
 }
 
@@ -148,18 +141,6 @@ def _shape_elems(shape: Sequence[int]) -> int:
         if d != -1:
             n *= d
     return n
-
-
-def _qparams_equal(a: QuantParams | None, b: QuantParams | None) -> bool:
-    """True when two quantization params describe the identical affine map."""
-    if a is None or b is None:
-        return a is b
-    return (
-        a.numerics is b.numerics
-        and a.axis == b.axis
-        and np.array_equal(a.scale, b.scale)
-        and np.array_equal(a.zero_point, b.zero_point)
-    )
 
 
 class Op:
@@ -352,28 +333,6 @@ class FullyConnected(_WeightedOp):
         fin, fout = graph.param_shape(self.attrs["weight"])
         lead = _shape_elems(in_shapes[0][:-1])
         return lead * fin * fout
-
-
-class AvgPool2D(Op):
-    op_type = "avg_pool2d"
-    _pool = staticmethod(K.avg_pool2d)
-
-    def infer_shapes(self, in_shapes, graph):
-        n, h, w, c = in_shapes[0]
-        oh, ow, _, _ = K.conv_output_shape(
-            h, w, self.attrs["k"], self.attrs["k"], self.attrs["stride"], self.attrs["padding"]
-        )
-        return [(n, oh, ow, c)]
-
-    def _prepare_float(self, graph):
-        pool = self._pool
-        k, stride, padding = self.attrs["k"], self.attrs["stride"], self.attrs["padding"]
-        return lambda ins: [pool(ins[0], k, stride, padding)]
-
-
-class MaxPool2D(AvgPool2D):
-    op_type = "max_pool2d"
-    _pool = staticmethod(K.max_pool2d)
 
 
 class GlobalAvgPool(Op):
@@ -638,93 +597,6 @@ class LSTM(Op):
         _, t, f_in = in_shapes[0]
         hidden = graph.param_shape(self.attrs["w_hh"])[0]
         return t * 4 * hidden * (f_in + hidden)
-
-
-class Constant(Op):
-    """Materialize a parameter as a tensor (leading broadcast dim of 1).
-
-    With ``raw=True`` the stored parameter already holds the *runtime
-    representation* (quantized codes in quantized graphs, fp16-cast floats
-    in FP16 graphs) and is emitted verbatim. With ``raw=False`` the
-    parameter is a real-valued array quantized on the way out like any
-    other tensor.
-
-    The output shape carries a symbolic batch dim (-1) and the value
-    broadcasts along it; consumers that do not broadcast over the batch
-    (e.g. concat along axis 0) must not be fed a Constant.
-    """
-
-    op_type = "constant"
-
-    def param_names(self) -> list[str]:
-        return [self.attrs["value"]]
-
-    def infer_shapes(self, in_shapes, graph):
-        if in_shapes:
-            raise ShapeError(self, "constant takes no inputs", in_shapes)
-        return [(-1,) + graph.param_shape(self.attrs["value"])]
-
-    def _prepare_float(self, graph):
-        return self._emit(graph, None)
-
-    def _prepare_quantized(self, graph):
-        return self._emit(graph, graph.spec(self.outputs[0]).qparams)
-
-    def _emit(self, graph: "Graph", qp: QuantParams | None) -> Kernel:
-        v = graph.params[self.attrs["value"]]
-        if self.attrs.get("raw"):
-            value = np.asarray(v)[None]
-        else:
-            value = np.asarray(v, dtype=np.float32)
-            value = (value if qp is None else quantize(value, qp))[None]
-        # computed once and returned by every call, so nobody may write it
-        value.flags.writeable = False
-        return lambda ins: [value]
-
-
-class Pad(Op):
-    """Explicit spatial constant-padding of an NHWC tensor.
-
-    Mirrors the TFLite PAD operator that mobile converters emit in front of
-    stride-2 convolutions.
-    """
-
-    op_type = "pad"
-
-    def infer_shapes(self, in_shapes, graph):
-        if len(in_shapes[0]) != 4:
-            raise ShapeError(self, "pad requires a rank-4 NHWC input", in_shapes)
-        n, h, w, c = in_shapes[0]
-        t, b = self.attrs["pads_h"]
-        l, r = self.attrs["pads_w"]
-        if min(t, b, l, r) < 0:
-            raise ShapeError(self, "negative padding", in_shapes)
-        return [(n, h + t + b, w + l + r, c)]
-
-    def _pads(self) -> tuple:
-        return ((0, 0), tuple(self.attrs["pads_h"]), tuple(self.attrs["pads_w"]), (0, 0))
-
-    def _prepare_float(self, graph):
-        pads, value = self._pads(), float(self.attrs.get("value", 0.0))
-        return lambda ins: [
-            np.pad(np.asarray(ins[0], dtype=np.float32), pads, constant_values=value)]
-
-    def _prepare_quantized(self, graph):
-        # pad with the quantized code of the constant (zero pads with the
-        # zero point), staying in the integer domain. The interior codes are
-        # copied verbatim, which is only valid when input and output share
-        # qparams; otherwise fall back to the float path.
-        in_qp = graph.spec(self.inputs[0]).qparams
-        out_qp = graph.spec(self.outputs[0]).qparams
-        if out_qp is None:
-            code = 0
-        elif in_qp is None or not _qparams_equal(in_qp, out_qp):
-            return super()._prepare_quantized(graph)
-        else:
-            value = float(self.attrs.get("value", 0.0))
-            code = int(quantize(np.asarray([value], dtype=np.float32), out_qp)[0])
-        pads = self._pads()
-        return lambda ins: [np.pad(ins[0], pads, constant_values=code)]
 
 
 class DepthToSpace(Op):

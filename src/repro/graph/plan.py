@@ -217,9 +217,6 @@ class ExecutionPlan:
             results[name] = arr
         return results
 
-    def __call__(self, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        return self.run(feeds)
-
     # -- introspection -------------------------------------------------------
     def describe(self) -> dict:
         """Summary of what compilation cached (docs/debugging aid).

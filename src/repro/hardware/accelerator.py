@@ -23,9 +23,8 @@ __all__ = ["AcceleratorSpec", "OP_SUPPORT"]
 # note: bilinear resize is deliberately absent from fixed-function engines —
 # a common real-world gap that fragments DeepLab-style graphs into segments
 _NPU_OPS = {
-    "conv2d", "depthwise_conv2d", "fully_connected", "avg_pool2d", "max_pool2d",
-    "global_avg_pool", "add", "concat", "activation", "reshape", "depth_to_space",
-    "constant", "pad",
+    "conv2d", "depthwise_conv2d", "fully_connected", "global_avg_pool", "add",
+    "concat", "activation", "reshape", "depth_to_space",
 }
 _DSP_OPS = set(_NPU_OPS)
 _GPU_OPS = _NPU_OPS | {"softmax", "layer_norm", "attention", "embedding", "split",

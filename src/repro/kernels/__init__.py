@@ -8,9 +8,6 @@ kernels operate on integer arrays tagged with :class:`QuantParams`.
 from .activations import (
     apply_quantized_lut,
     gelu,
-    hard_sigmoid,
-    hard_swish,
-    log_softmax,
     quantized_lut,
     relu,
     relu6,
@@ -41,18 +38,11 @@ from .numerics import (
     cast_fp16,
     choose_qparams,
     dequantize,
-    fake_quant,
     quantize,
     requantize,
 )
 from .recurrent import depth_to_space, lstm_cell, lstm_sequence
-from .pooling import (
-    avg_pool2d,
-    global_avg_pool,
-    max_pool2d,
-    resize_bilinear,
-    resize_nearest,
-)
+from .pooling import global_avg_pool, resize_bilinear
 
 __all__ = [
     "Numerics",
@@ -61,7 +51,6 @@ __all__ = [
     "dequantize",
     "requantize",
     "choose_qparams",
-    "fake_quant",
     "cast_fp16",
     "conv_output_shape",
     "im2col",
@@ -76,23 +65,17 @@ __all__ = [
     "batched_matmul",
     "relu",
     "relu6",
-    "hard_swish",
-    "hard_sigmoid",
     "sigmoid",
     "tanh",
     "gelu",
     "softmax",
-    "log_softmax",
     "quantized_lut",
     "apply_quantized_lut",
     "batch_norm",
     "layer_norm",
     "fold_batch_norm",
-    "avg_pool2d",
-    "max_pool2d",
     "global_avg_pool",
     "resize_bilinear",
-    "resize_nearest",
     "multi_head_attention",
     "lstm_cell",
     "lstm_sequence",

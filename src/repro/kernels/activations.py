@@ -14,14 +14,11 @@ from .numerics import QuantParams, dequantize, quantize
 __all__ = [
     "relu",
     "relu6",
-    "hard_swish",
-    "hard_sigmoid",
     "sigmoid",
     "tanh",
     "gelu",
     "softmax",
     "softmax_inplace",
-    "log_softmax",
     "quantized_lut",
     "apply_quantized_lut",
 ]
@@ -33,14 +30,6 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def relu6(x: np.ndarray) -> np.ndarray:
     return np.clip(x, 0.0, 6.0).astype(np.float32)
-
-
-def hard_sigmoid(x: np.ndarray) -> np.ndarray:
-    return (np.clip(x + 3.0, 0.0, 6.0) / 6.0).astype(np.float32)
-
-
-def hard_swish(x: np.ndarray) -> np.ndarray:
-    return (x * hard_sigmoid(x)).astype(np.float32)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -85,12 +74,6 @@ def softmax_inplace(y: np.ndarray, axis: int = -1) -> np.ndarray:
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
     return y.astype(np.float32)
-
-
-def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    x = x - x.max(axis=axis, keepdims=True)
-    return (x - np.log(np.exp(x).sum(axis=axis, keepdims=True))).astype(np.float32)
 
 
 def quantized_lut(fn, in_qp: QuantParams, out_qp: QuantParams) -> np.ndarray:

@@ -20,7 +20,6 @@ __all__ = [
     "dequantize",
     "requantize",
     "choose_qparams",
-    "fake_quant",
     "cast_fp16",
 ]
 
@@ -73,12 +72,6 @@ class Numerics(enum.Enum):
         if self.is_float:
             raise ValueError(f"{self} is not a quantized format")
         return int(np.iinfo(self.np_dtype).max)
-
-    @classmethod
-    def parse(cls, value: "str | Numerics") -> "Numerics":
-        if isinstance(value, Numerics):
-            return value
-        return cls(value.lower())
 
 
 @dataclass(frozen=True)
@@ -200,11 +193,6 @@ def requantize(acc: np.ndarray, in_scale: np.ndarray, out_qp: QuantParams) -> np
     acc *= in_scale
     acc /= out_qp.scale.reshape(out_qp.broadcast_shape(acc.ndim))
     return _to_codes(acc, out_qp)
-
-
-def fake_quant(values: np.ndarray, qp: QuantParams) -> np.ndarray:
-    """Quantize then dequantize — the numeric error of one quantization hop."""
-    return dequantize(quantize(values, qp), qp)
 
 
 def cast_fp16(values: np.ndarray) -> np.ndarray:

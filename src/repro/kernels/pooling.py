@@ -4,56 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conv import conv_output_shape, im2col, pad_input
-
 __all__ = [
-    "avg_pool2d",
-    "max_pool2d",
     "global_avg_pool",
     "resize_bilinear",
-    "resize_nearest",
 ]
-
-
-def _pool_window_view(x: np.ndarray, k: int, stride: int, padding: str, pad_value: float):
-    """Strided (N, out_h, out_w, k, k, C) window view over the padded input.
-
-    No patch materialization: reductions that are order-insensitive (max)
-    run directly on the view instead of forcing the contiguous copy that
-    ``im2col(...).reshape`` implies.
-    """
-    n, in_h, in_w, c = x.shape
-    out_h, out_w, pads_h, pads_w = conv_output_shape(in_h, in_w, k, k, stride, padding)
-    xp = pad_input(np.ascontiguousarray(x, dtype=np.float32), pads_h, pads_w, value=pad_value)
-    s0, s1, s2, s3 = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, out_h, out_w, k, k, c),
-        strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
-        writeable=False,
-    )
-
-
-def _pool_patches(x: np.ndarray, k: int, stride: int, padding: str, pad_value: float):
-    n, in_h, in_w, c = x.shape
-    out_h, out_w, pads_h, pads_w = conv_output_shape(in_h, in_w, k, k, stride, padding)
-    xp = pad_input(np.ascontiguousarray(x, dtype=np.float32), pads_h, pads_w, value=pad_value)
-    cols = im2col(xp, k, k, stride, out_h, out_w)
-    return cols.reshape(n, out_h, out_w, k * k, c)
-
-
-def avg_pool2d(x: np.ndarray, k: int, stride: int | None = None, padding: str = "valid") -> np.ndarray:
-    # mean keeps the materialized-patch path: its summation order (and hence
-    # float rounding) must stay identical to the historical im2col layout
-    stride = stride or k
-    patches = _pool_patches(x, k, stride, padding, 0.0)
-    return patches.mean(axis=3).astype(np.float32)
-
-
-def max_pool2d(x: np.ndarray, k: int, stride: int | None = None, padding: str = "valid") -> np.ndarray:
-    stride = stride or k
-    view = _pool_window_view(x, k, stride, padding, -np.inf)
-    return view.max(axis=(3, 4)).astype(np.float32)
 
 
 def global_avg_pool(x: np.ndarray, keepdims: bool = True) -> np.ndarray:
@@ -87,9 +41,3 @@ def resize_bilinear(x: np.ndarray, out_h: int, out_w: int, align_corners: bool =
     cols = x[:, :, x0] * (1 - wx) + x[:, :, x1] * wx
     return (cols[:, y0] * (1 - wy) + cols[:, y1] * wy).astype(np.float32)
 
-
-def resize_nearest(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    n, in_h, in_w, c = x.shape
-    ys = np.minimum((np.arange(out_h) * in_h // out_h), in_h - 1)
-    xs = np.minimum((np.arange(out_w) * in_w // out_w), in_w - 1)
-    return np.ascontiguousarray(x[:, ys][:, :, xs])

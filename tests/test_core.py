@@ -15,6 +15,7 @@ from repro.core import (
     tasks_for_version,
 )
 from repro.kernels import Numerics
+from repro.loadgen import Mode, Scenario, TestSettings
 
 
 class TestTasks:
@@ -52,10 +53,10 @@ class TestTasks:
 
 class TestRules:
     def test_defaults_match_paper(self):
-        assert DEFAULT_RULES.min_query_count == 1024
-        assert DEFAULT_RULES.min_duration_s == 60.0
-        assert DEFAULT_RULES.offline_sample_count == 24576
-        assert DEFAULT_RULES.latency_percentile == 90.0
+        assert DEFAULT_RULES.loadgen.min_query_count == 1024
+        assert DEFAULT_RULES.loadgen.min_duration_s == 60.0
+        assert DEFAULT_RULES.loadgen.offline_sample_count == 24576
+        assert DEFAULT_RULES.loadgen.latency_percentile == 90.0
         assert DEFAULT_RULES.audit_tolerance == 0.05
         assert (DEFAULT_RULES.ambient_min_c, DEFAULT_RULES.ambient_max_c) == (20.0, 25.0)
 
@@ -70,10 +71,22 @@ class TestRules:
             rules.validate_conditions(ambient_c=22.0)
 
     def test_loadgen_settings_thread_through(self):
-        from repro.loadgen import Mode, Scenario
-
-        s = QUICK_RULES.loadgen_settings(Scenario.SINGLE_STREAM, Mode.PERFORMANCE)
-        assert s.min_query_count == QUICK_RULES.min_query_count
+        """Every field of the settings both rule sets hand LoadGen, spelled out."""
+        for scenario in Scenario:
+            for mode in Mode:
+                assert DEFAULT_RULES.loadgen_settings(scenario, mode) == TestSettings(
+                    scenario=scenario, mode=mode, min_query_count=1024, min_duration_s=60.0,
+                    offline_sample_count=24576, performance_sample_count=1024,
+                    seed=0x9E3779B9, latency_percentile=90.0, accuracy_batch_size=32,
+                    query_retry_budget=3, query_drop_budget=16,
+                )
+                assert QUICK_RULES.loadgen_settings(scenario, mode) == TestSettings(
+                    scenario=scenario, mode=mode, min_query_count=128, min_duration_s=5.0,
+                    offline_sample_count=2048, performance_sample_count=1024,
+                    seed=0x9E3779B9, latency_percentile=90.0, accuracy_batch_size=32,
+                    query_retry_budget=3, query_drop_budget=16,
+                )
+        assert QUICK_RULES.cooldown_s == 30.0
 
 
 @pytest.fixture(scope="module")

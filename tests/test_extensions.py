@@ -127,7 +127,7 @@ class TestSubmissionExport:
         _, root = exported_submission
         log = load_log(root / "results/question_answering/performance_log.json")
         assert validate_log(log) == []
-        assert log.query_count >= QUICK_RULES.min_query_count
+        assert log.query_count >= QUICK_RULES.loadgen.min_query_count
 
     def test_tampered_log_on_disk_detected(self, exported_submission, tmp_path):
         """Editing the 'unedited' log file breaks validation."""

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from repro.kernels import (
     Numerics,
     QuantParams,
-    avg_pool2d,
     choose_qparams,
     conv_output_shape,
     dequantize,
     global_avg_pool,
-    max_pool2d,
     prepare_conv2d,
     prepare_conv2d_quantized,
     prepare_depthwise_conv2d,
@@ -22,7 +20,6 @@ from repro.kernels import (
     quantize,
     requantize,
     resize_bilinear,
-    resize_nearest,
 )
 
 
@@ -319,16 +316,6 @@ class TestFast1x1:
 
 
 class TestPooling:
-    def test_avg_pool(self, rng):
-        x = rng.normal(size=(1, 4, 4, 2)).astype(np.float32)
-        out = avg_pool2d(x, k=2)
-        np.testing.assert_allclose(out[0, 0, 0], x[0, :2, :2].mean(axis=(0, 1)), atol=1e-6)
-
-    def test_max_pool(self, rng):
-        x = rng.normal(size=(1, 4, 4, 2)).astype(np.float32)
-        out = max_pool2d(x, k=2)
-        np.testing.assert_allclose(out[0, 0, 0], x[0, :2, :2].max(axis=(0, 1)), atol=1e-6)
-
     def test_global_avg_pool(self, rng):
         x = rng.normal(size=(3, 5, 5, 4)).astype(np.float32)
         np.testing.assert_allclose(
@@ -350,11 +337,6 @@ class TestResize:
         x = rng.uniform(0, 1, (1, 5, 5, 2)).astype(np.float32)
         out = resize_bilinear(x, 16, 16)
         assert out.min() >= x.min() - 1e-6 and out.max() <= x.max() + 1e-6
-
-    def test_nearest_exact_2x(self):
-        x = np.arange(4, dtype=np.float32).reshape(1, 2, 2, 1)
-        out = resize_nearest(x, 4, 4)
-        assert out[0, 0, 0, 0] == 0 and out[0, 3, 3, 0] == 3
 
     @given(st.integers(2, 10), st.integers(2, 10))
     @settings(max_examples=25, deadline=None)

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from repro.graph import (
-    ExecutionPlan, ExecutionProfiler, Executor, Graph, TensorSpec, export_mobile,
+    ExecutionPlan, ExecutionProfiler, Executor, export_mobile,
 )
 from repro.graph import ops as graph_ops
+from repro.hardware import OP_SUPPORT
 from repro.kernels import Numerics, quantize
 from repro.loadgen.qsl import BLOCK_SIZE, QuerySampleLibrary
 from repro.datasets.base import IndexDataset
@@ -78,20 +79,6 @@ class TestBitExactness:
             np.testing.assert_array_equal(a[name], b[name])
 
 
-def _rare_ops_graph() -> Graph:
-    """The op types no zoo model runs: pad, both pools and a constant."""
-    g = Graph("rare_ops")
-    g.add_input(TensorSpec("x", (-1, 8, 8, 4)))
-    g.add_param("bias", np.linspace(-1, 1, 5 * 5 * 4, dtype=np.float32).reshape(5, 5, 4))
-    g.add_op(graph_ops.Pad("pad", ["x"], ["p"], pads_h=(1, 1), pads_w=(0, 2)))
-    g.add_op(graph_ops.MaxPool2D("max", ["p"], ["m"], k=2, stride=2, padding="valid"))
-    g.add_op(graph_ops.AvgPool2D("avg", ["m"], ["a"], k=3, stride=1, padding="same"))
-    g.add_op(graph_ops.Constant("const", [], ["c"], value="bias"))
-    g.add_op(graph_ops.Add("add", ["a", "c"], ["y"]))
-    g.set_outputs(["y"])
-    return g
-
-
 @pytest.fixture(scope="module")
 def zoo_graphs(unfitted_zoo):
     """Every zoo model, unfitted, as built (batch norms unfolded) and exported."""
@@ -110,14 +97,10 @@ class TestShapeOracle:
 
     @staticmethod
     def _mismatches(graph, feeds, batch):
-        producers = graph.producers()
         bad, seen = [], []
 
         def tap(name, arr):
-            # a Constant broadcasts along the batch with a leading dim of 1
-            op = producers.get(name)
-            n = 1 if op is not None and op.op_type == "constant" else batch
-            expected = graph.spec(name).with_batch(n)
+            expected = graph.spec(name).with_batch(batch)
             seen.append(name)
             if arr.shape != expected:
                 bad.append((name, arr.shape, expected))
@@ -131,20 +114,22 @@ class TestShapeOracle:
             feeds = model_feeds(name, g, self.BATCH)
             assert self._mismatches(g, feeds, self.BATCH) == [], name
 
-    def test_rare_ops_match_their_specs(self):
-        g = _rare_ops_graph()
-        x = np.random.default_rng(0).normal(size=(self.BATCH, 8, 8, 4)).astype(np.float32)
-        assert self._mismatches(g, {"x": x}, self.BATCH) == []
-
     def test_every_op_type_is_exercised(self, zoo_graphs):
-        exercised = {op.op_type for _, g in zoo_graphs for op in g.ops}
-        exercised |= {op.op_type for op in _rare_ops_graph().ops}
+        """The zoo alone reaches every op type, every activation kind and
+        every op type an accelerator table lists, so none of them is code
+        that only a test runs."""
+        ops = [op for _, g in zoo_graphs for op in g.ops]
+        exercised = {op.op_type for op in ops}
         op_types = {
             cls.op_type for cls in vars(graph_ops).values()
             if isinstance(cls, type) and issubclass(cls, graph_ops.Op)
             and cls.op_type != graph_ops.Op.op_type
         }
         assert op_types - exercised == set()
+        assert set().union(*OP_SUPPORT.values()) - exercised == set()
+        kinds = {op.attrs["kind"] for op in ops if op.op_type == "activation"}
+        kinds |= {op.attrs.get("activation") for op in ops}
+        assert set(graph_ops.ACTIVATION_FUNCTIONS) - kinds == set()
 
 
 class TestIntegerOperands:
