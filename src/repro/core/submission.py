@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from ..loadgen.scenarios import loadgen_checksum
 from ..loadgen.validation import validate_serialized
+from ..staticcheck.verifier import attestation_problems
 from .harness import BenchmarkHarness
 from .results import SuiteResult
 
@@ -92,6 +93,7 @@ def provenance_problems(entry: dict) -> list[str]:
 
     Keys a provenance entry lacks are not violations (packages predating the
     static verifier carry no stamp); a recorded value must satisfy its rule.
+    The stamp is judged by :func:`~repro.staticcheck.attestation_problems`.
     """
     problems: list[str] = []
     deployed = entry.get("deployed_source_checksum", "")
@@ -102,19 +104,8 @@ def provenance_problems(entry: dict) -> list[str]:
             "deployed model does not descend from the frozen reference graph "
             "(source checksum mismatch)"
         )
-    stamp = entry.get("staticcheck") or {}
-    if stamp:
-        if not stamp.get("verified", False):
-            problems.append(
-                f"deployed graph failed static verification "
-                f"({stamp.get('errors', '?')} error finding(s))"
-            )
-        shipped = entry.get("deployed_checksum")
-        if shipped and stamp.get("checksum") not in (None, shipped):
-            problems.append(
-                "deployed graph was modified after its static-verification "
-                "attestation (checksum mismatch)"
-            )
+    problems += [f"deployed {p}" for p in attestation_problems(
+        entry.get("staticcheck"), entry.get("deployed_checksum"))]
     samples = (entry.get("quantization") or {}).get("calibration_samples")
     if samples is not None and samples > 500:
         problems.append(

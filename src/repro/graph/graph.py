@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -18,11 +18,25 @@ from ..kernels.numerics import Numerics, QuantParams
 from .ops import Op, OpCost
 from .tensor import TensorSpec
 
-__all__ = ["Graph", "GraphValidationError"]
+__all__ = ["Graph", "GraphProblem", "GraphValidationError"]
 
 
 class GraphValidationError(ValueError):
     """The graph violates a structural invariant."""
+
+
+class GraphProblem(NamedTuple):
+    """One structural invariant a graph breaks, at an op and/or tensor.
+
+    ``rule_id`` is the static-verifier rule that reports it (DF001, DF004,
+    DF005, DF008 or DF010), or None for an invariant only
+    :meth:`Graph.validate` enforces.
+    """
+
+    rule_id: str | None
+    message: str
+    op: str | None = None
+    tensor: str | None = None
 
 
 class Graph:
@@ -194,49 +208,62 @@ class Graph:
         h.update(",".join(self.output_names).encode())
         return h.hexdigest()
 
-    def validate(self) -> None:
-        """Check structural invariants: connectivity, outputs, param shapes."""
+    def problems(self) -> Iterator[GraphProblem]:
+        """Walk the graph once and yield every structural invariant it breaks.
+
+        Rules DF001, DF004, DF005, DF008 and DF010 are stated here and
+        nowhere else: :meth:`validate` raises on the first problem, and the
+        static verifier's dataflow family reports each tagged one as a
+        finding.
+        """
         if not self.inputs:
-            raise GraphValidationError(f"graph {self.name!r} has no inputs")
+            yield GraphProblem(None, f"graph {self.name!r} has no inputs")
         if not self.output_names:
-            raise GraphValidationError(f"graph {self.name!r} has no outputs")
+            yield GraphProblem(None, f"graph {self.name!r} has no outputs")
         input_names = {s.name for s in self.inputs}
-        seen = set(input_names)
         op_names: set[str] = set()
         produced: dict[str, str] = {}
         for op in self.ops:
             if op.name in op_names:
-                raise GraphValidationError(
-                    f"graph {self.name!r}: op name {op.name!r} is defined more "
-                    f"than once (op names key plans, profiles and placements)")
+                yield GraphProblem(
+                    "DF008", f"op name {op.name!r} is defined more than once "
+                             f"(op names key plans, profiles and placements)", op=op.name)
             op_names.add(op.name)
             for t in op.inputs:
-                if t not in seen:
-                    raise GraphValidationError(f"op {op.name!r} runs before its input {t!r}")
+                if t not in input_names and t not in produced:
+                    yield GraphProblem(None, f"op {op.name!r} runs before its input {t!r}",
+                                       op=op.name, tensor=t)
             for t in op.outputs:
                 if t in input_names or t in produced:
                     prev = produced.get(t, "<graph input>")
-                    raise GraphValidationError(
-                        f"tensor {t!r} has two producers: {prev!r} and {op.name!r}")
+                    yield GraphProblem(
+                        "DF004", f"tensor {t!r} has two producers: {prev!r} and {op.name!r}",
+                        op=op.name, tensor=t)
                 produced[t] = op.name
-            seen.update(op.outputs)
-        for n in self.output_names:
-            if n not in self.tensor_specs:
-                raise GraphValidationError(
-                    f"graph {self.name!r} declares output {n!r}, which names no "
-                    f"known tensor")
+        for name in self.output_names:
+            if name not in produced and name not in input_names:
+                yield GraphProblem("DF005", f"declared output {name!r} is never produced",
+                                   tensor=name)
         for p in self.params:
             if p in input_names:
-                raise GraphValidationError(
-                    f"parameter {p!r} shadows the graph input of the same name")
+                yield GraphProblem(
+                    "DF010", f"parameter {p!r} shadows the graph input of the same name",
+                    tensor=p)
         for name, arr in self.params.items():
             if arr is not None and tuple(arr.shape) != self.param_shapes[name]:
-                raise GraphValidationError(
-                    f"parameter {name!r} shape drifted: array is "
-                    f"{tuple(arr.shape)}, declared {self.param_shapes[name]}")
-        # every non-output intermediate should be consumed (no dead ends)
+                yield GraphProblem(
+                    None, f"parameter {name!r} shape drifted: array is "
+                          f"{tuple(arr.shape)}, declared {self.param_shapes[name]}", tensor=name)
+        # every non-output intermediate must be consumed (no dead ends)
         consumed = {t for op in self.ops for t in op.inputs} | set(self.output_names)
         for op in self.ops:
             for t in op.outputs:
                 if t not in consumed:
-                    raise GraphValidationError(f"tensor {t!r} is produced but never used")
+                    yield GraphProblem(
+                        "DF001", f"tensor {t!r} (produced by {op.name!r}) is never "
+                                 f"consumed and is not a graph output", op=op.name, tensor=t)
+
+    def validate(self) -> None:
+        """Raise :class:`GraphValidationError` on the first of :meth:`problems`."""
+        for problem in self.problems():
+            raise GraphValidationError(problem.message)

@@ -181,6 +181,12 @@ class Op:
     def _prepare_float(self, graph: "Graph") -> Kernel:
         raise NotImplementedError
 
+    def missing_qparams(self, graph: "Graph") -> list[str]:
+        """The qparams this op's integer kernel needs and ``graph`` lacks
+        (``"input"``, ``"weight"``, ``"output"``). Non-empty means the op
+        runs the float fallback; an op with no integer kernel needs none."""
+        return []
+
     def _prepare_quantized(self, graph: "Graph") -> Kernel:
         """The float kernel as-is for a pass-through op; otherwise the float
         fallback: dequantize inputs -> float kernel -> quantize outputs."""
@@ -244,12 +250,20 @@ class _WeightedOp(Op):
         post = _float_epilogue(self.attrs.get("activation"))
         return lambda ins: [post(run(ins[0]))]
 
+    def _qparams(self, graph) -> tuple[QuantParams | None, ...]:
+        """(input, weight, output) qparams; any may be None."""
+        return (graph.spec(self.inputs[0]).qparams,
+                graph.param_qparams.get(self.attrs["weight"]),
+                graph.spec(self.outputs[0]).qparams)
+
+    def missing_qparams(self, graph):
+        return [label for label, qp in zip(("input", "weight", "output"), self._qparams(graph))
+                if qp is None]
+
     def _prepare_quantized(self, graph):
-        x_qp = graph.spec(self.inputs[0]).qparams
-        w_qp = graph.param_qparams.get(self.attrs["weight"])
-        out_qp = graph.spec(self.outputs[0]).qparams
-        if x_qp is None or w_qp is None or out_qp is None:
+        if self.missing_qparams(graph):
             return super()._prepare_quantized(graph)
+        x_qp, w_qp, out_qp = self._qparams(graph)
         run = self._quantized_kernel(*self._params(graph), x_qp, w_qp, out_qp, **self._window())
         post = _quantized_epilogue(self.attrs.get("activation"), out_qp)
 
@@ -429,11 +443,15 @@ class Activation(Op):
         fn = ACTIVATION_FUNCTIONS[self.attrs["kind"]]
         return lambda ins: [fn(ins[0])]
 
+    def missing_qparams(self, graph):
+        return [label for label, t in (("input", self.inputs[0]), ("output", self.outputs[0]))
+                if graph.spec(t).qparams is None]
+
     def _prepare_quantized(self, graph):
+        if self.missing_qparams(graph):
+            return super()._prepare_quantized(graph)
         in_qp = graph.spec(self.inputs[0]).qparams
         out_qp = graph.spec(self.outputs[0]).qparams
-        if in_qp is None or out_qp is None:
-            return super()._prepare_quantized(graph)
         lut = K.quantized_lut(ACTIVATION_FUNCTIONS[self.attrs["kind"]], in_qp, out_qp)
         return lambda ins: [K.apply_quantized_lut(ins[0], lut, in_qp)]
 

@@ -11,15 +11,12 @@ from __future__ import annotations
 
 from ..graph.builder import GraphBuilder
 from .common import (
-    calibrate_batch_norms,
     ModelBundle,
     fused_inverted_bottleneck,
     inverted_bottleneck,
-    probe_images,
     round_channels,
-    standardize_head,
 )
-from .ssd_mobilenet_v2 import attach_ssd_heads
+from .ssd_mobilenet_v2 import ssd_detector
 
 __all__ = ["create_mobiledet_ssd", "BLOCK_SPEC"]
 
@@ -86,45 +83,6 @@ def create_mobiledet_ssd(
         stride *= s if s == 2 else 1
         endpoints[stride] = h
 
-    feature_maps = [endpoints[16], endpoints[32]]
-    for i, c in enumerate((384, 256)):
-        if b.graph.spec(h).shape[1] < 2:
-            break
-        h = b.conv(h, round_channels(c * width / 2), k=1, activation="relu6", use_bn=True,
-                   name=f"extra_{i}/squeeze")
-        h = b.conv(h, round_channels(c * width), k=3, stride=2, activation="relu6", use_bn=True,
-                   name=f"extra_{i}/expand")
-        feature_maps.append(h)
-
-    class_logits, box_encodings, _, _ = attach_ssd_heads(
-        b, feature_maps, num_classes=num_classes, anchors_per_cell=anchors_per_cell
-    )
-    scores = b.activation(class_logits, "sigmoid", name="class_scores")
-    b.outputs(scores, box_encodings)
-    graph = b.build()
-    feature_shapes = [tuple(b.graph.spec(f).shape[1:3]) for f in feature_maps]
-    graph.metadata.update(task="object_detection", reference="MobileDet-SSD")
-
-    if materialize:
-        feeds = {"images": probe_images(graph.inputs[0].shape, n=16, seed=seed + 1)}
-        calibrate_batch_norms(graph, feeds)
-        for i in range(len(feature_maps)):
-            standardize_head(graph, f"cls_head_{i}/pw/out", f"cls_head_{i}/pw/w",
-                             f"cls_head_{i}/pw/b", feeds, target_std=1.5, target_mean=-2.0)
-            standardize_head(graph, f"box_head_{i}/pw/out", f"box_head_{i}/pw/w",
-                             f"box_head_{i}/pw/b", feeds, target_std=1.0)
-
-    return ModelBundle(
-        graph=graph,
-        task="object_detection",
-        input_name=x,
-        output_names={"scores": scores, "boxes": box_encodings, "logits": class_logits},
-        config={
-            "num_classes": num_classes,
-            "input_size": input_size,
-            "width": width,
-            "anchors_per_cell": anchors_per_cell,
-            "feature_shapes": feature_shapes,
-            "box_variances": (0.1, 0.1, 0.2, 0.2),
-        },
-    )
+    return ssd_detector(b, x, endpoints, (384, 256), reference="MobileDet-SSD", width=width,
+                        num_classes=num_classes, anchors_per_cell=anchors_per_cell, seed=seed,
+                        materialize=materialize)

@@ -11,19 +11,21 @@ import numpy as np
 
 __all__ = ["generate_ssd_anchors", "anchors_for_model"]
 
+# anchor scales run linearly from the finest map's to the coarsest map's
+_MIN_SCALE = 0.2
+_MAX_SCALE = 0.9
+
 
 def generate_ssd_anchors(
     feature_shapes: list[tuple[int, int]],
     *,
-    min_scale: float = 0.2,
-    max_scale: float = 0.9,
     aspect_ratios: tuple[float, ...] = (1.0, 2.0, 0.5),
     extra_scale_anchor: bool = True,
 ) -> np.ndarray:
     """Build the (A, 4) anchor grid over every feature map.
 
-    Scales interpolate linearly from ``min_scale`` (finest map) to
-    ``max_scale`` (coarsest), one scale per map. Each cell gets one anchor
+    Scales interpolate linearly from 0.2 (finest map) to 0.9 (coarsest),
+    one scale per map. Each cell gets one anchor
     per aspect ratio plus — per the standard SSD recipe — an extra square
     anchor at the geometric-mean scale sqrt(s_k * s_{k+1}), which fills the
     coverage gap between consecutive maps.
@@ -32,9 +34,10 @@ def generate_ssd_anchors(
         raise ValueError("need at least one feature map")
     n_maps = len(feature_shapes)
     if n_maps == 1:
-        scales = [min_scale, max_scale]
+        scales = [_MIN_SCALE, _MAX_SCALE]
     else:
-        scales = [min_scale + (max_scale - min_scale) * i / (n_maps - 1) for i in range(n_maps)]
+        scales = [_MIN_SCALE + (_MAX_SCALE - _MIN_SCALE) * i / (n_maps - 1)
+                  for i in range(n_maps)]
         scales.append(1.0)
     boxes = []
     for m, (fh, fw) in enumerate(feature_shapes):

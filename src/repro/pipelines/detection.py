@@ -8,6 +8,10 @@ import numpy as np
 
 __all__ = ["Detection", "decode_boxes", "encode_boxes", "iou_matrix", "nms", "postprocess_detections"]
 
+# per-class NMS overlap limit and the detections kept per sample
+_NMS_IOU_THRESHOLD = 0.5
+_MAX_DETECTIONS = 20
+
 
 @dataclass(frozen=True)
 class Detection:
@@ -91,28 +95,24 @@ def postprocess_detections(
     anchors: np.ndarray,
     *,
     score_threshold: float = 0.3,
-    iou_threshold: float = 0.5,
-    max_detections: int = 20,
     variances: tuple[float, float, float, float] = (0.1, 0.1, 0.2, 0.2),
-    skip_background: bool = True,
 ) -> list[Detection]:
     """Per-class NMS over decoded boxes for one sample.
 
     ``class_scores``: (A, C) post-sigmoid; ``box_encodings``: (A, 4).
-    Class 0 is treated as background when ``skip_background``.
+    Class 0 is background and never detected.
     """
     boxes = decode_boxes(box_encodings, anchors, variances)
     detections: list[Detection] = []
-    start_class = 1 if skip_background else 0
-    for c in range(start_class, class_scores.shape[1]):
+    for c in range(1, class_scores.shape[1]):
         scores_c = class_scores[:, c]
         keep = scores_c >= score_threshold
         if not np.any(keep):
             continue
         idx = np.flatnonzero(keep)
-        sel = nms(boxes[idx], scores_c[idx], iou_threshold)
+        sel = nms(boxes[idx], scores_c[idx], _NMS_IOU_THRESHOLD)
         for i in sel:
             a = idx[i]
             detections.append(Detection(tuple(boxes[a].tolist()), float(scores_c[a]), c))
     detections.sort(key=lambda d: -d.score)
-    return detections[:max_detections]
+    return detections[:_MAX_DETECTIONS]

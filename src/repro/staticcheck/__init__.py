@@ -30,7 +30,6 @@ from .verifier import (
     deployment_variants,
     sweep_zoo,
     verify_graph,
-    zoo_deployments,
 )
 
 __all__ = [
@@ -54,5 +53,4 @@ __all__ = [
     "sweep_vendor_placements",
     "sweep_zoo",
     "verify_graph",
-    "zoo_deployments",
 ]

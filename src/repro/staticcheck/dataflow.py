@@ -1,9 +1,13 @@
 """Typed dataflow verifier (rules DF001–DF010).
 
-Checks the connectivity invariants of an op list: dangling tensors, dead
-ops, unused and missing params, duplicate producers and names, unreachable
-outputs. DF006 re-runs each op's own ``infer_shapes`` on the input specs the
-graph recorded and compares the result with the recorded output specs.
+Checks the connectivity invariants of an op list. Dangling tensors,
+duplicate producers and op names, unreachable outputs and parameters that
+shadow inputs (DF001, DF004, DF005, DF008, DF010) come from
+:meth:`Graph.problems`, the walk ``Graph.validate`` raises on; this module
+adds dead ops, unused and missing params (DF002, DF003, DF009), shapes
+(DF006) and numerics tags (DF007). DF006 re-runs each op's own
+``infer_shapes`` on the input specs the graph recorded and compares the
+result with the recorded output specs.
 Checking every op locally is equivalent to forward shape propagation, and a
 disagreement names the op at fault. Whether ``infer_shapes`` itself is
 right is a separate question; ``tests/test_plan.py`` answers it by tapping
@@ -22,56 +26,19 @@ _DATA_ROLES = ("data",)  # ids/mask tensors keep their own numerics by design
 
 def check_dataflow(graph: Graph) -> list[Finding]:
     """Rules DF001–DF010 over one graph (materialized or symbolic)."""
-    out: list[Finding] = []
     gname = graph.name
-    input_names = {s.name for s in graph.inputs}
-    outputs = set(graph.output_names)
+    # DF001/DF004/DF005/DF008/DF010: the graph's own structural walk
+    out = [Finding(p.rule_id, gname, message=p.message, op=p.op, tensor=p.tensor)
+           for p in graph.problems() if p.rule_id is not None]
 
-    # DF008 duplicate op names / DF004 duplicate producers / DF009 missing params
-    seen_ops: set[str] = set()
-    producers: dict[str, str] = {}
+    # DF009 missing params
     for op in graph.ops:
-        if op.name in seen_ops:
-            out.append(Finding("DF008", gname, op=op.name,
-                               message=f"op name {op.name!r} defined more than once"))
-        seen_ops.add(op.name)
-        for t in op.outputs:
-            if t in producers or t in input_names:
-                prev = producers.get(t, "<graph input>")
-                out.append(Finding(
-                    "DF004", gname, op=op.name, tensor=t,
-                    message=f"tensor {t!r} produced by both {prev!r} and {op.name!r}"))
-            producers[t] = op.name
         for p in op.param_names():
             if p not in graph.params:
                 out.append(Finding(
                     "DF009", gname, op=op.name,
                     message=f"op {op.name!r} ({op.op_type}) references missing "
                             f"parameter {p!r}"))
-
-    # DF010 parameter shadows input
-    for p in graph.params:
-        if p in input_names:
-            out.append(Finding(
-                "DF010", gname, tensor=p,
-                message=f"parameter {p!r} shadows the graph input of the same name"))
-
-    # DF005 unreachable outputs
-    for name in graph.output_names:
-        if name not in producers and name not in input_names:
-            out.append(Finding(
-                "DF005", gname, tensor=name,
-                message=f"declared output {name!r} is never produced"))
-
-    # DF001 dangling tensors (produced, never consumed, not an output)
-    consumed = {t for op in graph.ops for t in op.inputs}
-    for op in graph.ops:
-        for t in op.outputs:
-            if t not in consumed and t not in outputs:
-                out.append(Finding(
-                    "DF001", gname, op=op.name, tensor=t,
-                    message=f"tensor {t!r} (produced by {op.name!r}) is never "
-                            f"consumed and is not a graph output"))
 
     # DF002 dead ops: backward reachability from the outputs
     live_tensors = set(graph.output_names)

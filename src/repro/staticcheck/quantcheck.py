@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.graph import Graph
-from ..graph.ops import Activation, Add, Concat, Conv2D, DepthwiseConv2D, FullyConnected
+from ..graph.ops import Add, Concat, Conv2D, DepthwiseConv2D, FullyConnected
 from ..kernels.linear import max_column_l1
 from ..kernels.numerics import QuantParams
 from .findings import Finding
@@ -137,49 +137,38 @@ def check_quantization(graph: Graph) -> list[Finding]:
         out += _check_qparams(qp, gname, f"parameter {pname!r}", tensor=pname)
 
     for op in graph.ops:
-        # QS001 + QS005 + QS006 for integer-kernel MAC ops
-        if isinstance(op, (Conv2D, DepthwiseConv2D, FullyConnected)):
+        # QS005: the op's own fallback decision, the one its prepare takes
+        missing = op.missing_qparams(graph)
+        if missing:
+            out.append(Finding(
+                "QS005", gname, op=op.name,
+                message=f"integer-kernel op {op.name!r} ({op.op_type}) falls "
+                        f"back to float: missing {'/'.join(missing)} qparams"))
+        # QS001 + QS006 for integer-kernel MAC ops
+        elif isinstance(op, (Conv2D, DepthwiseConv2D, FullyConnected)):
             x_qp = graph.spec(op.inputs[0]).qparams
-            w_qp = graph.param_qparams.get(op.attrs["weight"])
-            out_qp = graph.spec(op.outputs[0]).qparams
-            if x_qp is None or w_qp is None or out_qp is None:
-                missing = [label for label, qp in
-                           (("input", x_qp), ("weight", w_qp), ("output", out_qp))
-                           if qp is None]
+            w_qp = graph.param_qparams[op.attrs["weight"]]
+            bound = accumulator_bound(op, graph)
+            if bound > _INT32_MAX:
                 out.append(Finding(
-                    "QS005", gname, op=op.name,
-                    message=f"integer-kernel op {op.name!r} ({op.op_type}) falls "
-                            f"back to float: missing {'/'.join(missing)} qparams"))
-            else:
-                bound = accumulator_bound(op, graph)
-                if bound > _INT32_MAX:
+                    "QS001", gname, op=op.name,
+                    message=f"op {op.name!r} ({op.op_type}): worst-case "
+                            f"accumulator |{bound}| exceeds int32 max "
+                            f"{_INT32_MAX} (reduction size "
+                            f"{_reduction_size(op, graph)})",
+                    details={"bound": bound, "int32_max": _INT32_MAX}))
+            b_name = op.attrs.get("bias")
+            b_qp = graph.param_qparams.get(b_name) if b_name else None
+            if b_qp is not None:
+                expected = x_qp.scale[0] * w_qp.scale
+                got = np.asarray(b_qp.scale, dtype=np.float64)
+                if got.shape != expected.shape or not np.allclose(
+                        got, expected, rtol=1e-9, atol=0.0):
                     out.append(Finding(
-                        "QS001", gname, op=op.name,
-                        message=f"op {op.name!r} ({op.op_type}): worst-case "
-                                f"accumulator |{bound}| exceeds int32 max "
-                                f"{_INT32_MAX} (reduction size "
-                                f"{_reduction_size(op, graph)})",
-                        details={"bound": bound, "int32_max": _INT32_MAX}))
-                b_name = op.attrs.get("bias")
-                b_qp = graph.param_qparams.get(b_name) if b_name else None
-                if b_qp is not None:
-                    expected = x_qp.scale[0] * w_qp.scale
-                    got = np.asarray(b_qp.scale, dtype=np.float64)
-                    if got.shape != expected.shape or not np.allclose(
-                            got, expected, rtol=1e-9, atol=0.0):
-                        out.append(Finding(
-                            "QS006", gname, op=op.name, tensor=b_name,
-                            message=f"bias {b_name!r} of {op.name!r} quantized at "
-                                    f"scale != input_scale * weight_scale; the "
-                                    f"int32 bias would be misinterpreted"))
-        elif isinstance(op, Activation):
-            in_qp = graph.spec(op.inputs[0]).qparams
-            out_qp = graph.spec(op.outputs[0]).qparams
-            if in_qp is None or out_qp is None:
-                out.append(Finding(
-                    "QS005", gname, op=op.name,
-                    message=f"activation {op.name!r} ({op.attrs.get('kind')}) falls "
-                            f"back to float: missing LUT qparams"))
+                        "QS006", gname, op=op.name, tensor=b_name,
+                        message=f"bias {b_name!r} of {op.name!r} quantized at "
+                                f"scale != input_scale * weight_scale; the "
+                                f"int32 bias would be misinterpreted"))
 
         # QS004: concat inputs must fit the shared output domain exactly
         if isinstance(op, Concat):

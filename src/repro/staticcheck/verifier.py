@@ -24,7 +24,6 @@ __all__ = [
     "verify_graph",
     "attest",
     "attestation_problems",
-    "zoo_deployments",
     "deployment_variants",
     "sweep_zoo",
 ]
@@ -87,52 +86,40 @@ def attest(graph: Graph, report: Report | None = None) -> dict:
     return stamp
 
 
-def attestation_problems(graph: Graph) -> list[str]:
-    """Why this graph's attestation (if any) cannot be trusted.
+def attestation_problems(stamp: dict | None, shipped_checksum: str | None) -> list[str]:
+    """Why a static-verification stamp cannot be trusted for the graph
+    shipped with checksum ``shipped_checksum``.
 
-    Lenient by design: an *absent* stamp is not a problem (old exports stay
-    valid); a present stamp that records errors, a stale ruleset, or a
-    checksum that no longer matches the graph is.
+    The one trust rule the submission checker, the package validator and
+    the tests share. An absent stamp is not a problem (packages predating
+    the verifier carry none); a present one that records errors, comes
+    from another ruleset, or is bound to another checksum is. Without a
+    shipped checksum there is nothing to compare the stamp's against.
     """
-    stamp = graph.metadata.get("staticcheck")
-    if stamp is None:
+    if not stamp:
         return []
     problems = []
     if not stamp.get("verified", False):
         problems.append(
-            f"graph {graph.name!r}: staticcheck attestation records "
-            f"{stamp.get('errors', '?')} unresolved error(s)")
+            f"graph failed static verification "
+            f"({stamp.get('errors', '?')} unresolved error finding(s))")
     if stamp.get("ruleset") != RULESET_VERSION:
         problems.append(
-            f"graph {graph.name!r}: attested under ruleset "
-            f"{stamp.get('ruleset')!r}, current is {RULESET_VERSION}")
-    if stamp.get("checksum") != graph.checksum():
+            f"graph attested under staticcheck ruleset {stamp.get('ruleset')!r}, "
+            f"current is {RULESET_VERSION}")
+    if shipped_checksum and stamp.get("checksum") != shipped_checksum:
         problems.append(
-            f"graph {graph.name!r}: modified after attestation "
-            f"(checksum mismatch)")
+            "graph was modified after its static-verification attestation "
+            "(checksum mismatch)")
     return problems
 
 
-def zoo_deployments(model: str, numerics_modes: tuple):
-    """Yield ``(numerics, graph)`` deployment variants of one zoo model.
-
-    Builds the same artifacts the harness would ship: export the unfitted
-    reference graph, then :func:`deployment_variants`. Imported lazily so
-    ``repro.graph`` never depends on the model zoo at import time.
-    """
-    from ..graph.converter import export_mobile
-    from ..models import create_reference_model
-
-    graph = create_reference_model(model, fitted=False).graph
-    exported = graph if graph.frozen else export_mobile(graph)
-    yield from deployment_variants(model, exported, numerics_modes)
-
-
-def deployment_variants(model: str, exported: Graph, numerics_modes: tuple):
-    """Yield ``(numerics, graph)`` variants of an exported zoo graph:
-    calibrate on the zoo's fixed role-aware feeds, then derive each
-    numerics variant."""
-    from ..models import model_feeds
+def deployment_variants(exported: Graph, numerics_modes: tuple, calibration_batches: list[dict]):
+    """Yield ``(numerics, graph)`` variants of an exported graph: itself for
+    FP32, its FP16 conversion, and for INT8/UINT8 its quantization with
+    statistics calibrated once on ``calibration_batches``. The one
+    deployment recipe the zoo sweep, the golden digests and the plan tests
+    share."""
     from ..quantization import calibrate, convert_fp16, quantize_graph
 
     stats = None
@@ -143,7 +130,7 @@ def deployment_variants(model: str, exported: Graph, numerics_modes: tuple):
             yield numerics, convert_fp16(exported)
         else:
             if stats is None:
-                stats = calibrate(exported, [model_feeds(model, exported, CALIBRATION_BATCH)])
+                stats = calibrate(exported, calibration_batches)
             yield numerics, quantize_graph(exported, stats, numerics)
 
 
@@ -153,8 +140,15 @@ def sweep_zoo(
     *,
     families: tuple[str, ...] = ALL_FAMILIES,
 ) -> list[Report]:
-    """Verify every (zoo model, numerics) deployment; the CLI/CI workhorse."""
-    from ..models import available_models
+    """Verify every (zoo model, numerics) deployment; the CLI/CI workhorse.
+
+    Builds what the harness would ship: each unfitted reference graph,
+    exported, then :func:`deployment_variants` calibrated on the zoo's fixed
+    batch-2 feeds. The zoo is imported lazily so ``repro.graph`` never
+    depends on it at import time.
+    """
+    from ..graph.converter import export_mobile
+    from ..models import available_models, create_reference_model, model_feeds
 
     if models is None:
         models = tuple(available_models())
@@ -162,6 +156,9 @@ def sweep_zoo(
         numerics_modes = ZOO_NUMERICS
     reports = []
     for model in models:
-        for _numerics, graph in zoo_deployments(model, numerics_modes):
-            reports.append(verify_graph(graph, families=families))
+        graph = create_reference_model(model, fitted=False).graph
+        exported = graph if graph.frozen else export_mobile(graph)
+        feeds = [model_feeds(model, exported, CALIBRATION_BATCH)]
+        for _numerics, variant in deployment_variants(exported, numerics_modes, feeds):
+            reports.append(verify_graph(variant, families=families))
     return reports

@@ -29,17 +29,47 @@ __all__ = [
     "super_resolution_batch",
 ]
 
+# scene textures: RGB fields whose detail lives at 1/4 of the image size,
+# and class prototypes summed from 4 gratings each
+_CHANNELS = 3
+_SMOOTHNESS = 4
+_PROTOTYPE_COMPONENTS = 4
 
-def smooth_field(rng: np.random.Generator, n: int, h: int, w: int,
-                 channels: int = 3, smoothness: int = 4) -> np.ndarray:
+# one fixed prototype seed per task, so every dataset and head fit of the
+# task draws from the same classes
+_CLASSIFICATION_PROTOTYPE_SEED = 9000
+_DETECTION_PROTOTYPE_SEED = 9100
+_SEGMENTATION_PROTOTYPE_SEED = 9200
+_SUPER_RESOLUTION_PROTOTYPE_SEED = 9400
+
+# detection scenes: 1..3 objects whose shapes sit near the benchmark's anchor
+# scales/aspects (multiplicative jitter), the way SSD anchor configurations
+# are designed to cover their dataset's box statistics
+_MAX_OBJECTS = 3
+_OBJECT_SCALES = (0.22, 0.33, 0.57, 0.9)
+_OBJECT_ASPECT_RATIOS = (1.0,)
+_SHAPE_JITTER = 0.05
+_DETECTION_SIGNAL = 2.0
+_SEGMENTATION_SIGNAL = 2.5
+
+# token sequences: [CLS]/[SEP] ids, question length range, and the low ids
+# no question or passage token uses
+_CLS_ID = 1
+_SEP_ID = 2
+_QUESTION_LENGTHS = (6, 14)
+_RESERVED_IDS = 10
+
+_SUPER_RESOLUTION_CLASSES = 16
+
+
+def smooth_field(rng: np.random.Generator, n: int, h: int, w: int) -> np.ndarray:
     """Low-frequency random fields, the texture basis of every scene."""
-    bh, bw = max(2, h // smoothness), max(2, w // smoothness)
-    low = rng.normal(0.0, 1.0, size=(n, bh, bw, channels)).astype(np.float32)
+    bh, bw = max(2, h // _SMOOTHNESS), max(2, w // _SMOOTHNESS)
+    low = rng.normal(0.0, 1.0, size=(n, bh, bw, _CHANNELS)).astype(np.float32)
     return resize_bilinear(low, h, w)
 
 
 def class_prototypes(num_classes: int, h: int, w: int, seed: int,
-                     channels: int = 3, components: int = 4,
                      texture_scale: float = 0.45, color_scale: float = 1.0,
                      freq_range: tuple[float, float] = (4.0, 20.0)) -> np.ndarray:
     """One fixed *textural* prototype per class: (K, h, w, C).
@@ -53,16 +83,16 @@ def class_prototypes(num_classes: int, h: int, w: int, seed: int,
     rng = np.random.default_rng(seed)
     ys = np.linspace(0.0, 1.0, h, dtype=np.float32)[:, None]
     xs = np.linspace(0.0, 1.0, w, dtype=np.float32)[None, :]
-    casts = _separated_colors(num_classes, channels, rng)
-    protos = np.zeros((num_classes, h, w, channels), dtype=np.float32)
+    casts = _separated_colors(num_classes, _CHANNELS, rng)
+    protos = np.zeros((num_classes, h, w, _CHANNELS), dtype=np.float32)
     for c in range(num_classes):
-        for _ in range(components):
+        for _ in range(_PROTOTYPE_COMPONENTS):
             # mid-to-high frequencies: the texture period must fit inside a
             # small receptive field so *local* features can identify the class
             # (dense-prediction heads never see global context)
             fy, fx = rng.uniform(*freq_range, size=2)
             phase = rng.uniform(0.0, 2 * np.pi)
-            color = rng.normal(0.0, 1.0, channels).astype(np.float32)
+            color = rng.normal(0.0, 1.0, _CHANNELS).astype(np.float32)
             wave = np.sin(2 * np.pi * (fy * ys + fx * xs) + phase)
             protos[c] += wave[..., None] * color
         protos[c] *= texture_scale / max(protos[c].std(), 1e-6)
@@ -120,7 +150,6 @@ def classification_scene_batch(
     *,
     signal: float = 1.0,
     noise: float = 1.0,
-    prototype_seed: int = 9000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(images uint8 (n, size, size, 3), labels (n,)).
 
@@ -132,7 +161,7 @@ def classification_scene_batch(
     # lower-frequency, texture-dominant prototypes: global pooling keeps
     # coarse texture statistics, and the stem's stride-2 aliases fine detail
     protos = class_prototypes(
-        num_classes, size, size, prototype_seed,
+        num_classes, size, size, _CLASSIFICATION_PROTOTYPE_SEED,
         texture_scale=1.0, color_scale=0.5, freq_range=(2.0, 10.0),
     )
     labels = rng.integers(0, num_classes, size=n)
@@ -154,29 +183,18 @@ def detection_scene_batch(
     size: int,
     num_classes: int,
     seed: int,
-    *,
-    max_objects: int = 3,
-    scales: tuple[float, ...] = (0.22, 0.33, 0.57, 0.9),
-    aspect_ratios: tuple[float, ...] = (1.0,),
-    shape_jitter: float = 0.05,
-    signal: float = 2.0,
-    prototype_seed: int = 9100,
 ) -> tuple[np.ndarray, list[list[DetectionObject]]]:
-    """Scenes of textured rectangles. Class ids run 1..num_classes-1 (0 = bg).
-
-    Object shapes are sampled near the benchmark's anchor scales/aspects
-    (with multiplicative ``shape_jitter``) — mirroring how SSD anchor
-    configurations are designed to cover their dataset's box statistics.
-    """
+    """Scenes of textured rectangles. Class ids run 1..num_classes-1 (0 = bg)."""
     rng = np.random.default_rng(seed)
-    protos = class_prototypes(num_classes, size, size, prototype_seed)
+    protos = class_prototypes(num_classes, size, size, _DETECTION_PROTOTYPE_SEED)
     images = smooth_field(rng, n, size, size)
     truths: list[list[DetectionObject]] = []
     for i in range(n):
         objects: list[DetectionObject] = []
-        for _ in range(int(rng.integers(1, max_objects + 1))):
-            scale = rng.choice(scales) * rng.uniform(1 - shape_jitter, 1 + shape_jitter)
-            ar = rng.choice(aspect_ratios) * rng.uniform(1 - shape_jitter, 1 + shape_jitter)
+        for _ in range(int(rng.integers(1, _MAX_OBJECTS + 1))):
+            scale = rng.choice(_OBJECT_SCALES) * rng.uniform(1 - _SHAPE_JITTER, 1 + _SHAPE_JITTER)
+            ar = rng.choice(_OBJECT_ASPECT_RATIOS) * rng.uniform(1 - _SHAPE_JITTER,
+                                                                 1 + _SHAPE_JITTER)
             h = min(scale / np.sqrt(ar), 0.95)
             w = min(scale * np.sqrt(ar), 0.95)
             cy = rng.uniform(h / 2, 1 - h / 2)
@@ -186,7 +204,7 @@ def detection_scene_batch(
             x0, x1 = int((cx - w / 2) * size), int((cx + w / 2) * size)
             # 0 <= y0 and y1 <= size, since cy lies in [h/2, 1 - h/2] (same for x)
             box = images[i, y0:y1, x0:x1]
-            box[...] = box * 0.3 + signal * protos[c, y0:y1, x0:x1]
+            box[...] = box * 0.3 + _DETECTION_SIGNAL * protos[c, y0:y1, x0:x1]
             objects.append(DetectionObject((cy - h / 2, cx - w / 2, cy + h / 2, cx + w / 2), c))
         truths.append(objects)
     _add_pixel_noise(rng, images)
@@ -201,15 +219,13 @@ def segmentation_scene_batch(
     *,
     regions: int = 3,
     other_prob: float = 0.12,
-    signal: float = 2.5,
-    prototype_seed: int = 9200,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Voronoi-region scenes. Returns (images uint8, label maps (n, size, size)).
 
     The last class index is the "other" bucket the 32-class metric ignores.
     """
     rng = np.random.default_rng(seed)
-    protos = class_prototypes(num_classes, size, size, prototype_seed)
+    protos = class_prototypes(num_classes, size, size, _SEGMENTATION_PROTOTYPE_SEED)
     images = smooth_field(rng, n, size, size)
     labels = np.empty((n, size, size), dtype=np.int32)
     ys, xs = np.mgrid[0:size, 0:size]
@@ -222,7 +238,7 @@ def segmentation_scene_batch(
         region_classes[is_other] = num_classes - 1
         label = region_classes[region_of_pixel]
         labels[i] = label
-        images[i] = images[i] * 0.4 + signal * np.take_along_axis(
+        images[i] = images[i] * 0.4 + _SEGMENTATION_SIGNAL * np.take_along_axis(
             protos, label[None, ..., None], axis=0
         )[0]
     _add_pixel_noise(rng, images)
@@ -234,12 +250,6 @@ def token_sequence_batch(
     seq_len: int,
     vocab_size: int,
     seed: int,
-    *,
-    cls_id: int = 1,
-    sep_id: int = 2,
-    min_question: int = 6,
-    max_question: int = 14,
-    reserved: int = 10,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SQuAD-style sequences: [CLS] question [SEP] passage [SEP].
 
@@ -250,14 +260,15 @@ def token_sequence_batch(
     mask = np.zeros((n, seq_len), dtype=np.float32)
     context_start = np.zeros(n, dtype=np.int64)
     for i in range(n):
-        q_len = int(rng.integers(min_question, max_question + 1))
+        q_len = int(rng.integers(_QUESTION_LENGTHS[0], _QUESTION_LENGTHS[1] + 1))
         total = int(rng.integers(seq_len * 3 // 4, seq_len + 1))
-        seq = np.full(total, sep_id, dtype=np.float32)
-        seq[0] = cls_id
-        seq[1 : 1 + q_len] = rng.integers(reserved, vocab_size, q_len)
+        seq = np.full(total, _SEP_ID, dtype=np.float32)
+        seq[0] = _CLS_ID
+        seq[1 : 1 + q_len] = rng.integers(_RESERVED_IDS, vocab_size, q_len)
         passage_start = q_len + 2  # after [CLS] question [SEP]
-        seq[1 + q_len] = sep_id
-        seq[passage_start : total - 1] = rng.integers(reserved, vocab_size, total - 1 - passage_start)
+        seq[1 + q_len] = _SEP_ID
+        seq[passage_start : total - 1] = rng.integers(_RESERVED_IDS, vocab_size,
+                                                      total - 1 - passage_start)
         ids[i, :total] = seq
         mask[i, :total] = 1.0
         context_start[i] = passage_start
@@ -314,9 +325,6 @@ def super_resolution_batch(
     hr_size: int,
     scale: int,
     seed: int,
-    *,
-    num_classes: int = 16,
-    prototype_seed: int = 9400,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(LR uint8 (n, hr/scale, hr/scale, 3), HR uint8 (n, hr, hr, 3)).
 
@@ -324,8 +332,9 @@ def super_resolution_batch(
     downsamples — the standard SR training construction.
     """
     rng = np.random.default_rng(seed)
-    protos = class_prototypes(num_classes, hr_size, hr_size, prototype_seed)
-    labels = rng.integers(0, num_classes, size=n)
+    protos = class_prototypes(_SUPER_RESOLUTION_CLASSES, hr_size, hr_size,
+                              _SUPER_RESOLUTION_PROTOTYPE_SEED)
+    labels = rng.integers(0, _SUPER_RESOLUTION_CLASSES, size=n)
     fields = protos[labels] + 0.6 * smooth_field(rng, n, hr_size, hr_size)
     hr = _to_uint8(fields)
     lr_f = resize_bilinear(hr.astype(np.float32), hr_size // scale, hr_size // scale)

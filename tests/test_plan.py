@@ -19,6 +19,7 @@ from repro.loadgen.qsl import BLOCK_SIZE, QuerySampleLibrary
 from repro.datasets.base import IndexDataset
 from repro.models import available_models, create_reference_model, model_feeds
 from repro.quantization import calibrate, convert_fp16, quantize_graph
+from repro.staticcheck import deployment_variants
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -143,9 +144,8 @@ class TestIntegerOperands:
             exported = export_mobile(create_reference_model(name).graph)
         else:
             _, exported = unfitted_zoo[name]
-        stats = calibrate(exported, [model_feeds(name, exported, golden_outputs.BATCH)])
-        for numerics in (Numerics.INT8, Numerics.UINT8):
-            q = quantize_graph(exported, stats, numerics)
+        feeds = model_feeds(name, exported, golden_outputs.BATCH)
+        for _, q in deployment_variants(exported, (Numerics.INT8, Numerics.UINT8), [feeds]):
             kernels = sum(op.op_type in INTEGER_KERNELS for op in q.ops)
             operands = ExecutionPlan(q).describe()["integer_operands"]
             assert operands == {"float32": kernels, "float64": 0}

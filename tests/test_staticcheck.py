@@ -31,7 +31,7 @@ from repro.graph.tensor import TensorSpec
 from repro.hardware.scheduler import FrameworkProfile, compile_model
 from repro.hardware.soc import SOC_CATALOG
 from repro.kernels.numerics import Numerics, QuantParams
-from repro.models import available_models
+from repro.models import available_models, model_feeds
 from repro.staticcheck import (
     RULE_CATALOG,
     RULESET_VERSION,
@@ -52,6 +52,7 @@ from repro.staticcheck import (
     verify_graph,
 )
 from repro.staticcheck.__main__ import main as staticcheck_main
+from repro.staticcheck.verifier import CALIBRATION_BATCH
 
 
 def _ids(findings):
@@ -353,6 +354,22 @@ def test_quantization_rule_fires(rule_id):
     assert rule_id in _ids(findings)
 
 
+@pytest.mark.parametrize("missing", [None, "input", "weight", "output"])
+def test_fc_qparams_decide_the_fallback_and_qs005(missing):
+    """The plan's float fallback and QS005 read one decision, the op's
+    ``missing_qparams``: drop any one of a quantized FC's three qparams and
+    the plan compiles no integer kernel while QS005 names that qparam."""
+    g = _qs_small_fc(drop_weight_qp=missing == "weight")
+    if missing in ("input", "output"):
+        g.spec({"input": "x", "output": "y"}[missing]).qparams = None
+    assert g.ops[0].missing_qparams(g) == ([missing] if missing else [])
+    kernels = 0 if missing else 1
+    assert ExecutionPlan(g).describe()["integer_operands"] == {"float32": kernels, "float64": 0}
+    qs005 = [f.message for f in check_quantization(g) if f.rule_id == "QS005"]
+    assert len(qs005) == (1 if missing else 0)
+    assert all(f"missing {missing} qparams" in m for m in qs005)
+
+
 def test_add_scale_mismatch_also_fires_qs004():
     assert "QS004" in _ids(check_quantization(_qs_add_scale_mismatch()))
 
@@ -612,7 +629,8 @@ def test_enn_v07_concat_exclusion_fragments_deeplab(unfitted_zoo):
 def test_zoo_sweep_is_clean(unfitted_zoo):
     """``sweep_zoo``'s deployments, derived from the session's exported zoo."""
     reports = [verify_graph(graph) for name, (_, exported) in unfitted_zoo.items()
-               for _, graph in deployment_variants(name, exported, ZOO_NUMERICS)]
+               for _, graph in deployment_variants(
+                   exported, ZOO_NUMERICS, [model_feeds(name, exported, CALIBRATION_BATCH)])]
     assert len(reports) == len(ZOO_NUMERICS) * len(available_models())
     offenders = [f.render() for r in reports for f in r.findings]
     assert offenders == []
@@ -660,7 +678,7 @@ def test_export_stamps_a_verified_attestation():
     assert stamp["verified"] is True
     assert stamp["ruleset"] == RULESET_VERSION
     assert stamp["checksum"] == g.checksum()
-    assert attestation_problems(g) == []
+    assert attestation_problems(stamp, g.checksum()) == []
 
 
 def test_tampering_after_attestation_is_detected():
@@ -668,14 +686,15 @@ def test_tampering_after_attestation_is_detected():
     g = export_mobile(graph)
     name = next(iter(g.params))
     g.params[name] = g.params[name] + 1.0
-    assert any("checksum" in p for p in attestation_problems(g))
+    problems = attestation_problems(g.metadata["staticcheck"], g.checksum())
+    assert any("checksum" in p for p in problems)
 
 
 def test_failed_verification_is_recorded_in_the_stamp():
     g = _df_dangling()
     stamp = attest(g, verify_graph(g, families=("dataflow",)))
     assert stamp["verified"] is False and stamp["errors"] >= 1
-    assert any("unresolved error" in p for p in attestation_problems(g))
+    assert any("unresolved error" in p for p in attestation_problems(stamp, g.checksum()))
 
 
 def test_validate_package_flags_bad_attestations(tmp_path):
@@ -725,7 +744,20 @@ def test_cli_rejects_unknown_model(capsys):
 # satellites: tightened Graph.validate and ShapeError context
 # ---------------------------------------------------------------------------
 
+# the rules Graph.problems states once: validate raises on each, and
+# check_dataflow reports each, from the same breaker graph
+SHARED_RULES = ("DF001", "DF004", "DF005", "DF008", "DF010")
+
+
 class TestValidateTightening:
+    @pytest.mark.parametrize("rule_id", SHARED_RULES)
+    def test_validate_and_check_dataflow_agree(self, rule_id):
+        g = DATAFLOW_BREAKERS[rule_id]()
+        with pytest.raises(GraphValidationError) as raised:
+            g.validate()
+        hit = next(f for f in check_dataflow(g) if f.rule_id == rule_id)
+        assert str(raised.value) == hit.message
+
     def test_duplicate_op_names_rejected(self):
         g = _df_duplicate_op_name()
         with pytest.raises(GraphValidationError, match="more than once"):

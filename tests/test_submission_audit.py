@@ -11,6 +11,8 @@ from repro.core import (
     build_submission,
     check_submission,
 )
+from repro.core.export import validate_package, write_submission
+from repro.staticcheck import RULESET_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +80,19 @@ class TestChecker:
             assert any("unedited log" in p for p in check_submission(submission))
         finally:
             result.accuracy_log = log
+
+    def test_stale_ruleset_stamp_rejected(self, submission, tmp_path):
+        """A stamp from the previous staticcheck ruleset is not trusted, by
+        the in-memory checker or by the on-disk package validator."""
+        stamp = submission.model_provenance["question_answering"]["staticcheck"]
+        assert stamp["ruleset"] == RULESET_VERSION
+        stamp["ruleset"] = RULESET_VERSION - 1
+        try:
+            assert any("ruleset" in p for p in check_submission(submission))
+            root = write_submission(submission, tmp_path / "pkg")
+            assert any("ruleset" in p for p in validate_package(root))
+        finally:
+            stamp["ruleset"] = RULESET_VERSION
 
 
 class TestRollingSubmissions:

@@ -57,22 +57,16 @@ def compute() -> dict[str, dict[str, str]]:
     from repro.graph import Executor, export_mobile
     from repro.kernels import Numerics
     from repro.models import available_models, create_reference_model, model_feeds
-    from repro.quantization import calibrate, convert_fp16, quantize_graph
+    from repro.staticcheck import deployment_variants
 
     digests: dict[str, dict[str, str]] = {}
     for name in available_models():
         exported = export_mobile(create_reference_model(name, fitted=False).graph)
         feeds = model_feeds(name, exported, BATCH)
-        stats = calibrate(exported, [feeds])
-        deployments = {
-            "fp32": exported,
-            "fp16": convert_fp16(exported),
-            "int8": quantize_graph(exported, stats, Numerics.INT8),
-            "uint8": quantize_graph(exported, stats, Numerics.UINT8),
-        }
+        modes = tuple(Numerics(n) for n in NUMERICS)
         digests[name] = {
-            numerics: digest(Executor(deployments[numerics]).run(feeds))
-            for numerics in NUMERICS
+            numerics.value: digest(Executor(graph).run(feeds))
+            for numerics, graph in deployment_variants(exported, modes, [feeds])
         }
     return digests
 
