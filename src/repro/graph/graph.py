@@ -29,7 +29,7 @@ class GraphProblem(NamedTuple):
     """One structural invariant a graph breaks, at an op and/or tensor.
 
     ``rule_id`` is the static-verifier rule that reports it (DF001, DF004,
-    DF005, DF008 or DF010), or None for an invariant only
+    DF005, DF008, DF010 or DF011), or None for an invariant only
     :meth:`Graph.validate` enforces.
     """
 
@@ -211,8 +211,8 @@ class Graph:
     def problems(self) -> Iterator[GraphProblem]:
         """Walk the graph once and yield every structural invariant it breaks.
 
-        Rules DF001, DF004, DF005, DF008 and DF010 are stated here and
-        nowhere else: :meth:`validate` raises on the first problem, and the
+        Rules DF001, DF004, DF005, DF008, DF010 and DF011 are stated here
+        and nowhere else: :meth:`validate` raises on the first problem, and the
         static verifier's dataflow family reports each tagged one as a
         finding.
         """
@@ -231,7 +231,7 @@ class Graph:
             op_names.add(op.name)
             for t in op.inputs:
                 if t not in input_names and t not in produced:
-                    yield GraphProblem(None, f"op {op.name!r} runs before its input {t!r}",
+                    yield GraphProblem("DF011", f"op {op.name!r} runs before its input {t!r}",
                                        op=op.name, tensor=t)
             for t in op.outputs:
                 if t in input_names or t in produced:

@@ -1,13 +1,13 @@
-"""Typed dataflow verifier (rules DF001–DF010).
+"""Typed dataflow verifier (rules DF001–DF011).
 
 Checks the connectivity invariants of an op list. Dangling tensors,
-duplicate producers and op names, unreachable outputs and parameters that
-shadow inputs (DF001, DF004, DF005, DF008, DF010) come from
-:meth:`Graph.problems`, the walk ``Graph.validate`` raises on; this module
-adds dead ops, unused and missing params (DF002, DF003, DF009), shapes
-(DF006) and numerics tags (DF007). DF006 re-runs each op's own
-``infer_shapes`` on the input specs the graph recorded and compares the
-result with the recorded output specs.
+duplicate producers and op names, unreachable outputs, parameters that
+shadow inputs and inputs read before any op provides them (DF001, DF004,
+DF005, DF008, DF010, DF011) come from :meth:`Graph.problems`, the walk
+``Graph.validate`` raises on; this module adds dead ops, unused and
+missing params (DF002, DF003, DF009), shapes (DF006) and numerics tags
+(DF007). DF006 re-runs each op's own ``infer_shapes`` on the input specs
+the graph recorded and compares the result with the recorded output specs.
 Checking every op locally is equivalent to forward shape propagation, and a
 disagreement names the op at fault. Whether ``infer_shapes`` itself is
 right is a separate question; ``tests/test_plan.py`` answers it by tapping
@@ -25,9 +25,9 @@ _DATA_ROLES = ("data",)  # ids/mask tensors keep their own numerics by design
 
 
 def check_dataflow(graph: Graph) -> list[Finding]:
-    """Rules DF001–DF010 over one graph (materialized or symbolic)."""
+    """Rules DF001–DF011 over one graph (materialized or symbolic)."""
     gname = graph.name
-    # DF001/DF004/DF005/DF008/DF010: the graph's own structural walk
+    # DF001/DF004/DF005/DF008/DF010/DF011: the graph's own structural walk
     out = [Finding(p.rule_id, gname, message=p.message, op=p.op, tensor=p.tensor)
            for p in graph.problems() if p.rule_id is not None]
 

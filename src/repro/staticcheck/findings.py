@@ -23,7 +23,7 @@ __all__ = [
 
 # bump when rule semantics change: attestations record the ruleset they
 # were produced under, so stale "verified" stamps are detectable
-RULESET_VERSION = 7
+RULESET_VERSION = 8
 
 
 class Severity(enum.Enum):
@@ -65,6 +65,8 @@ RULE_CATALOG: dict[str, Rule] = {r.rule_id: r for r in [
          "every parameter an op references exists in the graph"),
     Rule("DF010", _E, "dataflow", "parameter shadows input",
          "parameter names never collide with input tensor names"),
+    Rule("DF011", _E, "dataflow", "input not yet provided",
+         "every op input is a graph input or the output of an earlier op"),
     # -- quantization soundness analyzer ----------------------------------
     Rule("QS001", _E, "quantization", "int32 accumulator overflow",
          "no integer kernel's accumulator can exceed int32 under worst-case "

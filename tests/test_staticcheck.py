@@ -78,7 +78,7 @@ def _base():
 
 
 # ---------------------------------------------------------------------------
-# dataflow rules DF001-DF010: one deliberately broken graph each
+# dataflow rules DF001-DF011: one deliberately broken graph each
 # ---------------------------------------------------------------------------
 
 def _df_dangling():
@@ -150,6 +150,21 @@ def _df_param_shadows_input():
     return g
 
 
+def _df_input_after_use():
+    g = _base()
+    _wire(g, _relu("b", "t", "y"), [(-1, 8, 8, 4)])  # reads t before a makes it
+    _wire(g, _relu("a", "x", "t"), [(-1, 8, 8, 4)])
+    g.output_names = ["y"]
+    return g
+
+
+def _df_input_never_produced():
+    g = _base()
+    _wire(g, _relu("a", "ghost", "y"), [(-1, 8, 8, 4)])
+    g.output_names = ["y"]
+    return g
+
+
 class _Mystery(Op):
     op_type = "mystery"
 
@@ -175,6 +190,7 @@ DATAFLOW_BREAKERS = {
     "DF008": _df_duplicate_op_name,
     "DF009": _df_missing_param,
     "DF010": _df_param_shadows_input,
+    "DF011": _df_input_after_use,
 }
 
 
@@ -185,6 +201,17 @@ def test_dataflow_rule_fires(rule_id):
     hit = next(f for f in findings if f.rule_id == rule_id)
     assert hit.severity is RULE_CATALOG[rule_id].severity
     assert hit.location != "<graph>" or rule_id not in ("DF001", "DF006")
+
+
+@pytest.mark.parametrize("breaker,op,tensor", [
+    (_df_input_after_use, "b", "t"),
+    (_df_input_never_produced, "a", "ghost"),
+])
+def test_input_not_yet_provided_is_df011(breaker, op, tensor):
+    """An op reading a tensor that no graph input or earlier op provides:
+    ``validate`` raises on it, and the verifier reports it too."""
+    hit = [f for f in check_dataflow(breaker()) if f.rule_id == "DF011"]
+    assert [(f.op, f.tensor) for f in hit] == [(op, tensor)]
 
 
 def test_clean_toy_graph_has_no_dataflow_findings():
@@ -587,6 +614,7 @@ RULESETS = {
     5: {"BP": 4, "DF": 11, "PL": 6, "QS": 7, "VR": 6},
     6: {"BP": 4, "DF": 11, "PL": 6, "QS": 7},
     7: {"BP": 4, "DF": 10, "PL": 6, "QS": 7},
+    8: {"BP": 4, "DF": 11, "PL": 6, "QS": 7},
 }
 
 
@@ -746,7 +774,7 @@ def test_cli_rejects_unknown_model(capsys):
 
 # the rules Graph.problems states once: validate raises on each, and
 # check_dataflow reports each, from the same breaker graph
-SHARED_RULES = ("DF001", "DF004", "DF005", "DF008", "DF010")
+SHARED_RULES = ("DF001", "DF004", "DF005", "DF008", "DF010", "DF011")
 
 
 class TestValidateTightening:
