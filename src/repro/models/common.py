@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graph.builder import GraphBuilder
-from ..graph.executor import Executor
 from ..graph.graph import Graph
 
 __all__ = [
@@ -101,7 +100,7 @@ def fused_inverted_bottleneck(
     return h
 
 
-def calibrate_batch_norms(graph: Graph, feeds: dict[str, np.ndarray]) -> None:
+def calibrate_batch_norms(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Set every BatchNorm's stored statistics from actual probe activations.
 
     In a trained network the BN running mean/variance match the activation
@@ -110,6 +109,12 @@ def calibrate_batch_norms(graph: Graph, feeds: dict[str, np.ndarray]) -> None:
     parameters lack this property, so we estimate the statistics the way
     training would: a single forward pass, updating each BN from its own
     input *after* all upstream BNs have been updated (one topological sweep).
+
+    Returns every tensor of that sweep (graph inputs and op outputs): the FP32
+    forward pass of the calibrated graph on ``feeds``, bit for bit what
+    ``ExecutionPlan.run`` would tap. A graph without BatchNorms is left
+    unchanged and only run, so head standardization reads its probe logits
+    here instead of running the graph again.
     """
     from ..graph.ops import BatchNorm  # local import avoids a cycle at module load
 
@@ -127,6 +132,7 @@ def calibrate_batch_norms(graph: Graph, feeds: dict[str, np.ndarray]) -> None:
         outs = op.prepare(graph)([env[t] for t in op.inputs])
         for t, arr in zip(op.outputs, outs):
             env[t] = arr
+    return env
 
 
 def probe_images(shape: tuple[int, ...], n: int = 32, seed: int = 1234) -> np.ndarray:
@@ -138,30 +144,22 @@ def probe_images(shape: tuple[int, ...], n: int = 32, seed: int = 1234) -> np.nd
 
 def standardize_head(
     graph: Graph,
-    logits_tensor: str,
+    logits: np.ndarray,
     weight_name: str,
     bias_name: str,
-    probe_feeds: dict[str, np.ndarray],
     *,
     target_std: float = 1.0,
     target_mean: float = 0.0,
 ) -> None:
-    """Rescale a linear/conv head so probe logits have controlled statistics.
+    """Rescale a linear/conv head so its probe logits have controlled statistics.
 
-    The head must be the op producing ``logits_tensor`` with output channels
-    on the last axis and no fused activation. Works for FC heads
+    ``logits`` are the head's outputs on the probe batch, as the sweep of
+    :func:`calibrate_batch_norms` returns them. The head must have output
+    channels on the last axis and no fused activation. Works for FC heads
     (weight (in,out)) and 1x1-conv heads (weight (1,1,in,out)) alike because
     both have the output channel on the final weight axis.
     """
-    captured: dict[str, np.ndarray] = {}
-
-    def hook(name: str, values: np.ndarray) -> None:
-        if name == logits_tensor:
-            captured[name] = values
-
-    Executor(graph).run(probe_feeds, tap=hook)
-    logits = captured[logits_tensor].astype(np.float64)
-    flat = logits.reshape(-1, logits.shape[-1])
+    flat = logits.astype(np.float64).reshape(-1, logits.shape[-1])
     mean = flat.mean(axis=0)
     std = flat.std(axis=0)
     std = np.where(std < 1e-6, 1.0, std)

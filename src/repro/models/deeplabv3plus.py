@@ -69,10 +69,10 @@ def create_deeplab_v3plus(
     graph.metadata.update(task="semantic_segmentation", reference="DeepLab v3+ MobileNet v2")
 
     if materialize:
-        feeds = {"images": probe_images(graph.inputs[0].shape, n=8, seed=seed + 1)}
-        calibrate_batch_norms(graph, feeds)
-        standardize_head(graph, "classifier/out", "classifier/w", "classifier/b",
-                         feeds, target_std=2.0)
+        probes = calibrate_batch_norms(
+            graph, {"images": probe_images(graph.inputs[0].shape, n=8, seed=seed + 1)})
+        standardize_head(graph, probes["classifier/out"], "classifier/w", "classifier/b",
+                         target_std=2.0)
 
     return ModelBundle(
         graph=graph,

@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.builder import GraphBuilder
-from ..graph.executor import Executor
-from .common import ModelBundle, standardize_head
+from .common import ModelBundle, calibrate_batch_norms, standardize_head
 
 __all__ = ["create_mobilebert", "probe_token_batch"]
 
@@ -97,11 +96,10 @@ def create_mobilebert(
     graph.metadata.update(task="question_answering", reference="MobileBERT")
 
     if materialize:
-        standardize_head(
-            graph, "qa_head/out", "qa_head/w", "qa_head/b",
-            probe_token_batch(seq_len, vocab_size, n=16, seed=seed + 1),
-            target_std=2.5,
-        )
+        # no batch norms: the sweep only runs the probe batch
+        probes = calibrate_batch_norms(
+            graph, probe_token_batch(seq_len, vocab_size, n=16, seed=seed + 1))
+        standardize_head(graph, probes["qa_head/out"], "qa_head/w", "qa_head/b", target_std=2.5)
 
     return ModelBundle(
         graph=graph,

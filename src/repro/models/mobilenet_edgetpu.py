@@ -86,14 +86,10 @@ def create_mobilenet_edgetpu(
     graph.metadata.update(task="image_classification", reference="MobileNetEdgeTPU")
 
     if materialize:
-        calibrate_batch_norms(
+        probes = calibrate_batch_norms(
             graph, {"images": probe_images(graph.inputs[0].shape, n=32, seed=seed + 1)}
         )
-        standardize_head(
-            graph, logits, "classifier/w", "classifier/b",
-            {"images": probe_images(graph.inputs[0].shape, n=32, seed=seed + 1)},
-            target_std=2.5,
-        )
+        standardize_head(graph, probes[logits], "classifier/w", "classifier/b", target_std=2.5)
     return ModelBundle(
         graph=graph,
         task="image_classification",

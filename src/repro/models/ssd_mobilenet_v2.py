@@ -94,13 +94,14 @@ def ssd_detector(
     graph.metadata.update(task="object_detection", reference=reference)
 
     if materialize:
-        feeds = {"images": probe_images(graph.inputs[0].shape, n=16, seed=seed + 1)}
-        calibrate_batch_norms(graph, feeds)
+        # one probe sweep serves every head: no head feeds another head's logits
+        probes = calibrate_batch_norms(
+            graph, {"images": probe_images(graph.inputs[0].shape, n=16, seed=seed + 1)})
         for i in range(len(feature_maps)):
-            standardize_head(graph, f"cls_head_{i}/pw/out", f"cls_head_{i}/pw/w",
-                             f"cls_head_{i}/pw/b", feeds, target_std=1.5, target_mean=-2.0)
-            standardize_head(graph, f"box_head_{i}/pw/out", f"box_head_{i}/pw/w",
-                             f"box_head_{i}/pw/b", feeds, target_std=1.0)
+            standardize_head(graph, probes[f"cls_head_{i}/pw/out"], f"cls_head_{i}/pw/w",
+                             f"cls_head_{i}/pw/b", target_std=1.5, target_mean=-2.0)
+            standardize_head(graph, probes[f"box_head_{i}/pw/out"], f"box_head_{i}/pw/w",
+                             f"box_head_{i}/pw/b", target_std=1.0)
 
     return ModelBundle(
         graph=graph,

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from repro.graph import Executor
+from repro.graph.plan import ExecutionPlan
 from repro.models import (
     MODEL_REGISTRY,
     available_models,
     create_full_model,
     create_reference_model,
     model_card,
+    model_feeds,
     probe_token_batch,
+    ssd_mobilenet_v2,
 )
-from repro.models.common import round_channels
+from repro.models.common import calibrate_batch_norms, round_channels
 from repro.models.fitting import ridge_fit
 
 
@@ -128,6 +131,42 @@ class TestReferenceModels:
         a = create_reference_model("mobilenet_edgetpu")
         b = create_reference_model("mobilenet_edgetpu", seed=99)
         assert a.graph.checksum() != b.graph.checksum()
+
+
+class TestProbeSweep:
+    """Head standardization reads its probe logits from the batch-norm sweep,
+    so the sweep must be the forward pass the executor would run."""
+
+    @pytest.mark.parametrize("name", available_models())
+    def test_sweep_equals_plan_taps(self, unfitted_zoo, name):
+        graph = unfitted_zoo[name][0].clone()  # the sweep replaces BN params
+        feeds = model_feeds(name, graph, 2)
+        swept = calibrate_batch_norms(graph, feeds)
+        tapped = {}
+        ExecutionPlan(graph).run(feeds, tap=tapped.__setitem__)
+        assert swept.keys() == tapped.keys()
+        for tensor, arr in tapped.items():
+            got = swept[tensor]
+            assert (got.dtype, got.shape) == (arr.dtype, arr.shape), tensor
+            assert got.tobytes() == arr.tobytes(), tensor
+
+    def test_mobiledet_build_runs_one_probe_pass(self, monkeypatch):
+        """The sweep serves all eight SSD heads: no further executor run."""
+        passes = []
+        sweep, run = ssd_mobilenet_v2.calibrate_batch_norms, ExecutionPlan.run
+
+        def counted_sweep(graph, feeds):
+            passes.append("sweep")
+            return sweep(graph, feeds)
+
+        def counted_run(plan, *args, **kwargs):
+            passes.append("run")
+            return run(plan, *args, **kwargs)
+
+        monkeypatch.setattr(ssd_mobilenet_v2, "calibrate_batch_norms", counted_sweep)
+        monkeypatch.setattr(ExecutionPlan, "run", counted_run)
+        create_reference_model("mobiledet_ssd", fitted=False)  # the build alone
+        assert passes == ["sweep"]
 
 
 class TestRidgeFit:
