@@ -6,18 +6,21 @@
 #   - the conformance/fault suites (tests/test_conformance.py,
 #     tests/test_faults.py) that guard the run-rule correctness the whole
 #     benchmark's credibility rests on;
-#   - the refit check of the stored reference-model fits
-#     (tools/fitted_models.py --check, in tests/test_fitted_models.py): every
-#     zoo model refit at 2 BLAS threads must match its stored fit byte for
-#     byte. The fit key cannot see a kernel, synthdata or preprocess edit
-#     that changes fitted bytes; this check does;
+#   - the refit check of the stored reference-model fits and SQuAD oracle
+#     spans (tools/fitted_models.py --check, in tests/test_fitted_models.py):
+#     every zoo model refit at 2 BLAS threads must match its stored fit byte
+#     for byte, and a fresh oracle pass the stored spans. Their keys cannot
+#     see a kernel, synthdata or preprocess edit that changes stored bytes;
+#     this check does;
 #   - the golden output digest check (tools/golden_outputs.py --check, in
 #     tests/test_plan.py): every zoo model in FP32/FP16/INT8/UINT8 must
 #     reproduce its checked-in output digest.
 # Last, the dataset oracle (tests/test_dataset_oracle.py) runs again at 1 and
 # at 4 OpenBLAS threads. Its bytes and metrics are documented as independent
 # of the BLAS thread count; running it at three counts keeps synthesis,
-# preprocessing and metric code from picking up a thread dependence.
+# preprocessing and metric code from picking up a thread dependence. It runs
+# a real SQuAD oracle pass at its own size and checks the stored spans of the
+# default size against a fresh pass, so both hold at all three counts.
 set -euo pipefail
 cd "$(dirname "$0")"
 

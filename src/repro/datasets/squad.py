@@ -1,6 +1,18 @@
-"""Synthetic SQuAD v1.1 (mini dev) stand-in for the question-answering task."""
+"""Synthetic SQuAD v1.1 (mini dev) stand-in for the question-answering task.
+
+Labelling runs the FP32 oracle over the whole validation set. Like MLPerf
+Mobile's labelled validation sets, the oracle's spans of the default set ship
+as a file, ``models/fitted/squad_oracle.json``, next to the stored fits, under
+the key :func:`oracle_key`: :meth:`SyntheticSQuAD.generate` reads them on an
+exact key match and runs the oracle pass otherwise. ``tools/fitted_models.py``
+writes the file and checks it against a fresh oracle pass.
+"""
 
 from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
 
 import numpy as np
 
@@ -11,7 +23,7 @@ from ..pipelines.postprocess import extract_answer_span
 from ..synthdata import token_sequence_batch
 from .base import TaskDataset, feed_batches
 
-__all__ = ["SyntheticSQuAD"]
+__all__ = ["SyntheticSQuAD", "oracle_key", "run_oracle", "load_spans"]
 
 CALIBRATION_SIZE = 64
 # longest answer span, in tokens, that labelling and prediction extract
@@ -19,6 +31,56 @@ MAX_ANSWER_LENGTH = 12
 # probability that a ground-truth span is the FP32 oracle's own span
 ORACLE_FIDELITY = 0.90
 ORACLE_BATCH = 32  # samples per oracle-labelling executor run
+SEED = 45  # default dataset seed
+# Part of the stored spans' key: bump it with any change to how a sample is
+# labelled (token synthesis, the oracle pass, span extraction), so that no
+# stored spans are served for the new recipe.
+ORACLE_VERSION = 1
+# the oracle's spans of the default set, next to the stored reference-model fits
+STORED_SPANS = pathlib.Path(__file__).parents[1] / "models" / "fitted" / "squad_oracle.json"
+
+
+def oracle_key(oracle_graph: Graph, model_config: dict, *, size: int, seed: int) -> str:
+    """SHA-256 naming one labelling: recipe version, oracle graph, token shape,
+    set size and seed, and the span extraction and batch constants."""
+    payload = {
+        "oracle_version": ORACLE_VERSION,
+        "graph": oracle_graph.checksum(),
+        "seq_len": model_config["seq_len"],
+        "vocab_size": model_config["vocab_size"],
+        "size": size,
+        "seed": seed,
+        "max_answer_length": MAX_ANSWER_LENGTH,
+        "oracle_batch": ORACLE_BATCH,
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_oracle(oracle_graph: Graph, feeds: dict[str, np.ndarray],
+               context_starts: np.ndarray) -> list[tuple[int, int]]:
+    """The oracle's answer span of every sample, in ``ORACLE_BATCH`` batches."""
+    ex = Executor(oracle_graph)
+    start_name, end_name = oracle_graph.output_names
+    spans: list[tuple[int, int]] = []
+    for feed in feed_batches(feeds, ORACLE_BATCH):
+        out = ex.run(feed)
+        for start_logits, end_logits in zip(out[start_name], out[end_name]):
+            spans.append(extract_answer_span(
+                start_logits, end_logits, max_answer_length=MAX_ANSWER_LENGTH,
+                context_start=int(context_starts[len(spans)]),
+            ))
+    return spans
+
+
+def load_spans(key: str) -> list[tuple[int, int]] | None:
+    """The stored oracle spans if their key is exactly ``key``, else None."""
+    if not STORED_SPANS.exists():
+        return None
+    stored = json.loads(STORED_SPANS.read_text())
+    if stored["key"] != key:
+        return None
+    return [(int(start), int(end)) for start, end in stored["spans"]]
 
 
 class SyntheticSQuAD(TaskDataset):
@@ -40,7 +102,7 @@ class SyntheticSQuAD(TaskDataset):
 
     @classmethod
     def generate(
-        cls, oracle_graph: Graph, model_config: dict, *, size: int, seed: int = 45
+        cls, oracle_graph: Graph, model_config: dict, *, size: int, seed: int = SEED
     ) -> "SyntheticSQuAD":
         seq_len = model_config["seq_len"]
         vocab = model_config["vocab_size"]
@@ -48,16 +110,9 @@ class SyntheticSQuAD(TaskDataset):
 
         ids, masks, ctx = token_sequence_batch(size, seq_len, vocab, seed)
         feeds = {"input_ids": ids, "input_mask": masks}
-        ex = Executor(oracle_graph)
-        start_name, end_name = oracle_graph.output_names
-        oracle_spans: list[tuple[int, int]] = []
-        for feed in feed_batches(feeds, ORACLE_BATCH):
-            out = ex.run(feed)
-            for start_logits, end_logits in zip(out[start_name], out[end_name]):
-                oracle_spans.append(extract_answer_span(
-                    start_logits, end_logits, max_answer_length=MAX_ANSWER_LENGTH,
-                    context_start=int(ctx[len(oracle_spans)]),
-                ))
+        oracle_spans = load_spans(oracle_key(oracle_graph, model_config, size=size, seed=seed))
+        if oracle_spans is None:
+            oracle_spans = run_oracle(oracle_graph, feeds, ctx)
         truths: list[tuple[int, int]] = []
         for i in range(size):
             if rng.random() < ORACLE_FIDELITY:

@@ -8,7 +8,8 @@ its length, the metric of the FP32 graph's postprocessed outputs, and
 metric of the ground truth itself. Metrics compare bit for bit
 (``float.hex``). The suite digests round quality to 3 decimals; this
 oracle catches any change to a generated byte, a batch split, a label or
-a metric.
+a metric. At its oracle size SQuAD is labelled by a real FP32 oracle pass;
+the spans stored for the default size are checked against one here too.
 
 Regenerate, only for a change meant to move dataset bytes or metrics:
 
@@ -102,6 +103,36 @@ def dataset_record(name: str) -> dict:
 def test_dataset_matches_oracle(name):
     expected = json.loads(ORACLE.read_text())[name]
     assert dataset_record(name) == expected
+
+
+def test_oracle_size_runs_the_oracle_pass():
+    """No stored spans serve the oracle's SQuAD size, so its record above
+    pins a real oracle pass."""
+    from repro.datasets import squad
+    from repro.graph import export_mobile
+    from repro.models import create_reference_model
+
+    bundle = create_reference_model(CASES["squad"][0])
+    key = squad.oracle_key(export_mobile(bundle.graph), bundle.config,
+                           size=CASES["squad"][1], seed=squad.SEED)
+    assert squad.load_spans(key) is None
+
+
+def test_stored_squad_spans_equal_oracle_pass():
+    """The stored spans of the default SQuAD set are what a fresh FP32 oracle
+    pass extracts, at this process's BLAS thread count (``ci.sh`` runs this
+    file at 1, 2 and 4)."""
+    from repro.datasets import DEFAULT_SIZES, squad
+    from repro.graph import export_mobile
+    from repro.models import create_reference_model
+
+    bundle = create_reference_model(CASES["squad"][0])
+    fp32 = export_mobile(bundle.graph)
+    size = DEFAULT_SIZES["squad"]
+    stored = squad.load_spans(squad.oracle_key(fp32, bundle.config, size=size, seed=squad.SEED))
+    ds = squad.SyntheticSQuAD.generate(fp32, bundle.config, size=size)
+    assert stored is not None
+    assert stored == squad.run_oracle(fp32, ds.feeds, ds.context_starts)
 
 
 def test_oracle_covers_every_dataset():

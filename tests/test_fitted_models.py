@@ -1,18 +1,27 @@
-"""Stored reference-model fits: the refit oracle and the cache-safety rules.
+"""Stored reference-model fits and SQuAD oracle spans: the recomputation
+oracle and the cache-safety rules.
 
 A default build loads a model's stored fit (``repro/models/fitted``) only on
 an exact fit-key match; anything else refits. ``fit_calls`` counts refits.
+SQuAD synthesis reads the stored oracle spans only on an exact key match;
+anything else runs the oracle pass. ``oracle_calls`` counts those passes.
 """
 
 import dataclasses
+import hashlib
+import json
 import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.core import QUICK_RULES, BenchmarkHarness
+from repro.datasets import DEFAULT_SIZES, create_dataset, squad
+from repro.graph.plan import ExecutionPlan
 from repro.models import MODEL_REGISTRY, create_reference_model, fitting
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -37,8 +46,9 @@ def copy_stored(name: str, directory: pathlib.Path, **overrides) -> None:
 
 def test_stored_fits_match_refit():
     """``tools/fitted_models.py --check``: every stored fit is byte-equal to a
-    refit at 2 BLAS threads. It runs in a subprocess because the tool pins the
-    thread count before NumPy loads, which this process can no longer do."""
+    refit at 2 BLAS threads, and the stored SQuAD spans to a fresh oracle
+    pass. It runs in a subprocess because the tool pins the thread count
+    before NumPy loads, which this process can no longer do."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "fitted_models.py"), "--check"],
@@ -115,3 +125,96 @@ def test_loaded_equals_refit(monkeypatch, tmp_path):
     refit = create_reference_model("mobilenet_edgetpu")
     assert loaded.graph.checksum() == refit.graph.checksum()
     assert loaded.graph.metadata["head_fit"] == refit.graph.metadata["head_fit"]
+
+
+# -- stored SQuAD oracle spans ----------------------------------------------
+
+@pytest.fixture()
+def oracle_calls(monkeypatch):
+    """Sample counts of the oracle passes a synthesis makes; the stand-in
+    labels each sample with its first passage token."""
+    calls = []
+
+    def stand_in(graph, feeds, context_starts):
+        calls.append(len(context_starts))
+        return [(int(c), int(c)) for c in context_starts]
+
+    monkeypatch.setattr(squad, "run_oracle", stand_in)
+    return calls
+
+
+def copy_spans(directory: pathlib.Path, **overrides) -> pathlib.Path:
+    """Copy the stored spans into ``directory``, replacing some entries."""
+    stored = json.loads(squad.STORED_SPANS.read_text())
+    path = directory / squad.STORED_SPANS.name
+    path.write_text(json.dumps({**stored, **overrides}))
+    return path
+
+
+def test_default_squad_loads_spans(oracle_calls, qa_bundle, qa_exported):
+    ds = create_dataset("squad", qa_exported, qa_bundle.config)
+    assert oracle_calls == []
+    assert len(ds) == DEFAULT_SIZES["squad"]
+
+
+@pytest.mark.parametrize("size,seed", [(48, None), (None, 46)])
+def test_other_size_or_seed_relabels(oracle_calls, qa_bundle, qa_exported, size, seed):
+    create_dataset("squad", qa_exported, qa_bundle.config, size=size, seed=seed)
+    assert oracle_calls == [size or DEFAULT_SIZES["squad"]]
+
+
+@pytest.mark.parametrize("constant,value", [
+    ("ORACLE_VERSION", squad.ORACLE_VERSION + 1),
+    ("MAX_ANSWER_LENGTH", squad.MAX_ANSWER_LENGTH - 1),
+    ("ORACLE_BATCH", squad.ORACLE_BATCH // 2),
+])
+def test_stale_recipe_relabels(oracle_calls, monkeypatch, qa_bundle, qa_exported,
+                               constant, value):
+    monkeypatch.setattr(squad, constant, value)
+    create_dataset("squad", qa_exported, qa_bundle.config)
+    assert oracle_calls == [DEFAULT_SIZES["squad"]]
+
+
+def test_edited_oracle_graph_relabels(oracle_calls, qa_bundle, qa_exported):
+    graph = qa_exported.clone()
+    graph.params["qa_head/b"] = graph.params["qa_head/b"] + 1.0
+    create_dataset("squad", graph, qa_bundle.config)
+    assert oracle_calls == [DEFAULT_SIZES["squad"]]
+
+
+@pytest.mark.parametrize("tampered,passes", [(False, 0), (True, 1)])
+def test_tampered_spans_key_relabels(oracle_calls, monkeypatch, tmp_path, qa_bundle,
+                                     qa_exported, tampered, passes):
+    overrides = {"key": "0" * 64} if tampered else {}
+    monkeypatch.setattr(squad, "STORED_SPANS", copy_spans(tmp_path, **overrides))
+    create_dataset("squad", qa_exported, qa_bundle.config)
+    assert len(oracle_calls) == passes
+
+
+def test_missing_spans_relabel(oracle_calls, monkeypatch, tmp_path, qa_bundle, qa_exported):
+    monkeypatch.setattr(squad, "STORED_SPANS", tmp_path / squad.STORED_SPANS.name)
+    create_dataset("squad", qa_exported, qa_bundle.config)
+    assert oracle_calls == [DEFAULT_SIZES["squad"]]
+
+
+def test_cold_qa_suite_runs_each_batch_once(monkeypatch):
+    """A cold suite at the default SQuAD size executes no (graph, feed batch)
+    twice: synthesis reads the stored spans instead of running the FP32
+    reference graph over the batches accuracy mode runs it on again."""
+    runs = Counter()
+    run = ExecutionPlan.run
+
+    def counted(plan, feeds, *args, **kwargs):
+        h = hashlib.sha256()
+        for name in sorted(feeds):
+            h.update(name.encode() + np.ascontiguousarray(feeds[name]).tobytes())
+        runs[plan.graph.name, h.hexdigest()] += 1
+        return run(plan, feeds, *args, **kwargs)
+
+    monkeypatch.setattr(ExecutionPlan, "run", counted)
+    harness = BenchmarkHarness(version="v1.0", rules=QUICK_RULES)
+    suite = harness.run_suite("dimensity_1100", backend_name="neuron",
+                              tasks=["question_answering"])
+    assert suite.degraded_tasks == []
+    assert len({graph for graph, _ in runs}) == 2  # the FP32 reference and the FP16 deployment
+    assert [key for key, count in runs.items() if count > 1] == []

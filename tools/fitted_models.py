@@ -1,20 +1,25 @@
 #!/usr/bin/env python
-"""Stored reference-model fits: write them, or check them against a refit.
+"""Stored reference-model fits and SQuAD oracle spans: write them, or check
+them against a recomputation.
 
 Fitting a reference model's heads (``repro.models.fitting``) is deterministic
 but slow, so each zoo model whose fit changes any param ships that fit in
 ``src/repro/models/fitted/<model>.npz``: the changed params (BN statistics and
 head weights), ``metadata["head_fit"]`` and the fit key. A default build
-loads it when the key matches exactly and refits otherwise.
+loads it when the key matches exactly and refits otherwise. The FP32
+MobileBERT oracle's answer spans of the default SQuAD set ship the same way,
+in ``fitted/squad_oracle.json`` under their key (``repro.datasets.squad``).
 
     PYTHONPATH=src python tools/fitted_models.py --check   # exit 1 on drift
     PYTHONPATH=src python tools/fitted_models.py --write   # regenerate
 
 ``--check`` refits every model at the default seed and prints one
 ``ok``/``MISMATCH``/``MISSING``/``STALE`` line per model; any byte difference
-is a mismatch. The key covers the recipe version, seed, unfitted graph and
-config, but not the kernels, scene synthesis or preprocessing a fit runs
-through: this check is what catches an edit there that changes fitted bytes.
+is a mismatch. It then reruns the SQuAD oracle pass and prints one
+``ok``/``MISMATCH``/``MISSING`` line for the spans. The keys cover the recipe
+versions, seeds, unfitted or oracle graph and config, but not the kernels,
+scene or token synthesis or preprocessing a fit or the oracle runs through:
+this check is what catches an edit there that changes stored bytes.
 ``--write`` rewrites the files (byte-reproducibly); do that in its own commit
 and give the reason in the commit message.
 
@@ -63,6 +68,36 @@ def refit(name: str) -> dict[str, np.ndarray]:
             **changed}
 
 
+def squad_spans() -> dict:
+    """The stored-spans record of the default SQuAD set, computed afresh by
+    the oracle pass over the harness's FP32 reference graph."""
+    from repro.datasets import DEFAULT_SIZES, squad
+    from repro.graph import export_mobile
+    from repro.models import create_reference_model
+
+    bundle = create_reference_model("mobilebert")
+    graph = export_mobile(bundle.graph)
+    size = DEFAULT_SIZES["squad"]
+    dataset = squad.SyntheticSQuAD.generate(graph, bundle.config, size=size, seed=squad.SEED)
+    spans = squad.run_oracle(graph, dataset.feeds, dataset.context_starts)
+    return {"key": squad.oracle_key(graph, bundle.config, size=size, seed=squad.SEED),
+            "spans": [list(span) for span in spans]}
+
+
+def check_spans(path: pathlib.Path, record: dict) -> str:
+    """The ``--check`` line of the stored SQuAD oracle spans."""
+    if not path.exists():
+        return "MISSING squad_oracle"
+    stored = json.loads(path.read_text())
+    if stored["key"] != record["key"]:
+        return "MISMATCH squad_oracle: key"
+    moved = sum(a != b for a, b in zip(stored["spans"], record["spans"]))
+    moved += abs(len(stored["spans"]) - len(record["spans"]))
+    if moved:
+        return f"MISMATCH squad_oracle: {moved} of {len(record['spans'])} spans differ"
+    return "ok squad_oracle"
+
+
 def write_npz(path: pathlib.Path, entries: dict[str, np.ndarray]) -> None:
     """``np.savez`` with fixed zip timestamps, so equal entries give equal bytes."""
     with zipfile.ZipFile(path, "w") as zf:
@@ -80,6 +115,7 @@ def differing(path: pathlib.Path, entries: dict[str, np.ndarray]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.datasets import squad
     from repro.models import available_models, fitting
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -91,6 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     fitted = {name: refit(name) for name in available_models()}
     fitted = {name: entries for name, entries in fitted.items() if entries}
     stored = {path.stem: path for path in fitting.FITTED_DIR.glob("*.npz")}
+    spans = squad_spans()
 
     if args.write:
         fitting.FITTED_DIR.mkdir(exist_ok=True)
@@ -98,7 +135,9 @@ def main(argv: list[str] | None = None) -> int:
             write_npz(fitting.FITTED_DIR / f"{name}.npz", entries)
         for name in sorted(set(stored) - set(fitted)):
             stored[name].unlink()
-        print(f"wrote {len(fitted)} fitted models to {fitting.FITTED_DIR}")
+        squad.STORED_SPANS.write_text(json.dumps(spans) + "\n")
+        print(f"wrote {len(fitted)} fitted models and the SQuAD oracle spans "
+              f"to {fitting.FITTED_DIR}")
         return 0
 
     ok = True
@@ -112,9 +151,12 @@ def main(argv: list[str] | None = None) -> int:
             line = f"MISMATCH {name}: {', '.join(diff)}" if diff else f"ok {name}"
         ok = ok and line.startswith("ok ")
         print(line)
+    line = check_spans(squad.STORED_SPANS, spans)
+    ok = ok and line.startswith("ok ")
+    print(line)
     if not ok:
-        print("a refit differs from the stored fits: if the change is meant to "
-              "alter fitted models, run tools/fitted_models.py --write in its own "
+        print("a recomputation differs from the stored fits or spans: if the change "
+              "is meant to alter them, run tools/fitted_models.py --write in its own "
               "commit and give the reason in the commit message")
     return 0 if ok else 1
 
