@@ -122,8 +122,7 @@ def export_mobile(graph: Graph) -> Graph:
     g = fuse_activations(g)
     g.metadata["source_checksum"] = source_checksum
     g.metadata["export_format"] = "mobile-v1"
-    g.freeze()
-    g.metadata["export_checksum"] = g.checksum()
+    g.metadata["export_checksum"] = g.freeze()
     # deferred import: staticcheck imports the graph package at module scope
     from ..staticcheck.verifier import attest
 
