@@ -4,8 +4,9 @@ Labelling runs the FP32 oracle over the whole validation set. Like MLPerf
 Mobile's labelled validation sets, the oracle's spans of the default set ship
 as a file, ``models/fitted/squad_oracle.json``, next to the stored fits, under
 the key :func:`oracle_key`: :meth:`SyntheticSQuAD.generate` reads them on an
-exact key match and runs the oracle pass otherwise. ``tools/fitted_models.py``
-writes the file and checks it against a fresh oracle pass.
+exact key match and runs the oracle pass otherwise.
+``tools/references.py --check squad_spans`` checks the file against a fresh
+oracle pass; ``--write squad_spans`` rewrites it.
 """
 
 from __future__ import annotations

@@ -126,5 +126,5 @@ def export_mobile(graph: Graph) -> Graph:
     # deferred import: staticcheck imports the graph package at module scope
     from ..staticcheck.verifier import attest
 
-    attest(g)
+    attest(g, g.metadata["export_checksum"])
     return g

@@ -8,7 +8,7 @@ qparams installed by the PTQ pass.
 ``Executor.run`` executes through the graph's compiled :class:`ExecutionPlan`
 (each op prepared once, FP16 rounding, tensor liveness — see
 :mod:`repro.graph.plan`). Outputs are pinned by golden digests
-(``tools/golden_outputs.py``).
+(``tools/references.py --check golden_outputs``).
 """
 
 from __future__ import annotations

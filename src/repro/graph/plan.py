@@ -19,8 +19,9 @@ caches three things:
    the true working set instead of the whole activation footprint.
 
 Each op's semantics live only in its ``prepare``; exactness across refactors
-is pinned by the golden output digests (``tools/golden_outputs.py``,
-``tests/golden_outputs.json``) for every zoo model in all four numerics.
+is pinned by the golden output digests (``tests/golden_outputs.json``,
+checked by ``tools/references.py --check golden_outputs``) for every zoo
+model in all four numerics.
 
 Every kernel returns a freshly allocated array. A fused epilogue (bias add,
 relu/relu6 clamp) writes in place only into that fresh array, never into an

@@ -12,8 +12,8 @@ gates (>=93-98% of FP32) behave the way they do on real trained models.
 Like MLPerf Mobile's frozen reference models, the result ships as a file:
 ``fitted/<model>.npz`` holds the params a fit changes, under the fit's key
 (:func:`fit_key`). :func:`fit_or_load` loads it on an exact key match and
-refits otherwise. ``tools/fitted_models.py`` writes the files and checks them
-against a refit.
+refits otherwise. ``tools/references.py --check fitted_models`` checks the
+files against a refit; ``--write fitted_models`` rewrites them.
 """
 
 from __future__ import annotations

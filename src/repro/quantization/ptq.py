@@ -174,12 +174,12 @@ def quantize_graph(
         "observer": "moving_average",
         "calibration_samples": calibration.num_samples,
     }
-    g.freeze()
+    checksum = g.freeze()
     # re-attest: quantization changed params/specs, so the export-time stamp
     # no longer matches the checksum (deferred import avoids a module cycle)
     from ..staticcheck.verifier import attest
 
-    attest(g)
+    attest(g, checksum)
     return g
 
 
@@ -197,8 +197,8 @@ def convert_fp16(graph: Graph) -> Graph:
         if spec.role not in _SKIP_ROLES:
             spec.numerics = Numerics.FP16
     g.metadata["quantization"] = {"numerics": "fp16"}
-    g.freeze()
+    checksum = g.freeze()
     from ..staticcheck.verifier import attest
 
-    attest(g)
+    attest(g, checksum)
     return g

@@ -8,7 +8,9 @@ Examples::
     python -m repro.staticcheck --format json > staticcheck.json
 
 Exit status is 0 only when every swept deployment is clean (no finding of
-any severity): the contract ``ci.sh`` gates on.
+any severity). The full JSON report is checked in as
+``benchmarks/results/STATICCHECK.json`` and checked byte for byte by
+``tools/references.py --check staticcheck``.
 """
 
 from __future__ import annotations

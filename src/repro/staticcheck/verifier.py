@@ -66,12 +66,13 @@ def verify_graph(
     return report
 
 
-def attest(graph: Graph, report: Report | None = None) -> dict:
+def attest(graph: Graph, checksum: str, report: Report | None = None) -> dict:
     """Stamp a static-verification attestation into ``graph.metadata``.
 
-    The stamp binds the verdict to the graph checksum (which covers ops,
-    params and outputs but not metadata, so stamping does not perturb it):
-    mutate the graph after attestation and the mismatch is detectable.
+    The stamp binds the verdict to ``checksum``, the graph's checksum as
+    ``freeze()`` returned it (it covers ops, params and outputs but not
+    metadata, so stamping does not perturb it): mutate the graph after
+    attestation and the mismatch is detectable.
     """
     if report is None:
         report = verify_graph(graph, families=_EXPORT_FAMILIES)
@@ -80,7 +81,7 @@ def attest(graph: Graph, report: Report | None = None) -> dict:
         "verified": not report.errors,
         "findings": len(report.findings),
         "errors": len(report.errors),
-        "checksum": graph.checksum(),
+        "checksum": checksum,
     }
     graph.metadata["staticcheck"] = stamp
     return stamp

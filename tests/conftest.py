@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro.graph import Executor, GraphBuilder, export_mobile
 from repro.models import available_models, create_reference_model
 from repro.datasets import create_dataset
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 
 
 @pytest.fixture()
@@ -92,3 +100,19 @@ def qa_exported(qa_bundle):
 @pytest.fixture(scope="session")
 def qa_dataset(qa_bundle, qa_exported):
     return create_dataset("squad", qa_exported, qa_bundle.config, size=48)
+
+
+@pytest.fixture(scope="session")
+def reference_check():
+    """``(process, {entry: {item: verdict}})`` of one ``tools/references.py
+    --check`` of every entry, in a process of its own so it can pin BLAS."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "references.py"), "--check"],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=600,
+    )
+    verdicts: dict[str, dict[str, str]] = {}
+    for line in proc.stdout.splitlines():
+        verdict, entry, item = line.partition(": ")[0].split(" ", 2)
+        verdicts.setdefault(entry, {})[item] = verdict
+    return proc, verdicts

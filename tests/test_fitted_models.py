@@ -10,10 +10,7 @@ anything else runs the oracle pass. ``oracle_calls`` counts those passes.
 import dataclasses
 import hashlib
 import json
-import os
 import pathlib
-import subprocess
-import sys
 from collections import Counter
 
 import numpy as np
@@ -24,7 +21,6 @@ from repro.datasets import DEFAULT_SIZES, create_dataset, squad
 from repro.graph.plan import ExecutionPlan
 from repro.models import MODEL_REGISTRY, create_reference_model, fitting
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 STORED = sorted(path.stem for path in fitting.FITTED_DIR.glob("*.npz"))
 
 
@@ -44,17 +40,11 @@ def copy_stored(name: str, directory: pathlib.Path, **overrides) -> None:
     np.savez(directory / f"{name}.npz", **{**entries, **overrides})
 
 
-def test_stored_fits_match_refit():
-    """``tools/fitted_models.py --check``: every stored fit is byte-equal to a
-    refit at 2 BLAS threads, and the stored SQuAD spans to a fresh oracle
-    pass. It runs in a subprocess because the tool pins the thread count
-    before NumPy loads, which this process can no longer do."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "fitted_models.py"), "--check"],
-        capture_output=True, text=True, env=env, cwd=ROOT, timeout=600,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+def test_stored_fits_match_refit(reference_check):
+    """Every stored fit is byte-equal to a refit at 2 BLAS threads, and no
+    fitted model's file is missing or stale."""
+    proc, verdicts = reference_check
+    assert verdicts.get("fitted_models") == dict.fromkeys(STORED, "ok"), proc.stdout + proc.stderr
 
 
 def test_every_fitted_model_is_stored():

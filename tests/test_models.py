@@ -122,7 +122,7 @@ class TestReferenceModels:
 
     def test_deterministic_build(self):
         """Two default builds, both loading the stored fit. Fit determinism
-        is covered by the refit oracle (tools/fitted_models.py --check)."""
+        is covered by the refit oracle (tools/references.py --check fitted_models)."""
         a = create_reference_model("mobilenet_edgetpu")
         b = create_reference_model("mobilenet_edgetpu")
         assert a.graph.checksum() == b.graph.checksum()

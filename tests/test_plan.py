@@ -1,8 +1,5 @@
 """Planned execution engine: bit-exactness, liveness, threads, profiler, RNG blocks."""
 
-import os
-import pathlib
-import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -21,10 +18,7 @@ from repro.models import available_models, create_reference_model, model_feeds
 from repro.quantization import calibrate, convert_fp16, quantize_graph
 from repro.staticcheck import deployment_variants
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tools"))
-
-import golden_outputs  # noqa: E402
+import references
 
 INTEGER_KERNELS = ("conv2d", "depthwise_conv2d", "fully_connected")
 
@@ -34,42 +28,24 @@ def zoo_artifacts(request, unfitted_zoo):
     """Per-model: exported FP32 graph and its fixed read-only feeds."""
     name = request.param
     _, exported = unfitted_zoo[name]
-    return exported, model_feeds(name, exported, golden_outputs.BATCH)
-
-
-@pytest.fixture(scope="module")
-def golden_check():
-    """Verdict per ``model/numerics`` from ``golden_outputs.py --check``.
-
-    It runs in a subprocess because the tool pins the BLAS thread count
-    before NumPy loads, which this process can no longer do.
-    """
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "golden_outputs.py"), "--check"],
-        capture_output=True, text=True, env=env, cwd=ROOT, timeout=600,
-    )
-    verdicts = {}
-    for line in proc.stdout.splitlines():
-        verdict, _, pair = line.partition(" ")
-        verdicts[pair] = verdict
-    return proc, verdicts
+    return exported, model_feeds(name, exported, references.GOLDEN_BATCH)
 
 
 class TestBitExactness:
-    @pytest.mark.parametrize("numerics", golden_outputs.NUMERICS)
+    @pytest.mark.parametrize("numerics", references.NUMERICS)
     @pytest.mark.parametrize("model", available_models())
-    def test_plan_matches_legacy_executor(self, golden_check, model, numerics):
+    def test_plan_matches_legacy_executor(self, reference_check, model, numerics):
         """Plan outputs hash to the golden digests, which were recorded from
         the legacy interpreting loop before it was deleted (zoo model on
         fixed read-only batch-4 feeds, BLAS pinned to 2 threads)."""
-        proc, verdicts = golden_check
-        assert verdicts.get(f"{model}/{numerics}") == "ok", proc.stdout + proc.stderr
+        proc, verdicts = reference_check
+        golden = verdicts.get("golden_outputs", {})
+        assert golden.get(f"{model}/{numerics}") == "ok", proc.stdout + proc.stderr
 
-    def test_golden_check_passes(self, golden_check):
+    def test_golden_check_passes(self, reference_check):
         """Every golden pair is computed and matches; nothing is stale."""
-        proc, _ = golden_check
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+        proc, verdicts = reference_check
+        assert set(verdicts.get("golden_outputs", {}).values()) == {"ok"}, proc.stdout + proc.stderr
 
     def test_repeated_runs_deterministic(self, zoo_artifacts):
         exported, feeds = zoo_artifacts
@@ -144,7 +120,7 @@ class TestIntegerOperands:
             exported = export_mobile(create_reference_model(name).graph)
         else:
             _, exported = unfitted_zoo[name]
-        feeds = model_feeds(name, exported, golden_outputs.BATCH)
+        feeds = model_feeds(name, exported, references.GOLDEN_BATCH)
         for _, q in deployment_variants(exported, (Numerics.INT8, Numerics.UINT8), [feeds]):
             kernels = sum(op.op_type in INTEGER_KERNELS for op in q.ops)
             operands = ExecutionPlan(q).describe()["integer_operands"]

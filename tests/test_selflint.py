@@ -4,12 +4,10 @@ works, and the repo itself is clean (the same gate ci.sh enforces)."""
 from __future__ import annotations
 
 import pathlib
-import sys
+
+import selflint
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "tools"))
-
-import selflint  # noqa: E402
 
 
 def _ids(violations):

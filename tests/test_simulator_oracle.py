@@ -1,17 +1,12 @@
-"""Exactness oracle for the SoC simulator's performance mode.
+"""Exactness oracle for the SoC simulator's performance mode: the
+``simulator_oracle`` entry of ``tools/references.py``
+(``tests/simulator_oracle.json``).
 
-Replays a fixed sequence on three SoCs and compares every float the
-simulator produces, bit for bit (``float.hex``), against
-``tests/simulator_oracle.json``. Each sequence is: cold single-stream
-queries, one batched query, an offline ALP burst, queries on the
-throttled die it leaves behind, and a query after a cooldown. The
-perfbench digests round to 3-6 decimals and are not in tier-1; this
-oracle catches a reordered float operation in the latency, energy,
-thermal or offline accounting.
-
-Regenerate, only for a change meant to move the simulator's numbers:
-
-    PYTHONPATH=src python tests/test_simulator_oracle.py > tests/simulator_oracle.json
+Every float of a fixed sequence on three SoCs, by ``float.hex``: cold
+queries, a batched query, an offline ALP burst, queries on the throttled die
+and one after a cooldown. It catches a reordered float operation in the
+latency, energy, thermal or offline accounting. The tests read the session's
+one registry check.
 """
 
 from __future__ import annotations
@@ -21,70 +16,23 @@ import pathlib
 
 import pytest
 
+from references import SIMULATOR_CASES
+from repro.hardware import get_soc
+
 ORACLE = pathlib.Path(__file__).with_name("simulator_oracle.json")
 
-# (SoC, task): NPU+GPU hops on a slow interconnect, a two-engine ALP
-# burst, and a laptop with its own thermal envelope
-CASES = (
-    ("exynos_990", "semantic_segmentation"),
-    ("snapdragon_865plus", "image_classification"),
-    ("core_i7_1165g7", "image_classification"),
-)
 
-
-def _query_row(result) -> list[float]:
-    return [result.latency_seconds, result.energy.energy_joules,
-            result.energy.average_watts, result.temperature_c, result.clock_scale]
-
-
-def simulator_trace(soc_name: str, task: str) -> dict[str, list[float]]:
-    """Every float of one fixed performance-mode sequence on ``soc_name``."""
-    from repro.analysis import full_graph_cache
-    from repro.backends import default_backend_for
-    from repro.core.tasks import get_task
-    from repro.hardware import SimulatedDevice, get_soc
-    from repro.loadgen import PerformanceSUT
-
-    soc = get_soc(soc_name)
-    backend = default_backend_for(soc)
-    graph = full_graph_cache(get_task(task).models[soc.benchmark_version])
-    single = backend.compile_single_stream(graph, task)
-    pipelines = backend.compile_offline(graph, task)
-    device = SimulatedDevice(soc)
-    trace: dict[str, list[float]] = {}
-    for i in range(3):
-        trace[f"cold_query_{i}"] = _query_row(device.run_query(single))
-    trace["batch_8_query"] = _query_row(device.run_query(single, batch=8))
-    off = PerformanceSUT(device, single, pipelines).run_offline(4096)
-    trace["offline"] = [off.total_seconds, off.steady_clock_scale,
-                        off.energy_joules, off.throughput_fps]
-    trace["after_offline"] = [device.thermal.temperature_c, device.virtual_time,
-                              device.total_energy_joules]
-    for i in range(2):
-        trace[f"hot_query_{i}"] = _query_row(device.run_query(single))
-    device.cooldown(60.0)
-    trace["cooled_query"] = _query_row(device.run_query(single))
-    trace["final"] = [device.thermal.temperature_c, device.virtual_time,
-                      device.total_energy_joules]
-    return trace
-
-
-def _hex(trace: dict[str, list[float]]) -> dict[str, list[str]]:
-    return {k: [float(v).hex() for v in row] for k, row in trace.items()}
-
-
-@pytest.mark.parametrize("soc_name,task", CASES)
-def test_simulator_matches_oracle(soc_name, task):
-    expected = json.loads(ORACLE.read_text())[f"{soc_name}/{task}"]
-    assert _hex(simulator_trace(soc_name, task)) == expected
+@pytest.mark.parametrize("soc_name,task", SIMULATOR_CASES)
+def test_simulator_matches_oracle(reference_check, soc_name, task):
+    proc, verdicts = reference_check
+    simulator = verdicts.get("simulator_oracle", {})
+    assert simulator.get(f"{soc_name}/{task}") == "ok", proc.stdout + proc.stderr
 
 
 def test_oracle_covers_throttling_and_the_tdp_cap():
     """The recorded sequences exercise the branches they exist to pin."""
-    from repro.hardware import get_soc
-
     oracle = json.loads(ORACLE.read_text())
-    assert set(oracle) == {f"{s}/{t}" for s, t in CASES}
+    assert set(oracle) == {f"{s}/{t}" for s, t in SIMULATOR_CASES}
     hot_clocks = [float.fromhex(row[4]) for case in oracle.values()
                   for key, row in case.items() if key.startswith("hot_query")]
     assert hot_clocks and all(c < 1.0 for c in hot_clocks)
@@ -94,8 +42,3 @@ def test_oracle_covers_throttling_and_the_tdp_cap():
               if "query" in key and float.fromhex(row[2])
               == get_soc(case.split("/")[0]).tdp_watts]
     assert capped
-
-
-if __name__ == "__main__":
-    print(json.dumps({f"{s}/{t}": _hex(simulator_trace(s, t)) for s, t in CASES},
-                     indent=1))

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import build_toy_graph
+from conftest import ROOT, build_toy_graph
 from repro.backends import create_backend
 from repro.core.export import validate_package
 from repro.graph import export_mobile
@@ -31,7 +31,8 @@ from repro.graph.tensor import TensorSpec
 from repro.hardware.scheduler import FrameworkProfile, compile_model
 from repro.hardware.soc import SOC_CATALOG
 from repro.kernels.numerics import Numerics, QuantParams
-from repro.models import available_models, model_feeds
+from repro.models import available_models
+from repro.quantization import calibrate, convert_fp16, quantize_graph
 from repro.staticcheck import (
     RULE_CATALOG,
     RULESET_VERSION,
@@ -47,12 +48,10 @@ from repro.staticcheck import (
     check_plan,
     check_quantization,
     check_schedulable,
-    deployment_variants,
     sweep_vendor_placements,
     verify_graph,
 )
 from repro.staticcheck.__main__ import main as staticcheck_main
-from repro.staticcheck.verifier import CALIBRATION_BATCH
 
 
 def _ids(findings):
@@ -654,17 +653,16 @@ def test_enn_v07_concat_exclusion_fragments_deeplab(unfitted_zoo):
 # zoo sweep: the whole model zoo x all numerics must come back clean
 # ---------------------------------------------------------------------------
 
-def test_zoo_sweep_is_clean(unfitted_zoo):
-    """``sweep_zoo``'s deployments, derived from the session's exported zoo."""
-    reports = [verify_graph(graph) for name, (_, exported) in unfitted_zoo.items()
-               for _, graph in deployment_variants(
-                   exported, ZOO_NUMERICS, [model_feeds(name, exported, CALIBRATION_BATCH)])]
-    assert len(reports) == len(ZOO_NUMERICS) * len(available_models())
-    offenders = [f.render() for r in reports for f in r.findings]
-    assert offenders == []
-    # placement metrics exist and the compiled fragmentation stays in budget
-    worst = max(p["partition_count"] for r in reports
-                for p in r.metrics.get("placements", []))
+def test_zoo_sweep_is_clean(reference_check):
+    """The zoo sweep's checked-in JSON report, which the session's reference
+    check reproduced byte for byte: clean, and within the fragmentation budget."""
+    proc, verdicts = reference_check
+    assert verdicts.get("staticcheck") == {"STATICCHECK.json": "ok"}, proc.stdout + proc.stderr
+    report = json.loads((ROOT / "benchmarks" / "results" / "STATICCHECK.json").read_text())
+    assert len(report["reports"]) == len(ZOO_NUMERICS) * len(available_models())
+    assert (report["total_findings"], report["exit_code"]) == (0, 0)
+    worst = max(p["partition_count"] for r in report["reports"]
+                for p in r["metrics"].get("placements", []))
     assert 1 <= worst <= 24
 
 
@@ -709,6 +707,24 @@ def test_export_stamps_a_verified_attestation():
     assert attestation_problems(stamp, g.checksum()) == []
 
 
+def test_stamps_reuse_the_frozen_checksum(monkeypatch, toy_inputs):
+    """``attest`` stamps the checksum ``freeze()`` returned instead of hashing
+    the graph again: an export hashes its source and its frozen result, an
+    FP16 conversion or a quantization only its result."""
+    graph, _ = build_toy_graph()
+    stats = calibrate(export_mobile(graph), [toy_inputs])
+    calls = []
+    checksum = Graph.checksum
+    monkeypatch.setattr(Graph, "checksum", lambda g: calls.append(g.name) or checksum(g))
+    exported = export_mobile(graph)
+    counts = [len(calls)]
+    for convert in (convert_fp16, lambda g: quantize_graph(g, stats)):
+        calls.clear()
+        convert(exported)
+        counts.append(len(calls))
+    assert counts == [2, 1, 1]
+
+
 def test_tampering_after_attestation_is_detected():
     graph, _ = build_toy_graph()
     g = export_mobile(graph)
@@ -720,7 +736,7 @@ def test_tampering_after_attestation_is_detected():
 
 def test_failed_verification_is_recorded_in_the_stamp():
     g = _df_dangling()
-    stamp = attest(g, verify_graph(g, families=("dataflow",)))
+    stamp = attest(g, g.checksum(), verify_graph(g, families=("dataflow",)))
     assert stamp["verified"] is False and stamp["errors"] >= 1
     assert any("unresolved error" in p for p in attestation_problems(stamp, g.checksum()))
 
