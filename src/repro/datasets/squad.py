@@ -2,21 +2,18 @@
 
 Labelling runs the FP32 oracle over the whole validation set. Like MLPerf
 Mobile's labelled validation sets, the oracle's spans of the default set ship
-as a file, ``models/fitted/squad_oracle.json``, next to the stored fits, under
-the key :func:`oracle_key`: :meth:`SyntheticSQuAD.generate` reads them on an
-exact key match and runs the oracle pass otherwise.
+in the store (:mod:`repro.store`), as kind ``squad_spans``, under the key
+:func:`oracle_key`: :meth:`SyntheticSQuAD.generate` reads them on an exact key
+match and runs the oracle pass otherwise.
 ``tools/references.py --check squad_spans`` checks the file against a fresh
 oracle pass; ``--write squad_spans`` rewrites it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import pathlib
-
 import numpy as np
 
+from .. import store
 from ..graph.executor import Executor
 from ..graph.graph import Graph
 from ..metrics.squad import squad_scores
@@ -24,7 +21,7 @@ from ..pipelines.postprocess import extract_answer_span
 from ..synthdata import token_sequence_batch
 from .base import TaskDataset, feed_batches
 
-__all__ = ["SyntheticSQuAD", "oracle_key", "run_oracle", "load_spans"]
+__all__ = ["SyntheticSQuAD", "oracle_key", "run_oracle"]
 
 CALIBRATION_SIZE = 64
 # longest answer span, in tokens, that labelling and prediction extract
@@ -37,14 +34,14 @@ SEED = 45  # default dataset seed
 # labelled (token synthesis, the oracle pass, span extraction), so that no
 # stored spans are served for the new recipe.
 ORACLE_VERSION = 1
-# the oracle's spans of the default set, next to the stored reference-model fits
-STORED_SPANS = pathlib.Path(__file__).parents[1] / "models" / "fitted" / "squad_oracle.json"
+SPANS = "squad_spans"  # the store's kind of stored oracle spans
+STORED_SET = "default"  # its one file: the spans of the default set
 
 
 def oracle_key(oracle_graph: Graph, model_config: dict, *, size: int, seed: int) -> str:
-    """SHA-256 naming one labelling: recipe version, oracle graph, token shape,
-    set size and seed, and the span extraction and batch constants."""
-    payload = {
+    """Key of one labelling: recipe version, oracle graph, token shape, set size
+    and seed, and the span extraction and batch constants."""
+    return store.key({
         "oracle_version": ORACLE_VERSION,
         "graph": oracle_graph.checksum(),
         "seq_len": model_config["seq_len"],
@@ -53,9 +50,7 @@ def oracle_key(oracle_graph: Graph, model_config: dict, *, size: int, seed: int)
         "seed": seed,
         "max_answer_length": MAX_ANSWER_LENGTH,
         "oracle_batch": ORACLE_BATCH,
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    })
 
 
 def run_oracle(oracle_graph: Graph, feeds: dict[str, np.ndarray],
@@ -72,16 +67,6 @@ def run_oracle(oracle_graph: Graph, feeds: dict[str, np.ndarray],
                 context_start=int(context_starts[len(spans)]),
             ))
     return spans
-
-
-def load_spans(key: str) -> list[tuple[int, int]] | None:
-    """The stored oracle spans if their key is exactly ``key``, else None."""
-    if not STORED_SPANS.exists():
-        return None
-    stored = json.loads(STORED_SPANS.read_text())
-    if stored["key"] != key:
-        return None
-    return [(int(start), int(end)) for start, end in stored["spans"]]
 
 
 class SyntheticSQuAD(TaskDataset):
@@ -111,9 +96,12 @@ class SyntheticSQuAD(TaskDataset):
 
         ids, masks, ctx = token_sequence_batch(size, seq_len, vocab, seed)
         feeds = {"input_ids": ids, "input_mask": masks}
-        oracle_spans = load_spans(oracle_key(oracle_graph, model_config, size=size, seed=seed))
-        if oracle_spans is None:
+        stored = store.load(SPANS, STORED_SET,
+                            oracle_key(oracle_graph, model_config, size=size, seed=seed))
+        if stored is None:
             oracle_spans = run_oracle(oracle_graph, feeds, ctx)
+        else:
+            oracle_spans = [tuple(span) for span in stored["spans"].tolist()]
         truths: list[tuple[int, int]] = []
         for i in range(size):
             if rng.random() < ORACLE_FIDELITY:

@@ -9,21 +9,19 @@ model whose decisions carry real margins — confident on easy samples,
 uncertain near boundaries — which is what makes the paper's relative-quality
 gates (>=93-98% of FP32) behave the way they do on real trained models.
 
-Like MLPerf Mobile's frozen reference models, the result ships as a file:
-``fitted/<model>.npz`` holds the params a fit changes, under the fit's key
-(:func:`fit_key`). :func:`fit_or_load` loads it on an exact key match and
-refits otherwise. ``tools/references.py --check fitted_models`` checks the
-files against a refit; ``--write fitted_models`` rewrites them.
+Like MLPerf Mobile's frozen reference models, the result ships in the store
+(:mod:`repro.store`): kind ``fitted_models`` holds, per model, the params a fit
+changes and its ``head_fit``, under the fit's key (:func:`fit_key`).
+:func:`fit_or_load` loads them on an exact key match and refits otherwise.
+``tools/references.py --check fitted_models`` checks the files against a
+refit; ``--write fitted_models`` rewrites them.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import pathlib
-
 import numpy as np
 
+from .. import store
 from ..datasets.base import feed_batches
 from ..graph.executor import Executor
 from ..graph.graph import Graph
@@ -73,10 +71,8 @@ SUPER_RESOLUTION_L2 = 1e-3
 # fit_* functions below, so that no stored fit is served for the new recipe.
 FIT_VERSION = 1
 FIT_SEED = 7777  # fit seed of the default build; the zoo adds its model seed
-FITTED_DIR = pathlib.Path(__file__).with_name("fitted")
-# the two non-param entries of a stored fit
-KEY_ENTRY = "__key__"
-HEAD_FIT_ENTRY = "__head_fit__"
+FITS = "fitted_models"  # the store's kind of stored fits, one file per model
+HEAD_FIT_ENTRY = "__head_fit__"  # a stored fit's one entry that is not a param
 
 
 def ridge_fit(
@@ -324,31 +320,13 @@ def fit_reference_heads(bundle: ModelBundle, seed: int = FIT_SEED) -> None:
 
 
 def fit_key(bundle: ModelBundle, seed: int) -> str:
-    """SHA-256 naming one fit: recipe version, seed, unfitted graph and config."""
-    payload = {
+    """Key of one fit: recipe version, seed, unfitted graph and config."""
+    return store.key({
         "fit_version": FIT_VERSION,
         "seed": seed,
         "graph": bundle.graph.checksum(),  # structure, attrs and param bytes
         "config": bundle.config,
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def load_fitted(name: str, bundle: ModelBundle, key: str) -> bool:
-    """Apply the stored fit of model ``name`` if its key is exactly ``key``."""
-    path = FITTED_DIR / f"{name}.npz"
-    if not path.exists():
-        return False
-    with np.load(path, allow_pickle=False) as stored:
-        if str(stored[KEY_ENTRY]) != key:
-            return False
-        graph = bundle.graph
-        graph.metadata["head_fit"] = json.loads(str(stored[HEAD_FIT_ENTRY]))
-        for entry in stored.files:
-            if entry not in (KEY_ENTRY, HEAD_FIT_ENTRY):
-                graph.params[entry] = stored[entry]
-    return True
+    })
 
 
 def fit_or_load(name: str, bundle: ModelBundle, seed: int) -> None:
@@ -359,9 +337,13 @@ def fit_or_load(name: str, bundle: ModelBundle, seed: int) -> None:
     ``metadata["head_fit"]["key"]`` names the fit.
     """
     key = fit_key(bundle, seed)
-    if not load_fitted(name, bundle, key):
+    stored = store.load(FITS, name, key)
+    if stored is None:
         # through the module global, which a tracer may have wrapped
         fit_reference_heads(bundle, seed=seed)
+    else:
+        bundle.graph.metadata["head_fit"] = stored.pop(HEAD_FIT_ENTRY)
+        bundle.graph.params.update(stored)
     head_fit = bundle.graph.metadata.get("head_fit")
     if head_fit is not None:
         head_fit["key"] = key

@@ -16,6 +16,7 @@ import pathlib
 import pytest
 
 from references import DATASET_CASES
+from repro import store
 from repro.datasets import DATASET_REGISTRY, squad
 from repro.graph import export_mobile
 from repro.models import create_reference_model
@@ -35,14 +36,14 @@ def test_oracle_size_runs_the_oracle_pass():
     bundle = create_reference_model(DATASET_CASES["squad"][0])
     key = squad.oracle_key(export_mobile(bundle.graph), bundle.config,
                            size=DATASET_CASES["squad"][1], seed=squad.SEED)
-    assert squad.load_spans(key) is None
+    assert store.load(squad.SPANS, squad.STORED_SET, key) is None
 
 
 def test_stored_squad_spans_equal_oracle_pass(reference_check):
     """The stored spans of the default SQuAD set are what a fresh FP32 oracle
     pass extracts (``ci.sh`` checks them at 1 and 4 BLAS threads too)."""
     proc, verdicts = reference_check
-    assert verdicts.get("squad_spans") == {"squad_oracle.json": "ok"}, proc.stdout + proc.stderr
+    assert verdicts.get("squad_spans") == {squad.STORED_SET: "ok"}, proc.stdout + proc.stderr
 
 
 def test_oracle_covers_every_dataset():

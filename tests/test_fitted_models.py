@@ -1,27 +1,27 @@
-"""Stored reference-model fits and SQuAD oracle spans: the recomputation
-oracle and the cache-safety rules.
+"""Stored reference-model fits and SQuAD oracle spans (``repro.store``): the
+recomputation oracle and the cache-safety rules.
 
-A default build loads a model's stored fit (``repro/models/fitted``) only on
-an exact fit-key match; anything else refits. ``fit_calls`` counts refits.
-SQuAD synthesis reads the stored oracle spans only on an exact key match;
-anything else runs the oracle pass. ``oracle_calls`` counts those passes.
+A default build loads a model's stored fit only on an exact fit-key match;
+anything else refits. ``fit_calls`` counts refits. SQuAD synthesis reads the
+stored oracle spans only on an exact key match; anything else runs the oracle
+pass. ``oracle_calls`` counts those passes.
 """
 
 import dataclasses
+import functools
 import hashlib
-import json
-import pathlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro import store
 from repro.core import QUICK_RULES, BenchmarkHarness
 from repro.datasets import DEFAULT_SIZES, create_dataset, squad
 from repro.graph.plan import ExecutionPlan
 from repro.models import MODEL_REGISTRY, create_reference_model, fitting
 
-STORED = sorted(path.stem for path in fitting.FITTED_DIR.glob("*.npz"))
+STORED = sorted(path.stem for path in store.path(fitting.FITS, "*").parent.glob("*.npz"))
 
 
 @pytest.fixture()
@@ -31,13 +31,6 @@ def fit_calls(monkeypatch):
     monkeypatch.setattr(fitting, "fit_reference_heads",
                         lambda bundle, seed: calls.append(seed))
     return calls
-
-
-def copy_stored(name: str, directory: pathlib.Path, **overrides) -> None:
-    """Copy ``name``'s stored fit into ``directory``, replacing some entries."""
-    with np.load(fitting.FITTED_DIR / f"{name}.npz", allow_pickle=False) as stored:
-        entries = {entry: stored[entry] for entry in stored.files}
-    np.savez(directory / f"{name}.npz", **{**entries, **overrides})
 
 
 def test_stored_fits_match_refit(reference_check):
@@ -98,23 +91,18 @@ def test_edited_builder_refits(fit_calls, monkeypatch, edit):
     assert fit_calls == [fitting.FIT_SEED]
 
 
-@pytest.mark.parametrize("tampered,refits", [(False, 0), (True, 1)])
-def test_tampered_key_refits(fit_calls, monkeypatch, tmp_path, tampered, refits):
-    overrides = {fitting.KEY_ENTRY: np.array("0" * 64)} if tampered else {}
-    copy_stored("mobilenet_edgetpu", tmp_path, **overrides)
-    monkeypatch.setattr(fitting, "FITTED_DIR", tmp_path)
-    create_reference_model("mobilenet_edgetpu")
-    assert len(fit_calls) == refits
-
-
-def test_loaded_equals_refit(monkeypatch, tmp_path):
-    """Same param bytes and provenance, whether loaded or refitted (in this
-    process's BLAS threads: MobileNetEdgeTPU's fit does not depend on them)."""
-    loaded = create_reference_model("mobilenet_edgetpu")
-    monkeypatch.setattr(fitting, "FITTED_DIR", tmp_path)  # nothing stored
-    refit = create_reference_model("mobilenet_edgetpu")
-    assert loaded.graph.checksum() == refit.graph.checksum()
-    assert loaded.graph.metadata["head_fit"] == refit.graph.metadata["head_fit"]
+def test_loaded_equals_refit(reference_check):
+    """A default build carries exactly the stored entries and key, and the
+    session's reference check refit the stored fit byte for byte: so a load
+    gives the params and ``head_fit`` a refit gives."""
+    assert reference_check[1]["fitted_models"]["mobilenet_edgetpu"] == "ok"
+    graph = create_reference_model("mobilenet_edgetpu").graph
+    key = graph.metadata["head_fit"]["key"]
+    stored = store.load(fitting.FITS, "mobilenet_edgetpu", key)
+    assert graph.metadata["head_fit"] == {**stored.pop(fitting.HEAD_FIT_ENTRY), "key": key}
+    for param, arr in stored.items():
+        loaded = graph.params[param]
+        assert (loaded.dtype, loaded.shape, loaded.tobytes()) == (arr.dtype, arr.shape, arr.tobytes())
 
 
 # -- stored SQuAD oracle spans ----------------------------------------------
@@ -131,14 +119,6 @@ def oracle_calls(monkeypatch):
 
     monkeypatch.setattr(squad, "run_oracle", stand_in)
     return calls
-
-
-def copy_spans(directory: pathlib.Path, **overrides) -> pathlib.Path:
-    """Copy the stored spans into ``directory``, replacing some entries."""
-    stored = json.loads(squad.STORED_SPANS.read_text())
-    path = directory / squad.STORED_SPANS.name
-    path.write_text(json.dumps({**stored, **overrides}))
-    return path
 
 
 def test_default_squad_loads_spans(oracle_calls, qa_bundle, qa_exported):
@@ -172,19 +152,48 @@ def test_edited_oracle_graph_relabels(oracle_calls, qa_bundle, qa_exported):
     assert oracle_calls == [DEFAULT_SIZES["squad"]]
 
 
-@pytest.mark.parametrize("tampered,passes", [(False, 0), (True, 1)])
-def test_tampered_spans_key_relabels(oracle_calls, monkeypatch, tmp_path, qa_bundle,
-                                     qa_exported, tampered, passes):
-    overrides = {"key": "0" * 64} if tampered else {}
-    monkeypatch.setattr(squad, "STORED_SPANS", copy_spans(tmp_path, **overrides))
-    create_dataset("squad", qa_exported, qa_bundle.config)
-    assert len(oracle_calls) == passes
+# -> (the store's kind, file, fixture counting recomputes, the call that reads it)
+STORED_KINDS = {
+    "fits": (fitting.FITS, "mobilenet_edgetpu", "fit_calls",
+             lambda request: functools.partial(create_reference_model, "mobilenet_edgetpu")),
+    "spans": (squad.SPANS, squad.STORED_SET, "oracle_calls",
+              lambda request: functools.partial(
+                  create_dataset, "squad", request.getfixturevalue("qa_exported"),
+                  request.getfixturevalue("qa_bundle").config)),
+}
 
 
-def test_missing_spans_relabel(oracle_calls, monkeypatch, tmp_path, qa_bundle, qa_exported):
-    monkeypatch.setattr(squad, "STORED_SPANS", tmp_path / squad.STORED_SPANS.name)
-    create_dataset("squad", qa_exported, qa_bundle.config)
-    assert oracle_calls == [DEFAULT_SIZES["squad"]]
+@pytest.mark.parametrize("kind,state", [(kind, state) for kind in STORED_KINDS
+                                        for state in ("intact", "tampered", "missing")])
+def test_stored_file_serves_only_its_key(request, monkeypatch, tmp_path, kind, state):
+    """A copy of the stored file is served intact; with its key tampered, or
+    with no file, the reader recomputes exactly once."""
+    store_kind, name, counter, reader = STORED_KINDS[kind]
+    read_file = reader(request)
+    calls = request.getfixturevalue(counter)
+    entries = store.read(store.path(store_kind, name).read_bytes())
+    monkeypatch.setattr(store, "STORE_DIR", tmp_path)
+    if state != "missing":
+        key = entries.pop(store.KEY_ENTRY) if state == "intact" else "0" * 64
+        store.path(store_kind, name).parent.mkdir()
+        store.path(store_kind, name).write_bytes(store.dump(entries, key))
+    read_file()
+    assert len(calls) == (state != "intact")
+
+
+def test_store_round_trip():
+    """Equal entries give equal bytes; a read gives back the key, each
+    metadata value and each array's dtype, shape and bytes."""
+    arrays = {"w": np.arange(12, dtype=np.float32).reshape(3, 4).T,
+              "spans": np.array([[3, 5], [7, 7]]), "codes": np.arange(5, dtype=np.uint8)}
+    entries = {**arrays, "__meta__": {"task": "qa", "n": 2}}
+    data = store.dump(entries, "k" * 64)
+    assert store.dump(dict(reversed(entries.items())), "k" * 64) == data
+    read = store.read(data)
+    assert read.pop(store.KEY_ENTRY) == "k" * 64
+    assert read.pop("__meta__") == entries["__meta__"]
+    assert {entry: (arr.dtype, arr.shape, arr.tobytes()) for entry, arr in read.items()} == {
+        entry: (arr.dtype, arr.shape, arr.tobytes()) for entry, arr in arrays.items()}
 
 
 def test_cold_qa_suite_runs_each_batch_once(monkeypatch):

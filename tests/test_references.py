@@ -9,6 +9,7 @@ import json
 import pytest
 
 import references
+from repro import store
 from repro.datasets import squad
 from repro.models import fitting
 
@@ -22,15 +23,16 @@ def test_every_reference_matches(reference_check):
 
 
 def test_registry_owns_every_reference_file():
-    """Each reference file has exactly one entry, so a new one cannot bypass
-    the check, and the entries own the files the runtime loads."""
+    """Each reference file, and each file in the store, has exactly one entry,
+    so a new one cannot bypass the check, and the entries own the files the
+    runtime loads."""
     owned = sorted(path for ref in references.REGISTRY.values() for path in ref.owned())
-    expected = sorted({*ROOT.glob("tests/*.json"), *ROOT.glob("src/repro/models/fitted/*"),
+    expected = sorted({*ROOT.glob("tests/*.json"),
+                       *(path for path in store.STORE_DIR.rglob("*") if path.is_file()),
                        ROOT / "benchmarks" / "results" / "STATICCHECK.json"})
-    assert owned == expected
-    fits = ROOT / references.REGISTRY["fitted_models"].path
-    assert fits.parent == fitting.FITTED_DIR.resolve()
-    assert ROOT / references.REGISTRY["squad_spans"].path == squad.STORED_SPANS.resolve()
+    assert owned == [path.resolve() for path in expected]
+    for kind in (fitting.FITS, squad.SPANS):
+        assert ROOT / references.REGISTRY[kind].path == store.path(kind, "*").resolve()
 
 
 def test_check_fails_on_a_changed_value_and_write_restores_it(monkeypatch, tmp_path, capsys):

@@ -6,8 +6,11 @@
 
 Each entry owns a path or glob, computes its files afresh and compares
 stored and computed item by item (digests and ``float.hex`` strings by
-equality, fits by each array's dtype, shape and bytes, the staticcheck report
-byte for byte). ``--check`` prints ``<verdict> <entry> <item>[: fields that
+equality, the staticcheck report byte for byte). An entry made with
+:func:`store_kind` owns one kind of ``repro.store`` file, each an item
+compared entry by entry (arrays by dtype, shape and bytes); a new kind needs
+its key payload, a function giving each file's key and entries, and one
+``REGISTRY`` line. ``--check`` prints ``<verdict> <entry> <item>[: fields that
 differ]`` per item and exits 1 unless every verdict is ``ok``: ``MISMATCH``,
 ``MISSING`` (not stored) and ``STALE`` (computed no more) fail. ``--write``
 rewrites one entry's files byte-reproducibly, for a change meant to move them.
@@ -29,7 +32,6 @@ import json
 import os
 import pathlib
 import sys
-import zipfile
 from typing import Callable
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -107,23 +109,9 @@ def golden_items(_: str, data: bytes) -> dict:
                for numerics, value in row.items()}}
 
 
-def npz_bytes(entries: dict) -> bytes:
-    """``np.savez`` with fixed zip timestamps, so equal entries give equal bytes."""
-    import numpy as np
-
-    buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w") as zf:
-        for entry in sorted(entries):
-            with zf.open(zipfile.ZipInfo(entry + ".npy"), "w") as f:  # dated 1980-01-01
-                np.lib.format.write_array(f, entries[entry], allow_pickle=False)
-    return buffer.getvalue()
-
-
-def fitted_models() -> dict[str, bytes]:
-    """Each zoo model's refit params that differ from its unfitted build, with
-    its fit key and ``head_fit``; MobileBERT's fit changes none."""
-    import numpy as np
-
+def fitted_models() -> dict[str, tuple[str, dict]]:
+    """Each zoo model's fit key, and its refit params that differ from its
+    unfitted build with its ``head_fit``; MobileBERT's fit changes none."""
     from repro.models import available_models, create_reference_model, fitting
 
     files = {}
@@ -132,13 +120,11 @@ def fitted_models() -> dict[str, bytes]:
         key = fitting.fit_key(bundle, fitting.FIT_SEED)
         before = dict(bundle.graph.params)
         fitting.fit_reference_heads(bundle, seed=fitting.FIT_SEED)
-        changed = {param: np.ascontiguousarray(arr) for param, arr in bundle.graph.params.items()
+        changed = {param: arr for param, arr in bundle.graph.params.items()
                    if array_item(arr) != array_item(before[param])}
         if changed:
-            head_fit = json.dumps(bundle.graph.metadata["head_fit"], sort_keys=True)
-            files[f"{name}.npz"] = npz_bytes({fitting.KEY_ENTRY: np.array(key),
-                                              fitting.HEAD_FIT_ENTRY: np.array(head_fit),
-                                              **changed})
+            files[name] = (key, {fitting.HEAD_FIT_ENTRY: bundle.graph.metadata["head_fit"],
+                                 **changed})
     return files
 
 
@@ -146,17 +132,11 @@ def array_item(arr) -> tuple:
     return arr.dtype, arr.shape, arr.tobytes()
 
 
-def fit_items(name: str, data: bytes) -> dict:
+def squad_spans() -> dict[str, tuple[str, dict]]:
+    """The key and the FP32 MobileBERT oracle's answer spans of the default
+    SQuAD set, computed afresh over the harness's FP32 reference graph."""
     import numpy as np
 
-    with np.load(io.BytesIO(data), allow_pickle=False) as stored:
-        return {pathlib.PurePath(name).stem: {entry: array_item(stored[entry])
-                                              for entry in stored.files}}
-
-
-def squad_spans() -> bytes:
-    """The FP32 MobileBERT oracle's answer spans of the default SQuAD set,
-    computed afresh over the harness's FP32 reference graph, under their key."""
     from repro.datasets import DEFAULT_SIZES, squad
     from repro.graph import export_mobile
     from repro.models import create_reference_model
@@ -166,8 +146,29 @@ def squad_spans() -> bytes:
     size = DEFAULT_SIZES["squad"]
     dataset = squad.SyntheticSQuAD.generate(graph, bundle.config, size=size, seed=squad.SEED)
     spans = squad.run_oracle(graph, dataset.feeds, dataset.context_starts)
-    return json_bytes({"key": squad.oracle_key(graph, bundle.config, size=size, seed=squad.SEED),
-                       "spans": [list(span) for span in spans]})
+    key = squad.oracle_key(graph, bundle.config, size=size, seed=squad.SEED)
+    return {squad.STORED_SET: (key, {"spans": np.array(spans, dtype=np.int64)})}
+
+
+def store_kind(kind: str, entries: Callable[[], dict[str, tuple[str, dict]]],
+           pinned: bool = False) -> Reference:
+    """The store's ``kind`` directory: ``entries()`` gives each file's key and
+    entries by file name, and files compare entry by entry (arrays by dtype,
+    shape and bytes)."""
+
+    def compute() -> dict[str, bytes]:
+        from repro import store
+
+        return {f"{name}.npz": store.dump(arrays, key) for name, (key, arrays) in entries().items()}
+
+    def items(name: str, data: bytes) -> dict:
+        from repro import store
+
+        return {pathlib.PurePath(name).stem: {
+            entry: array_item(value) if hasattr(value, "tobytes") else value
+            for entry, value in store.read(data).items()}}
+
+    return Reference(f"src/repro/stored/{kind}/*.npz", compute, pinned, items)
 
 
 # dataset -> (default reference model, oracle size, truths are predictions)
@@ -303,9 +304,8 @@ def staticcheck_report() -> bytes:
 
 REGISTRY = {
     "golden_outputs": Reference("tests/golden_outputs.json", golden_outputs, True, golden_items),
-    "fitted_models": Reference("src/repro/models/fitted/*.npz", fitted_models, True, fit_items),
-    "squad_spans": Reference("src/repro/models/fitted/squad_oracle.json", squad_spans,
-                             items=lambda name, data: {name: json.loads(data)}),
+    "fitted_models": store_kind("fitted_models", fitted_models, pinned=True),
+    "squad_spans": store_kind("squad_spans", squad_spans),
     "dataset_oracle": Reference("tests/dataset_oracle.json", lambda: json_bytes(
         {name: dataset_record(name) for name in sorted(DATASET_CASES)}, indent=1)),
     "simulator_oracle": Reference("tests/simulator_oracle.json", lambda: json_bytes(
@@ -346,6 +346,7 @@ def write(name: str) -> None:
             path.unlink()
     for file, data in files.items():
         target = (ROOT / ref.path).with_name(file)
+        target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(data)
         print(f"wrote {target}")
 
