@@ -135,12 +135,6 @@ class CompiledModel:
     # end-to-end mode (App. E) adds it to the measured latency
     preprocess_cpu_ops: float = 0.0
 
-    def accelerators(self) -> list[AcceleratorSpec]:
-        seen: dict[str, AcceleratorSpec] = {}
-        for seg in self.segments:
-            seen[seg.accelerator.name] = seg.accelerator
-        return list(seen.values())
-
     def hop_seconds(self, i: int, batch: int = 1) -> tuple[float, ...]:
         """The cost terms, in seconds, of the hop into segment ``i`` (> 0).
 

@@ -1,6 +1,6 @@
 """Task quality metrics (Table 1): Top-1, COCO mAP, mIoU, SQuAD F1/EM."""
 
-from .classification import top1_accuracy, topk_accuracy
+from .classification import top1_accuracy
 from .detection_map import COCO_IOU_THRESHOLDS, GroundTruthBox, average_precision, coco_map
 from .segmentation import confusion_matrix, miou, miou_frequent_classes
 from .psnr import mean_psnr, psnr
@@ -9,7 +9,6 @@ from .squad import exact_match, span_f1, squad_scores
 
 __all__ = [
     "top1_accuracy",
-    "topk_accuracy",
     "GroundTruthBox",
     "coco_map",
     "average_precision",

@@ -1,10 +1,10 @@
-"""Top-1 / Top-K accuracy (ImageNet task quality metric)."""
+"""Top-1 accuracy (ImageNet task quality metric)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["top1_accuracy", "topk_accuracy"]
+__all__ = ["top1_accuracy"]
 
 
 def top1_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -21,14 +21,3 @@ def top1_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     if len(labels) == 0:
         raise ValueError("empty evaluation set")
     return float((predictions == labels).mean())
-
-
-def topk_accuracy(scores: np.ndarray, labels: np.ndarray, k: int = 5) -> float:
-    """Fraction of samples whose label is within the top-k scores."""
-    scores = np.asarray(scores)
-    labels = np.asarray(labels)
-    if scores.ndim != 2:
-        raise ValueError("topk_accuracy requires (N, C) scores")
-    k = min(k, scores.shape[1])
-    topk = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-    return float((topk == labels[:, None]).any(axis=1).mean())

@@ -8,7 +8,6 @@ from .preprocess import (
     classification_preprocess,
     dense_preprocess,
     normalize_image,
-    qa_preprocess,
     resize_image,
 )
 
@@ -29,5 +28,4 @@ __all__ = [
     "normalize_image",
     "classification_preprocess",
     "dense_preprocess",
-    "qa_preprocess",
 ]

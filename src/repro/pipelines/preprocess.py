@@ -21,7 +21,6 @@ __all__ = [
     "classification_preprocess",
     "dense_preprocess",
     "preprocess_batch",
-    "qa_preprocess",
 ]
 
 
@@ -64,13 +63,3 @@ def preprocess_batch(
 ) -> np.ndarray:
     """``fn(image, size)`` over a batch of raw images, stacked as float32."""
     return np.stack([fn(im, size) for im in images]).astype(np.float32)
-
-
-def qa_preprocess(token_ids: np.ndarray, seq_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pad/truncate ids to ``seq_len``; returns (ids, mask) as float arrays."""
-    ids = np.zeros(seq_len, dtype=np.float32)
-    n = min(len(token_ids), seq_len)
-    ids[:n] = token_ids[:n]
-    mask = np.zeros(seq_len, dtype=np.float32)
-    mask[:n] = 1.0
-    return ids, mask

@@ -1,4 +1,4 @@
-"""Task quality metrics: Top-1/Top-K, COCO mAP, mIoU, SQuAD F1/EM."""
+"""Task quality metrics: Top-1, COCO mAP, mIoU, SQuAD F1/EM."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from repro.metrics import (
     span_f1,
     squad_scores,
     top1_accuracy,
-    topk_accuracy,
 )
 from repro.metrics.detection_map import COCO_IOU_THRESHOLDS
 from repro.pipelines.detection import Detection
@@ -37,21 +36,6 @@ class TestTop1:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             top1_accuracy(np.array([1, 2]), np.array([1]))
-
-    def test_topk(self):
-        scores = np.array([[0.5, 0.3, 0.2], [0.1, 0.2, 0.7]])
-        assert topk_accuracy(scores, np.array([1, 0]), k=2) == pytest.approx(0.5)
-        assert topk_accuracy(scores, np.array([1, 0]), k=3) == 1.0
-
-    @given(st.integers(2, 20), st.integers(5, 50))
-    @settings(max_examples=25, deadline=None)
-    def test_topk_monotone_in_k(self, classes, n):
-        rng = np.random.default_rng(classes * n)
-        scores = rng.normal(size=(n, classes))
-        labels = rng.integers(0, classes, n)
-        accs = [topk_accuracy(scores, labels, k) for k in range(1, classes + 1)]
-        assert all(a <= b + 1e-9 for a, b in zip(accs, accs[1:]))
-        assert accs[-1] == 1.0
 
 
 def _det(box, score, cid):

@@ -18,7 +18,6 @@ from repro.pipelines import (
     nms,
     normalize_image,
     postprocess_detections,
-    qa_preprocess,
     resize_image,
     segmentation_map,
     top_k,
@@ -51,13 +50,6 @@ class TestPreprocess:
     def test_dense_preprocess_shape(self, rng):
         img = rng.integers(0, 256, (70, 70, 3)).astype(np.uint8)
         assert dense_preprocess(img, 64).shape == (64, 64, 3)
-
-    def test_qa_preprocess_pads_and_truncates(self):
-        ids, mask = qa_preprocess(np.arange(1, 6), 8)
-        assert list(ids) == [1, 2, 3, 4, 5, 0, 0, 0]
-        assert mask.sum() == 5
-        ids2, mask2 = qa_preprocess(np.arange(1, 20), 8)
-        assert mask2.sum() == 8 and ids2[-1] == 8
 
 
 class TestAnchors:
