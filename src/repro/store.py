@@ -1,16 +1,10 @@
 """Shipped reference artifacts: keyed, byte-reproducible ``.npz`` files.
 
 Like MLPerf Mobile's frozen reference models and labelled validation sets,
-results this package could compute but that a default run never changes ship
-as files: ``stored/<kind>/<name>.npz``, one directory per kind of artifact.
-Each file holds its entries and, under ``KEY_ENTRY``, the :func:`key` of
-everything that computed them. :func:`load` serves a file only on an exact
-key match, so a stale artifact is never served; the caller computes on
-``None``. ``tools/references.py`` checks every kind against a recomputation
-and rewrites it with :func:`dump`.
-
-An entry is an array, except that an entry named ``__<name>__`` holds
-metadata: a JSON value, stored as its ``sort_keys`` JSON text.
+results a default run never changes ship as ``stored/<kind>/<name>.npz``, each
+file its entries plus the :func:`key` of what computed them. :func:`load`
+serves a file only on an exact key match. An entry named ``__<name>__`` holds
+JSON metadata; every other entry is an array.
 """
 
 from __future__ import annotations

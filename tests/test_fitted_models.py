@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from references import array_item
 from repro import store
 from repro.core import QUICK_RULES, BenchmarkHarness
 from repro.datasets import DEFAULT_SIZES, create_dataset, squad
@@ -100,9 +101,7 @@ def test_loaded_equals_refit(reference_check):
     key = graph.metadata["head_fit"]["key"]
     stored = store.load(fitting.FITS, "mobilenet_edgetpu", key)
     assert graph.metadata["head_fit"] == {**stored.pop(fitting.HEAD_FIT_ENTRY), "key": key}
-    for param, arr in stored.items():
-        loaded = graph.params[param]
-        assert (loaded.dtype, loaded.shape, loaded.tobytes()) == (arr.dtype, arr.shape, arr.tobytes())
+    assert [array_item(graph.params[p]) for p in stored] == list(map(array_item, stored.values()))
 
 
 # -- stored SQuAD oracle spans ----------------------------------------------
@@ -182,18 +181,15 @@ def test_stored_file_serves_only_its_key(request, monkeypatch, tmp_path, kind, s
 
 
 def test_store_round_trip():
-    """Equal entries give equal bytes; a read gives back the key, each
-    metadata value and each array's dtype, shape and bytes."""
-    arrays = {"w": np.arange(12, dtype=np.float32).reshape(3, 4).T,
-              "spans": np.array([[3, 5], [7, 7]]), "codes": np.arange(5, dtype=np.uint8)}
-    entries = {**arrays, "__meta__": {"task": "qa", "n": 2}}
-    data = store.dump(entries, "k" * 64)
-    assert store.dump(dict(reversed(entries.items())), "k" * 64) == data
+    """Equal entries give equal bytes; a read gives back the key, the metadata
+    and each array's dtype, shape and (C-order) bytes."""
+    arrays = {"w": np.arange(12, dtype=np.float32).reshape(3, 4).T, "ids": np.arange(5)}
+    data = store.dump({**arrays, "__meta__": {"n": 2}}, "k")
+    assert store.dump({"__meta__": {"n": 2}, **arrays}, "k") == data
     read = store.read(data)
-    assert read.pop(store.KEY_ENTRY) == "k" * 64
-    assert read.pop("__meta__") == entries["__meta__"]
-    assert {entry: (arr.dtype, arr.shape, arr.tobytes()) for entry, arr in read.items()} == {
-        entry: (arr.dtype, arr.shape, arr.tobytes()) for entry, arr in arrays.items()}
+    assert (read.pop(store.KEY_ENTRY), read.pop("__meta__")) == ("k", {"n": 2})
+    assert {entry: array_item(arr) for entry, arr in read.items()} == {
+        entry: array_item(arr) for entry, arr in arrays.items()}
 
 
 def test_cold_qa_suite_runs_each_batch_once(monkeypatch):

@@ -151,10 +151,9 @@ def squad_spans() -> dict[str, tuple[str, dict]]:
 
 
 def store_kind(kind: str, entries: Callable[[], dict[str, tuple[str, dict]]],
-           pinned: bool = False) -> Reference:
-    """The store's ``kind`` directory: ``entries()`` gives each file's key and
-    entries by file name, and files compare entry by entry (arrays by dtype,
-    shape and bytes)."""
+               pinned: bool = False) -> Reference:
+    """The store's ``kind`` files, ``entries()`` giving each one's key and
+    entries by name; arrays compare by dtype, shape and bytes."""
 
     def compute() -> dict[str, bytes]:
         from repro import store
