@@ -153,7 +153,8 @@ def squad_spans() -> dict[str, tuple[str, dict]]:
 def store_kind(kind: str, entries: Callable[[], dict[str, tuple[str, dict]]],
                pinned: bool = False) -> Reference:
     """The store's ``kind`` files, ``entries()`` giving each one's key and
-    entries by name; arrays compare by dtype, shape and bytes."""
+    entries by name; arrays compare by dtype, shape and bytes, the key and
+    metadata by ``repr`` (so 1, 1.0 and True differ, as in their JSON)."""
 
     def compute() -> dict[str, bytes]:
         from repro import store
@@ -164,7 +165,7 @@ def store_kind(kind: str, entries: Callable[[], dict[str, tuple[str, dict]]],
         from repro import store
 
         return {pathlib.PurePath(name).stem: {
-            entry: array_item(value) if hasattr(value, "tobytes") else value
+            entry: array_item(value) if hasattr(value, "tobytes") else repr(value)
             for entry, value in store.read(data).items()}}
 
     return Reference(f"src/repro/stored/{kind}/*.npz", compute, pinned, items)
