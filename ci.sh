@@ -7,8 +7,9 @@
 # oracles, and the staticcheck zoo report (clean, byte for byte). Tier-1 runs
 # it once over every entry at the 2 BLAS threads the digests and fits pin,
 # along with the conformance/fault suites the run rules rest on. The dataset
-# oracle and stored spans must not depend on the thread count; checking only
-# them leaves it unpinned, so each reference runs once per thread count.
+# oracle, the stored spans and the simulator oracle (pure Python floats) must
+# not depend on the thread count; checking only them leaves it unpinned, so
+# each reference runs once per thread count.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -21,5 +22,5 @@ python tools/selflint.py src tests tools
 python -m pytest -x -q tests
 
 for threads in 1 4; do
-    OPENBLAS_NUM_THREADS=$threads python tools/references.py --check dataset_oracle squad_spans
+    OPENBLAS_NUM_THREADS=$threads python tools/references.py --check dataset_oracle squad_spans simulator_oracle
 done

@@ -29,14 +29,15 @@ class PowerModel:
     def __init__(self, soc: SoCSpec):
         self.soc = soc
         self.idle_watts = sum(a.idle_watts for a in soc.accelerators)
+        self.tdp_watts = {a.name: a.tdp_watts for a in soc.accelerators}
+        self.orchestration_watts = soc.accelerator("cpu").tdp_watts * self.ORCHESTRATION_FRACTION
 
     def query_energy(self, busy: dict[str, float], latency_seconds: float) -> QueryEnergy:
         """Energy of one query from each accelerator's ``busy`` seconds."""
         active = 0.0
         for name, seconds in busy.items():
-            active += seconds * self.soc.accelerator(name).tdp_watts
-        cpu = self.soc.accelerator("cpu")
-        orchestration = cpu.tdp_watts * self.ORCHESTRATION_FRACTION * latency_seconds
+            active += seconds * self.tdp_watts[name]
+        orchestration = self.orchestration_watts * latency_seconds
         energy = active + orchestration + self.idle_watts * latency_seconds
         avg_watts = energy / latency_seconds if latency_seconds > 0 else 0.0
         if avg_watts > self.soc.tdp_watts:

@@ -10,7 +10,7 @@ Table 3 (NNAPI vs Neuron) and the Exynos 990 -> 2100 segmentation uplift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..graph.graph import Graph
 from ..kernels.numerics import Numerics
@@ -23,12 +23,12 @@ __all__ = ["Segment", "CompiledModel", "partition_graph", "compile_model"]
 OFFLINE_BATCH = 256
 
 
-@dataclass
+@dataclass(frozen=True)
 class Segment:
     """A contiguous run of ops on one accelerator (per-sample costs)."""
 
     accelerator: AcceleratorSpec
-    op_names: list[str]
+    op_names: tuple[str, ...]
     macs: float
     weight_bytes: float
     activation_bytes: float
@@ -87,10 +87,9 @@ def partition_graph(
     numerics: Numerics,
     secondary: AcceleratorSpec | None = None,
     excluded_ops: frozenset[str] = frozenset(),
-) -> list[Segment]:
+) -> tuple[Segment, ...]:
     """Assign ops to primary (then secondary, then fallback) and group runs."""
-    segments: list[Segment] = []
-    current: Segment | None = None
+    runs: list[tuple[AcceleratorSpec, list]] = []  # (engine, its (op, cost) pairs)
     primary_ok = primary.supports(numerics)
     secondary_ok = secondary is not None and (
         secondary.supports(numerics) or secondary.supports(Numerics.FP16)
@@ -104,29 +103,40 @@ def partition_graph(
             target = secondary
         else:
             target = fallback
-        in_bytes = sum(
-            graph.spec(t).elements_per_sample * numerics.bytes_per_element
-            for t in op.inputs
-        )
-        if current is None or current.accelerator is not target:
-            current = Segment(target, [], 0.0, 0.0, 0.0, boundary_bytes=in_bytes)
-            segments.append(current)
-        current.op_names.append(op.name)
-        current.macs += cost.macs
-        current.weight_bytes += cost.weight_bytes
-        current.activation_bytes += cost.activation_bytes
-    return segments
+        if not runs or runs[-1][0] is not target:
+            runs.append((target, []))
+        runs[-1][1].append((op, cost))
+    return tuple(_segment(graph, numerics, acc, ops) for acc, ops in runs)
 
 
-@dataclass
+def _segment(graph: Graph, numerics: Numerics, acc: AcceleratorSpec, ops: list) -> Segment:
+    """One run's segment: its costs summed in op order."""
+    macs = weight_bytes = activation_bytes = 0.0
+    for _, cost in ops:
+        macs += cost.macs
+        weight_bytes += cost.weight_bytes
+        activation_bytes += cost.activation_bytes
+    boundary_bytes = sum(
+        graph.spec(t).elements_per_sample * numerics.bytes_per_element
+        for t in ops[0][0].inputs
+    )
+    return Segment(acc, tuple(op.name for op, _ in ops), macs, weight_bytes,
+                   activation_bytes, boundary_bytes)
+
+
+@dataclass(frozen=True)
 class CompiledModel:
-    """A model scheduled onto an SoC under one backend configuration."""
+    """A model scheduled onto an SoC under one backend configuration.
+
+    Frozen, so each batch size's query terms are prepared once, at its first
+    query, and cannot go stale.
+    """
 
     model_name: str
     task: str
     soc: SoCSpec
     numerics: Numerics
-    segments: list[Segment]
+    segments: tuple[Segment, ...]
     framework: FrameworkProfile
     postprocess_cpu_ops: float = 0.0  # e.g. NMS — part of the "AI tax"
     # pre-processing (resize/crop/normalize/feature extraction) runs on the
@@ -134,6 +144,10 @@ class CompiledModel:
     # and post-processing and other tasks the benchmark does not measure");
     # end-to-end mode (App. E) adds it to the measured latency
     preprocess_cpu_ops: float = 0.0
+    # batch -> the clock-independent terms of a query (see ``_prepare``)
+    _prepared: dict[int, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def hop_seconds(self, i: int, batch: int = 1) -> tuple[float, ...]:
         """The cost terms, in seconds, of the hop into segment ``i`` (> 0).
@@ -150,33 +164,52 @@ class CompiledModel:
         return (hal, self.soc.segment_sync_ms * 1e-3,
                 seg.boundary_bytes * batch / (self.soc.interconnect_gbps * 1e9))
 
+    def _prepare(self, batch: int) -> tuple:
+        """The terms of a ``batch``-sample query that do not depend on the
+        clock: the base latency, the busy engines' names, per segment its
+        compute and memory seconds, overhead, busy slot and hop terms, and the
+        extra CPU seconds."""
+        names: list[str] = []
+        terms = []
+        for i, seg in enumerate(self.segments):
+            acc = seg.accelerator
+            if acc.name not in names:
+                names.append(acc.name)
+            terms.append((
+                seg.compute_seconds(self.numerics, self.framework.tops_derate) * batch,
+                seg.memory_seconds(batch),
+                (acc.dispatch_overhead_us + seg.num_ops * acc.per_op_overhead_us) * 1e-6,
+                names.index(acc.name),
+                self.hop_seconds(i, batch) if i > 0 else (),
+            ))
+        extra_cpu_ops = self.postprocess_cpu_ops + self.preprocess_cpu_ops
+        extra_cpu = 0.0
+        if extra_cpu_ops:
+            cpu = self.soc.accelerator("cpu")
+            extra_cpu = batch * extra_cpu_ops / (cpu.effective_tops[Numerics.FP32] * 1e12)
+        return (self.framework.per_inference_ms * 1e-3, tuple(names), tuple(terms), extra_cpu)
+
     def query_seconds(
         self, clock_scale: float = 1.0, batch: int = 1
     ) -> tuple[float, dict[str, float]]:
         """One query of ``batch`` samples at ``clock_scale``: its end-to-end
         latency and each accelerator's busy seconds (power accounting)."""
-        total = self.framework.per_inference_ms * 1e-3
-        busy: dict[str, float] = {}
-        for i, seg in enumerate(self.segments):
-            compute = seg.compute_seconds(self.numerics, self.framework.tops_derate) * batch
-            active = max(compute / clock_scale, seg.memory_seconds(batch))
-            name = seg.accelerator.name
-            busy[name] = busy.get(name, 0.0) + active
+        prepared = self._prepared.get(batch)
+        if prepared is None:
+            prepared = self._prepared[batch] = self._prepare(batch)
+        total, names, terms, extra_cpu = prepared
+        busy = [0.0] * len(names)
+        for compute, memory, overhead, slot, hops in terms:
+            active = max(compute / clock_scale, memory)
+            busy[slot] += active
             # dispatch and per-op fill costs are clocked logic: they derate
             # with the engine clock just like the MACs do
-            overhead = (seg.accelerator.dispatch_overhead_us
-                        + seg.num_ops * seg.accelerator.per_op_overhead_us) * 1e-6
             total += active + overhead / clock_scale
-            if i > 0:
-                for term in self.hop_seconds(i, batch):
-                    total += term
-        extra_cpu_ops = self.postprocess_cpu_ops + self.preprocess_cpu_ops
-        if extra_cpu_ops:
-            cpu = self.soc.accelerator("cpu")
-            total += batch * extra_cpu_ops / (
-                cpu.effective_tops[Numerics.FP32] * 1e12
-            )
-        return total, busy
+            for term in hops:
+                total += term
+        if extra_cpu:
+            total += extra_cpu
+        return total, dict(zip(names, busy))
 
     def latency_seconds(self, clock_scale: float = 1.0, batch: int = 1) -> float:
         """End-to-end latency for one query of ``batch`` samples."""

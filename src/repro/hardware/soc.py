@@ -40,6 +40,11 @@ class SoCSpec:
     throttle_temp: float = 36.0  # smartphones are skin-temperature limited
     throttle_slope: float = 0.03  # clock derate per degC above threshold
 
+    def __post_init__(self) -> None:
+        names = [acc.name for acc in self.accelerators]
+        if len(set(names)) != len(names):
+            raise ValueError(f"{self.name}: accelerator names must be unique")
+
     def accelerator(self, name: str) -> AcceleratorSpec:
         for acc in self.accelerators:
             if acc.name == name:

@@ -58,6 +58,3 @@ class ThermalModel:
     def cooldown(self, seconds: float) -> None:
         """Idle cooling (the app's 0-5 minute break setting)."""
         self.advance(seconds, power_watts=0.0)
-
-    def reset(self) -> None:
-        self.temperature_c = self.ambient_c

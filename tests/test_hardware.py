@@ -1,11 +1,15 @@
 """Hardware simulation: accelerators, partitioning, thermal, power, device."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import full_graph_cache
+from repro.backends import default_backend_for
+from repro.core.tasks import TASK_ORDER, get_task
 from repro.graph import export_mobile
 from repro.hardware import (
     GENERATION_PAIRS,
@@ -20,7 +24,7 @@ from repro.hardware import (
     get_soc,
     partition_graph,
 )
-from repro.hardware.scheduler import OFFLINE_BATCH, offline_throughput
+from repro.hardware.scheduler import OFFLINE_BATCH, CompiledModel, offline_throughput
 from repro.kernels import Numerics
 
 
@@ -70,6 +74,12 @@ class TestCatalog:
         for soc in SOC_CATALOG.values():
             if soc.form_factor == "smartphone":
                 assert soc.tdp_watts <= 3.0  # paper App. E
+
+    def test_accelerator_names_unique(self):
+        soc = get_soc("dimensity_1100")
+        cpu = soc.accelerator("cpu")
+        with pytest.raises(ValueError):
+            dataclasses.replace(soc, accelerators=(cpu, cpu))
 
 
 class TestPartitioning:
@@ -160,6 +170,14 @@ class TestCompiledModel:
         assert latency == compiled.latency_seconds()
         assert sum(busy.values()) <= latency
 
+    def test_compiled_models_are_frozen(self, compiled):
+        assert isinstance(compiled.segments, tuple)
+        assert isinstance(compiled.segments[0].op_names, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            compiled.numerics = Numerics.FP32
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            compiled.segments[0].macs = 0.0
+
     def test_offline_throughput_sums_pipelines(self):
         g = full_graph_cache("mobilenet_edgetpu")
         soc = get_soc("snapdragon_865plus")
@@ -170,6 +188,111 @@ class TestCompiledModel:
         per_pipe = [OFFLINE_BATCH / p.latency_seconds(batch=OFFLINE_BATCH) for p in pipes]
         assert offline_throughput(pipes) == sum(per_pipe)
         assert offline_throughput(pipes[:1]) == per_pipe[0]
+
+
+def unprepared_query(cm, clock_scale, batch):
+    """A query's latency and busy seconds, walking the segments as stated."""
+    total = cm.framework.per_inference_ms * 1e-3
+    busy = {}
+    for i, seg in enumerate(cm.segments):
+        acc = seg.accelerator
+        tops = acc.effective_tops[cm.numerics] * cm.framework.tops_derate
+        compute = (2.0 * seg.macs) / (tops * 1e12) * batch
+        memory = (seg.activation_bytes * batch + seg.weight_bytes) / (acc.memory_gbps * 1e9)
+        active = max(compute / clock_scale, memory)
+        busy[acc.name] = busy.get(acc.name, 0.0) + active
+        overhead = (acc.dispatch_overhead_us + len(seg.op_names) * acc.per_op_overhead_us) * 1e-6
+        total += active + overhead / clock_scale
+        if i > 0:
+            total += cm.framework.per_boundary_ms * 1e-3
+            if cm.segments[i - 1].accelerator.kind != "cpu" and acc.kind != "cpu":
+                total += cm.soc.segment_sync_ms * 1e-3
+                total += seg.boundary_bytes * batch / (cm.soc.interconnect_gbps * 1e9)
+    extra_cpu_ops = cm.postprocess_cpu_ops + cm.preprocess_cpu_ops
+    if extra_cpu_ops:
+        cpu = cm.soc.accelerator("cpu")
+        total += batch * extra_cpu_ops / (cpu.effective_tops[Numerics.FP32] * 1e12)
+    return total, busy
+
+
+def unprepared_energy(soc, busy, latency):
+    """A query's energy, looking each engine up in the SoC as stated."""
+    active = 0.0
+    for name, seconds in busy.items():
+        active += seconds * soc.accelerator(name).tdp_watts
+    energy = (active + soc.accelerator("cpu").tdp_watts * PowerModel.ORCHESTRATION_FRACTION
+              * latency + sum(a.idle_watts for a in soc.accelerators) * latency)
+    if energy / latency > soc.tdp_watts:
+        return soc.tdp_watts * latency
+    return energy
+
+
+def sweep_models():
+    """Every model perf-sweep compiles: single-stream and offline pipelines of
+    each v0.7/v1.0 SoC x task."""
+    for soc in SOC_CATALOG.values():
+        if soc.benchmark_version not in ("v0.7", "v1.0"):
+            continue
+        backend = default_backend_for(soc)
+        for task in TASK_ORDER:
+            spec = get_task(task)
+            graph = full_graph_cache(spec.models[soc.benchmark_version])
+            yield soc, backend.compile_single_stream(graph, task)
+            if spec.offline_scenario:
+                for pipeline in backend.compile_offline(graph, task):
+                    yield soc, pipeline
+
+
+class TestPreparedQueries:
+    """The prepared query terms and the device's reuse of its last result
+    give the unprepared floats bit for bit."""
+
+    def test_query_seconds_match_the_unprepared_walk(self):
+        checked = 0
+        for soc, cm in sweep_models():
+            thermal = ThermalModel(soc)
+            scales = (1.0, thermal.min_clock_scale,
+                      thermal.clock_scale_at(soc.throttle_temp + 7.3))
+            power = PowerModel(soc)
+            for scale in scales:
+                for batch in (1, 8, OFFLINE_BATCH):
+                    latency, busy = cm.query_seconds(scale, batch)
+                    want_latency, want_busy = unprepared_query(cm, scale, batch)
+                    assert latency.hex() == want_latency.hex(), (soc.name, cm.model_name)
+                    assert list(busy) == list(want_busy)
+                    assert [v.hex() for v in busy.values()] == [
+                        v.hex() for v in want_busy.values()]
+                    energy = power.query_energy(busy, latency).energy_joules
+                    assert energy.hex() == unprepared_energy(soc, busy, latency).hex()
+                    checked += 1
+        assert checked >= 32 * 9
+
+    def test_reused_results_equal_a_fresh_device(self, monkeypatch):
+        soc = get_soc("snapdragon_865plus")
+        graph = full_graph_cache("mobilenet_edgetpu")
+        a, b = (compile_model(graph, soc, primary=p, numerics=Numerics.UINT8, framework=FW)
+                for p in ("hta", "hvx"))
+        calls = []
+        query_seconds = CompiledModel.query_seconds
+
+        def counted(cm, clock_scale=1.0, batch=1):
+            calls.append((cm, batch))
+            return query_seconds(cm, clock_scale, batch)
+
+        monkeypatch.setattr(CompiledModel, "query_seconds", counted)
+        sequence = [(a, 1), (a, 1), (a, 8), (a, 8), (b, 8), (b, 1), (b, 1), (a, 1), (a, 1)]
+        dev = SimulatedDevice(soc)
+        asked = []
+        for cm, batch in sequence:
+            before, calls_before = dev.thermal.temperature_c, len(calls)
+            result = dev.run_query(cm, batch)
+            asked += calls[calls_before:]
+            fresh = SimulatedDevice(soc)
+            fresh.thermal.temperature_c = before
+            assert result.clock_scale == 1.0
+            assert fresh.run_query(cm, batch) == result
+        # the device asked the model once per change of model or batch
+        assert asked == [(a, 1), (a, 8), (b, 8), (b, 1), (a, 1)]
 
 
 class TestThermal:
@@ -250,9 +373,14 @@ class TestPowerAndDevice:
         assert last > first
 
     def test_factory_reset(self):
+        """A factory reset is a fresh device: it repeats a cold run's first query."""
         soc = get_soc("dimensity_1100")
+        cm = compile_model(full_graph_cache("mobilenet_edgetpu"), soc, primary="apu",
+                           numerics=Numerics.UINT8, framework=FW)
         dev = SimulatedDevice(soc)
+        cold = dev.run_query(cm)
         dev.thermal.temperature_c = 70
-        dev.virtual_time = 100
-        dev.reset()
+        dev.run_query(cm)
+        dev = SimulatedDevice(soc)
         assert dev.thermal.temperature_c == 22.0 and dev.virtual_time == 0
+        assert dev.run_query(cm) == cold

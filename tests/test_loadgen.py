@@ -129,7 +129,7 @@ class TestOffline:
     def test_offline_beats_single_stream_throughput(self, perf_sut):
         """Batching + ALP must outperform one-at-a-time queries (paper §7.3)."""
         ss = LoadGenerator(FAST).run(perf_sut, QuerySampleLibrary(IndexDataset()))
-        perf_sut.device.reset()
+        perf_sut.device = SimulatedDevice(perf_sut.device.soc)
         off_settings = TestSettings(scenario=Scenario.OFFLINE, offline_sample_count=4096)
         off = LoadGenerator(off_settings).run(perf_sut, QuerySampleLibrary(IndexDataset()))
         assert off.throughput_fps() > ss.throughput_fps()

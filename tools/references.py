@@ -140,13 +140,15 @@ def squad_spans() -> dict[str, tuple[str, dict]]:
     from repro.datasets import DEFAULT_SIZES, squad
     from repro.graph import export_mobile
     from repro.models import create_reference_model
+    from repro.synthdata import token_sequence_batch
 
     bundle = create_reference_model("mobilebert")
     graph = export_mobile(bundle.graph)
-    size = DEFAULT_SIZES["squad"]
-    dataset = squad.SyntheticSQuAD.generate(graph, bundle.config, size=size, seed=squad.SEED)
-    spans = squad.run_oracle(graph, dataset.feeds, dataset.context_starts)
-    key = squad.oracle_key(graph, bundle.config, size=size, seed=squad.SEED)
+    size, config = DEFAULT_SIZES["squad"], bundle.config
+    ids, masks, context_starts = token_sequence_batch(
+        size, config["seq_len"], config["vocab_size"], squad.SEED)
+    spans = squad.run_oracle(graph, {"input_ids": ids, "input_mask": masks}, context_starts)
+    key = squad.oracle_key(graph, config, size=size, seed=squad.SEED)
     return {squad.STORED_SET: (key, {"spans": np.array(spans, dtype=np.int64)})}
 
 
