@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: self-lint, the test suite, then the thread-independent
-# references at 1 and 4 BLAS threads.
+# Tier-1 CI gate: self-lint, the test suite, the submission-workflow example,
+# then the thread-independent references at 1 and 4 BLAS threads.
 #
 # tools/references.py is the one check of every checked-in reference file:
 # golden digests, stored fits and SQuAD spans, the dataset and simulator
@@ -20,6 +20,10 @@ export PYTHONPATH=src
 python tools/selflint.py src tests tools
 
 python -m pytest -x -q tests
+
+# the submission lifecycle end to end: exits 1 if the clean bundle written to
+# disk has problems or the falsified submission is accepted
+python examples/submission_workflow.py
 
 for threads in 1 4; do
     OPENBLAS_NUM_THREADS=$threads python tools/references.py --check dataset_oracle squad_spans simulator_oracle

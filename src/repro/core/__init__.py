@@ -1,7 +1,6 @@
 """Benchmark core: tasks, run rules, harness, results, submissions, audit."""
 
 from .audit import AuditFinding, AuditReport, audit_submission
-from .export import load_log, load_submission_summary, validate_package, write_submission
 from .harness import BenchmarkHarness, ReferenceArtifacts
 from .results import BenchmarkResult, SuiteResult, format_report
 from .rules import DEFAULT_RULES, QUICK_RULES, RuleViolation, RunRules
@@ -11,6 +10,8 @@ from .submission import (
     SystemDescription,
     build_submission,
     check_submission,
+    validate_package,
+    write_submission,
 )
 from .tasks import FULL_TASK_ORDER, TASK_ORDER, TASKS, TaskSpec, get_task, tasks_for_version
 
@@ -39,7 +40,5 @@ __all__ = [
     "AuditReport",
     "audit_submission",
     "write_submission",
-    "load_submission_summary",
-    "load_log",
     "validate_package",
 ]

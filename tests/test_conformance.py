@@ -23,6 +23,7 @@ from repro.loadgen import (
     QuerySampleLibrary,
     Scenario,
     TestSettings,
+    loadgen_checksum,
     validate_log,
     validate_serialized,
 )
@@ -56,6 +57,30 @@ def accuracy_log(cls_exported, cls_dataset):
     sut = AccuracySUT(cls_exported, cls_dataset)
     settings = TestSettings(mode=Mode.ACCURACY)
     return LoadGenerator(settings).run(sut, QuerySampleLibrary(cls_dataset))
+
+
+def _write_bundle(root, accuracy_log, perf_log, offline_log=None):
+    """A complete one-task submission bundle around the given logs, written
+    by ``write_submission``; its summary row is computed from the logs."""
+    from repro.core import (
+        BenchmarkResult, Submission, SuiteResult, SystemDescription, write_submission,
+    )
+
+    result = BenchmarkResult(
+        task="image_classification", version="v1.0", model_name="mobilenet_edgetpu",
+        soc_name="dimensity_1100", backend_name="neuron", execution_config="test",
+        numerics="uint8", accuracy=accuracy_log.accuracy,
+        metric=next(iter(accuracy_log.accuracy)), quality_passed=True,
+        latency_p90_ms=perf_log.percentile_latency() * 1e3,
+        offline_fps=offline_log.throughput_fps() if offline_log else 0.0,
+        accuracy_log=accuracy_log, performance_log=perf_log, offline_log=offline_log,
+    )
+    submission = Submission(
+        SystemDescription("x", "dimensity_1100", "phone", "smartphone", "Android"), "v1.0",
+        SuiteResult("dimensity_1100", "neuron", "v1.0", [result]),
+        model_provenance={"image_classification": {}}, loadgen_checksum=loadgen_checksum(),
+    )
+    return write_submission(submission, root)
 
 
 def _hand_log(latencies_ms):
@@ -303,7 +328,8 @@ class TestValidatorFaultTolerance:
 
     @pytest.mark.parametrize("entry", ["serialized", "package"])
     @pytest.mark.parametrize("name", sorted(MALFORMED_FIELDS))
-    def test_malformed_field_is_a_violation(self, tmp_path, offline_log, entry, name):
+    def test_malformed_field_is_a_violation(self, tmp_path, accuracy_log, perf_log,
+                                            offline_log, entry, name):
         from repro.core import validate_package
 
         payload = copy.deepcopy(offline_log.to_dict())
@@ -311,12 +337,11 @@ class TestValidatorFaultTolerance:
         if entry == "serialized":
             problems = validate_serialized(payload)
         else:
-            task_dir = tmp_path / "results" / "image_classification"
-            task_dir.mkdir(parents=True)
-            for meta in ("system.json", "provenance.json", "summary.json"):
-                (tmp_path / meta).write_text("{}")
-            (task_dir / "offline_log.json").write_text(json.dumps(payload))
-            problems = validate_package(tmp_path)
+            root = _write_bundle(tmp_path, accuracy_log, perf_log, offline_log)
+            log_file = "results/image_classification/offline_log.json"
+            (root / log_file).write_text(json.dumps(payload))
+            problems = validate_package(root)
+            assert any(p.startswith(log_file) for p in problems), problems
         assert problems and all(isinstance(p, str) for p in problems)
 
     def test_unknown_scenario_flagged(self):
@@ -359,68 +384,95 @@ class TestQSLDeterminism:
 class TestValidatePackage:
     """The checker sweeps an on-disk bundle; bad files become violations."""
 
-    def _bundle(self, tmp_path, perf_log):
-        from repro.core import validate_package  # noqa: F401  (import check)
+    @pytest.fixture()
+    def bundle(self, tmp_path, accuracy_log, perf_log):
+        return _write_bundle(tmp_path / "bundle", accuracy_log, perf_log)
 
-        root = tmp_path / "bundle"
-        task_dir = root / "results" / "image_classification"
+    def test_clean_bundle_passes(self, bundle):
+        from repro.core import validate_package
+
+        assert validate_package(bundle) == []
+
+    def test_stub_metadata_rejected(self, tmp_path, perf_log):
+        """``{}`` for the system description, provenance and summary is no
+        submission, however clean the log beside it."""
+        from repro.core import validate_package
+
+        task_dir = tmp_path / "results" / "image_classification"
         task_dir.mkdir(parents=True)
         for name in ("system.json", "provenance.json", "summary.json"):
-            (root / name).write_text("{}")
-        (task_dir / "performance_log.json").write_text(
-            json.dumps(perf_log.to_dict())
-        )
-        return root
+            (tmp_path / name).write_text("{}")
+        (task_dir / "performance_log.json").write_text(json.dumps(perf_log.to_dict()))
+        problems = validate_package(tmp_path)
+        assert any(p.startswith("system.json") for p in problems), problems
+        assert any(p.startswith("summary.json") for p in problems), problems
 
-    def test_clean_bundle_passes(self, tmp_path, perf_log):
+    @pytest.mark.parametrize("name", ["system.json", "provenance.json", "summary.json"])
+    def test_wrongly_typed_metadata_is_a_problem(self, bundle, name):
         from repro.core import validate_package
 
-        assert validate_package(self._bundle(tmp_path, perf_log)) == []
+        payload = {} if name == "summary.json" else []  # the other JSON container
+        (bundle / name).write_text(json.dumps(payload))
+        problems = validate_package(bundle)
+        assert any(p.startswith(f"{name}: holds a {type(payload).__name__}") for p in problems)
 
-    def test_unreadable_log_reported_not_raised(self, tmp_path, perf_log):
+    @pytest.mark.parametrize("key,edit", [
+        ("quality", lambda row: row["quality"] + 0.001),
+        ("latency_p90_ms", lambda row: row["latency_p90_ms"] * 0.5),
+        ("offline_fps", lambda row: 1.0),  # the bundle ships no offline burst
+        ("quality_target", lambda row: row["quality"] + 1.0),  # a pass below target
+    ], ids=["quality", "latency_p90_ms", "offline_fps", "pass_below_target"])
+    def test_summary_row_must_match_its_logs(self, bundle, key, edit):
         from repro.core import validate_package
 
-        root = self._bundle(tmp_path, perf_log)
-        path = root / "results" / "image_classification" / "performance_log.json"
+        path = bundle / "summary.json"
+        rows = json.loads(path.read_text())
+        rows[0][key] = edit(rows[0])
+        path.write_text(json.dumps(rows))
+        problems = validate_package(bundle)
+        assert problems and all(p.startswith("summary.json: [image_classification]")
+                                for p in problems), problems
+
+    def test_unreadable_log_reported_not_raised(self, bundle):
+        from repro.core import validate_package
+
+        path = bundle / "results" / "image_classification" / "performance_log.json"
         path.write_text("{ not json")
-        problems = validate_package(root)
+        problems = validate_package(bundle)
         assert any("unreadable" in p for p in problems)
 
-    def test_edited_log_in_bundle_caught(self, tmp_path, perf_log):
+    def test_edited_log_in_bundle_caught(self, bundle):
         from repro.core import validate_package
 
-        root = self._bundle(tmp_path, perf_log)
-        path = root / "results" / "image_classification" / "performance_log.json"
+        path = bundle / "results" / "image_classification" / "performance_log.json"
         raw = json.loads(path.read_text())
         raw["summary"]["latency_p90_ms"] *= 0.5
         path.write_text(json.dumps(raw))
-        problems = validate_package(root)
+        problems = validate_package(bundle)
         assert any("latency_p90_ms" in p and "edited" in p for p in problems)
 
-    def test_provenance_rules_match_in_memory_checker(self, tmp_path, perf_log):
+    def test_provenance_rules_match_in_memory_checker(self, bundle):
         """The on-disk validator applies every per-task provenance rule the
         in-memory checker does, not only the static-verification stamp."""
         from repro.core import validate_package
 
-        root = self._bundle(tmp_path, perf_log)
-        (root / "provenance.json").write_text(json.dumps({"models": {
+        (bundle / "provenance.json").write_text(json.dumps({"models": {
             "image_classification": {"quantization": {"calibration_samples": 600}},
             "object_detection": {"reference_source_checksum": "aaa",
                                  "reference_export_checksum": "bbb",
                                  "deployed_source_checksum": "ccc"},
         }}))
-        problems = validate_package(root)
+        problems = validate_package(bundle)
         assert any("[image_classification]" in p and "600 calibration samples" in p
                    for p in problems)
         assert any("[object_detection]" in p and "does not descend" in p
                    for p in problems)
 
-    def test_missing_pieces_reported(self, tmp_path, perf_log):
+    def test_missing_pieces_reported(self, tmp_path, bundle):
         from repro.core import validate_package
 
-        root = self._bundle(tmp_path, perf_log)
-        (root / "system.json").unlink()
-        assert any("system.json" in p for p in validate_package(root))
+        (bundle / "system.json").unlink()
+        assert any("system.json" in p for p in validate_package(bundle))
         empty = tmp_path / "empty"
         empty.mkdir()
         assert any("results" in p for p in validate_package(empty))

@@ -1,5 +1,7 @@
 """Extension features: CLE, end-to-end AI tax, on-disk submission bundles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,11 @@ from repro.core import (
     SystemDescription,
     build_submission,
     check_submission,
-    load_log,
-    load_submission_summary,
     write_submission,
 )
 from repro.graph import Executor
 from repro.hardware import get_soc
-from repro.loadgen import validate_log
+from repro.loadgen import LoadGenLog, validate_log
 from repro.quantization import equalize_cross_layer
 
 
@@ -116,7 +116,7 @@ class TestSubmissionExport:
 
     def test_summary_round_trip(self, exported_submission):
         sub, root = exported_submission
-        summary = load_submission_summary(root)
+        summary = json.loads((root / "summary.json").read_text())
         assert summary[0]["task"] == "question_answering"
         # summaries round to 3 decimals on disk
         assert summary[0]["quality"] == pytest.approx(
@@ -125,21 +125,20 @@ class TestSubmissionExport:
 
     def test_log_round_trip_revalidates(self, exported_submission):
         _, root = exported_submission
-        log = load_log(root / "results/question_answering/performance_log.json")
+        path = root / "results/question_answering/performance_log.json"
+        log = LoadGenLog.from_dict(json.loads(path.read_text()))
         assert validate_log(log) == []
         assert log.query_count >= QUICK_RULES.loadgen.min_query_count
 
     def test_tampered_log_on_disk_detected(self, exported_submission, tmp_path):
         """Editing the 'unedited' log file breaks validation."""
-        import json
-
         _, root = exported_submission
         path = root / "results/question_answering/performance_log.json"
         raw = json.loads(path.read_text())
         raw["metadata"]["loadgen_checksum"] = "edited"
         edited = tmp_path / "edited_log.json"
         edited.write_text(json.dumps(raw))
-        log = load_log(edited)
+        log = LoadGenLog.from_dict(json.loads(edited.read_text()))
         assert any("checksum" in p for p in validate_log(log))
 
     def test_original_submission_still_clean(self, exported_submission):

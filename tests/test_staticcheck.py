@@ -11,7 +11,7 @@ import pytest
 
 from conftest import ROOT, build_toy_graph
 from repro.backends import create_backend
-from repro.core.export import validate_package
+from repro.core import Submission, SuiteResult, SystemDescription, validate_package, write_submission
 from repro.graph import export_mobile
 from repro.graph.graph import Graph, GraphValidationError
 from repro.graph.ops import (
@@ -31,6 +31,7 @@ from repro.graph.tensor import TensorSpec
 from repro.hardware.scheduler import FrameworkProfile, compile_model
 from repro.hardware.soc import SOC_CATALOG
 from repro.kernels.numerics import Numerics, QuantParams
+from repro.loadgen import loadgen_checksum
 from repro.models import available_models
 from repro.quantization import calibrate, convert_fp16, quantize_graph
 from repro.staticcheck import (
@@ -742,19 +743,17 @@ def test_failed_verification_is_recorded_in_the_stamp():
 
 
 def test_validate_package_flags_bad_attestations(tmp_path):
-    root = tmp_path / "pkg"
-    (root / "results" / "image_classification").mkdir(parents=True)
-    (root / "system.json").write_text("{}")
-    (root / "summary.json").write_text("[]")
-    (root / "provenance.json").write_text(json.dumps({
-        "version": "v1.0",
-        "models": {"image_classification": {
+    submission = Submission(
+        SystemDescription("x", "dimensity_1100", "phone", "smartphone", "Android"), "v1.0",
+        SuiteResult("dimensity_1100", "neuron", "v1.0"),
+        model_provenance={"image_classification": {
             "staticcheck": {"ruleset": RULESET_VERSION, "verified": False,
                             "errors": 2, "checksum": "aaa"},
             "deployed_checksum": "bbb",
         }},
-    }))
-    problems = validate_package(root)
+        loadgen_checksum=loadgen_checksum(),
+    )
+    problems = validate_package(write_submission(submission, tmp_path / "pkg"))
     assert any("failed static verification" in p for p in problems)
     assert any("modified after" in p for p in problems)
 

@@ -1,5 +1,8 @@
 """Submission bundles, checker, rolling submissions, independent audit."""
 
+import copy
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -10,8 +13,9 @@ from repro.core import (
     audit_submission,
     build_submission,
     check_submission,
+    validate_package,
+    write_submission,
 )
-from repro.core.export import validate_package, write_submission
 from repro.staticcheck import RULESET_VERSION
 
 
@@ -93,6 +97,67 @@ class TestChecker:
             assert any("ruleset" in p for p in validate_package(root))
         finally:
             stamp["ruleset"] = RULESET_VERSION
+
+
+def _degrade(sub, harness):
+    """Replace the suite with one whose task crashed in performance mode, the
+    way tests/test_faults.py builds a degraded submission."""
+    def crashing_run_performance(task, backend, device):
+        raise RuntimeError("delegate crashed while compiling the model")
+
+    harness.run_performance = crashing_run_performance
+    try:
+        suite = harness.run_suite("dimensity_1100", tasks=["question_answering"],
+                                  include_offline=False)
+    finally:
+        del harness.run_performance
+    degraded = build_submission(harness, suite, sub.system)
+    sub.suite, sub.model_provenance = degraded.suite, degraded.model_provenance
+
+
+def _qa(sub):
+    return sub.model_provenance["question_answering"]
+
+
+# case: (edit of a copy of the clean submission, text one problem contains)
+REJECTIONS = {
+    "non_commercial_sut": (lambda s, h: setattr(s, "system", dataclasses.replace(
+        s.system, commercially_available=False)), "commercially available"),
+    "no_factory_reset": (lambda s, h: setattr(s, "system", dataclasses.replace(
+        s.system, factory_reset=False)), "factory-reset"),
+    "tampered_loadgen_checksum": (lambda s, h: setattr(s, "loadgen_checksum", "0" * 64),
+                                  "LoadGen checksum mismatch"),
+    "failed_quality_gate": (lambda s, h: setattr(s.suite.results[0], "quality_passed", False),
+                            "below the minimum target"),
+    "deleted_performance_log": (lambda s, h: setattr(s.suite.results[0], "performance_log", None),
+                                "missing unedited log files"),
+    "emptied_provenance": (lambda s, h: s.model_provenance.clear(), "missing model provenance"),
+    "halved_summary_p90": (lambda s, h: setattr(s.suite.results[0], "latency_p90_ms",
+                                                s.suite.results[0].latency_p90_ms * 0.5),
+                           "latency_p90_ms"),
+    "foreign_model": (lambda s, h: _qa(s).update(deployed_source_checksum="f" * 64), "frozen"),
+    "stale_ruleset": (lambda s, h: _qa(s)["staticcheck"].update(ruleset=RULESET_VERSION - 1),
+                      "ruleset"),
+    "degraded_task": (_degrade, "task degraded"),
+}
+
+
+class TestOneChecker:
+    """check_submission and validate_package are one checker: the bundle a
+    submission writes gets exactly the problems the submission gets."""
+
+    def test_clean_submission_clean_both_ways(self, submission, tmp_path):
+        assert check_submission(submission) == []
+        assert validate_package(write_submission(submission, tmp_path)) == []
+
+    @pytest.mark.parametrize("case", sorted(REJECTIONS))
+    def test_rejection_in_memory_equals_on_disk(self, harness, submission, tmp_path, case):
+        edit, expected = REJECTIONS[case]
+        bad = copy.deepcopy(submission)
+        edit(bad, harness)
+        problems = check_submission(bad)
+        assert any(expected in p for p in problems), problems
+        assert validate_package(write_submission(bad, tmp_path)) == problems
 
 
 class TestRollingSubmissions:
