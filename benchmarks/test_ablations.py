@@ -42,7 +42,7 @@ def test_ablation_min_duration_rule(benchmark):
         return {
             "short_p90_ms": short.percentile_latency() * 1e3,
             "long_p90_ms": long.percentile_latency() * 1e3,
-            "long_final_temp": long.records[-1].temperature_c,
+            "long_final_temp": float(long.records.temperature_c[-1]),
         }
 
     r = benchmark.pedantic(run, rounds=1, iterations=1)

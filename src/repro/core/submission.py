@@ -38,8 +38,13 @@ __all__ = [
 ]
 
 _METADATA = {"system.json": dict, "provenance.json": dict, "summary.json": list}
-_LOG_KINDS = ("accuracy", "performance", "offline")
-_LOG_PATH = re.compile(r"results/[^/]+/[^/]+_log\.json")
+# each log kind and the (mode, scenario) its log must record
+_LOG_KINDS = {
+    "accuracy": ("accuracy", "single_stream"),
+    "performance": ("performance", "single_stream"),
+    "offline": ("performance", "offline"),
+}
+_LOG_PATH = re.compile(r"results/([^/]+)/([^/]+)_log\.json")
 
 
 @dataclass(frozen=True)
@@ -257,8 +262,25 @@ def _check(files: dict) -> list[str]:
     if not log_names:
         problems.append("bundle has no results/<task>/*_log.json files")
     for name in log_names:
+        problems += [f"{name}: {p}" for p in _placement_problems(name, files[name])]
         problems += [f"{name}: {v}" for v in validate_serialized(files[name])]
     return problems
+
+
+def _placement_problems(name: str, payload: object) -> list[str]:
+    """A log must be the log its path names: that task, and the mode and
+    scenario of that kind, so no log can stand in for another."""
+    task, kind = _LOG_PATH.fullmatch(name).groups()
+    if kind not in _LOG_KINDS:
+        return [f"unknown log kind {kind!r}; a bundle ships {', '.join(_LOG_KINDS)} logs"]
+    if not isinstance(payload, dict):
+        return []  # validate_serialized reports the payload's type
+    mode, scenario = _LOG_KINDS[kind]
+    return [
+        f"records {key} {payload.get(key)!r}; its path holds the {kind} log of {task!r}"
+        for key, want in (("task", task), ("mode", mode), ("scenario", scenario))
+        if payload.get(key) != want
+    ]
 
 
 def check_submission(submission: Submission) -> list[str]:

@@ -4,10 +4,12 @@ Every run emits a :class:`LoadGenLog` — settings, per-query records, and a
 computed summary. Submissions must include these logs unedited; the
 submission checker and the independent audit both consume them.
 
-Logs serialize losslessly: ``from_dict(to_dict(log)) == log``. The on-disk
-form carries a schema version plus a *claimed* summary block that the
-conformance checker recomputes from the raw records, so an edited log file
-is caught even when the edit is self-consistent JSON.
+The records are columns (:class:`RecordColumns`), one array per field, so a
+run of tens of thousands of queries is a handful of arrays, not one object
+per query. Logs serialize losslessly: ``from_dict(to_dict(log)) == log``.
+The on-disk form carries a schema version plus a *claimed* summary block
+that the conformance checker recomputes from the raw records, so an edited
+log file is caught even when the edit is self-consistent JSON.
 """
 
 from __future__ import annotations
@@ -17,25 +19,93 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["QueryRecord", "LoadGenLog", "LOG_SCHEMA_VERSION"]
+__all__ = ["RecordColumns", "LoadGenLog", "LOG_SCHEMA_VERSION"]
 
 # Bump when the serialized layout changes; from_dict refuses unknown versions
 # so the auditor never silently misreads a foreign or corrupted package.
-LOG_SCHEMA_VERSION = 2
+LOG_SCHEMA_VERSION = 3
 
 # the JSON type each non-numeric log field must have
 _FIELD_TYPES = {
     "scenario": str, "mode": str, "task": str, "model": str, "sut": str,
-    "accuracy": dict, "metadata": dict, "records": list,
+    "accuracy": dict, "metadata": dict, "records": dict,
 }
 
 
-@dataclass(frozen=True)
-class QueryRecord:
-    issue_time: float
-    latency_seconds: float
-    sample_indices: tuple[int, ...]
-    temperature_c: float = 0.0
+# the record columns and their dtypes, in serialized order
+_COLUMNS = {
+    "issue_time": np.float64, "latency_s": np.float64, "temperature_c": np.float64,
+    "sample_indices": np.int64, "sample_offsets": np.int64,
+}
+
+
+@dataclass(eq=False)
+class RecordColumns:
+    """A log's per-query records, one array per field.
+
+    Query ``i`` was issued at ``issue_time[i]`` (virtual seconds), took
+    ``latency_s[i]``, left the die at ``temperature_c[i]`` and carried the
+    samples ``sample_indices[sample_offsets[i]:sample_offsets[i + 1]]``.
+    ``len()`` is the query count, so an empty log's records are falsy.
+    """
+
+    issue_time: np.ndarray = ()
+    latency_s: np.ndarray = ()
+    temperature_c: np.ndarray = ()
+    sample_indices: np.ndarray = ()
+    sample_offsets: np.ndarray = (0,)
+
+    def __post_init__(self) -> None:
+        for name, dtype in _COLUMNS.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        shapes = {name: getattr(self, name).shape for name in _COLUMNS}
+        n = len(self.issue_time)
+        if any(len(shape) != 1 for shape in shapes.values()) or not (
+            len(self.latency_s) == len(self.temperature_c) == n
+        ):
+            raise ValueError(f"record columns must be flat and of one length, got shapes {shapes}")
+        offsets = self.sample_offsets
+        if not (len(offsets) == n + 1 and offsets[0] == 0
+                and offsets[-1] == len(self.sample_indices) and (np.diff(offsets) >= 0).all()):
+            raise ValueError(f"sample_offsets must rise from 0 to the {len(self.sample_indices)} "
+                             f"sample indices in {n + 1} steps")
+
+    def __len__(self) -> int:
+        return len(self.issue_time)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RecordColumns):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS)
+
+    def to_dict(self) -> dict[str, list]:
+        return {name: getattr(self, name).tolist() for name in _COLUMNS}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "RecordColumns":
+        """Inverse of :meth:`to_dict`; raises ``ValueError`` on bad input.
+
+        Each value converts as ``float()`` or ``int()`` would, except that a
+        JSON ``null`` in a float column is refused, not read as NaN.
+        """
+        if set(payload) != set(_COLUMNS):
+            raise ValueError(f"records must hold exactly the columns {list(_COLUMNS)}, "
+                             f"got {list(payload)}")
+        columns = {}
+        for name, dtype in _COLUMNS.items():
+            values = payload[name]
+            if not isinstance(values, list):
+                raise ValueError(f"record column {name!r} is a {type(values).__name__}, not a list")
+            try:
+                column = np.fromiter(values, dtype, len(values))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"malformed record column {name!r} ({exc})") from exc
+            if dtype is np.float64:
+                nulls = [i for i in np.flatnonzero(np.isnan(column)) if values[i] is None]
+                if nulls:
+                    raise ValueError(f"record column {name!r} holds null at index {nulls[0]}")
+            columns[name] = column
+        return cls(**columns)
 
 
 @dataclass
@@ -49,7 +119,7 @@ class LoadGenLog:
     min_query_count: int
     min_duration_s: float
     latency_percentile: float = 90.0
-    records: list[QueryRecord] = field(default_factory=list)
+    records: RecordColumns = field(default_factory=RecordColumns)
     accuracy: dict[str, float] = field(default_factory=dict)
     offline_samples: int = 0
     offline_seconds: float = 0.0
@@ -65,11 +135,10 @@ class LoadGenLog:
     def total_duration_s(self) -> float:
         if not self.records:
             return self.offline_seconds
-        last = self.records[-1]
-        return last.issue_time + last.latency_seconds
+        return float(self.records.issue_time[-1] + self.records.latency_s[-1])
 
     def latencies(self) -> np.ndarray:
-        return np.asarray([r.latency_seconds for r in self.records])
+        return self.records.latency_s
 
     def percentile_latency(self, percentile: float | None = None) -> float:
         """Nearest-rank (ordinal) percentile, as the MLPerf LoadGen defines it.
@@ -141,10 +210,7 @@ class LoadGenLog:
             "energy_joules": self.energy_joules,
             "accuracy": dict(self.accuracy),
             "metadata": dict(self.metadata),
-            "records": [
-                [r.issue_time, r.latency_seconds, list(r.sample_indices), r.temperature_c]
-                for r in self.records
-            ],
+            "records": self.records.to_dict(),
             "summary": self.summary() if (self.records or self.offline_seconds > 0) else {},
         }
 
@@ -195,15 +261,6 @@ class LoadGenLog:
             raise ValueError(f"malformed numeric field ({exc})") from exc
         log.accuracy = dict(payload.get("accuracy", {}))
         log.metadata = dict(payload.get("metadata", {}))
-        for i, rec in enumerate(payload.get("records", [])):
-            try:
-                issue, latency, indices, temp = rec
-                log.records.append(
-                    QueryRecord(
-                        float(issue), float(latency),
-                        tuple(int(s) for s in indices), float(temp),
-                    )
-                )
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"malformed record #{i}: {rec!r} ({exc})") from exc
+        if "records" in payload:
+            log.records = RecordColumns.from_dict(payload["records"])
         return log

@@ -13,7 +13,7 @@ from ..datasets.base import TaskDataset
 
 __all__ = ["QuerySampleLibrary"]
 
-BLOCK_SIZE = 256  # single-query indices pre-drawn per RNG call
+BLOCK_SIZE = 256  # single-sample queries pre-drawn per RNG call
 
 
 class QuerySampleLibrary:
@@ -28,10 +28,11 @@ class QuerySampleLibrary:
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._loaded: set[int] = set()
-        # pre-drawn single-query index block (see next_sample_index)
+        # pre-drawn single-sample query block (see next_query); a spent or
+        # discarded block reads as position BLOCK_SIZE
         self._pool: np.ndarray | None = None
         self._block: np.ndarray | None = None
-        self._block_pos = 0
+        self._block_pos = BLOCK_SIZE
 
     @property
     def total_sample_count(self) -> int:
@@ -41,7 +42,7 @@ class QuerySampleLibrary:
     def _invalidate_block(self) -> None:
         self._pool = None
         self._block = None
-        self._block_pos = 0
+        self._block_pos = BLOCK_SIZE
 
     def load_samples(self, indices: np.ndarray) -> None:
         self._loaded.update(int(i) for i in indices)
@@ -74,29 +75,23 @@ class QuerySampleLibrary:
             self._pool = np.sort(np.fromiter(self._loaded, dtype=np.int64))
         return self._pool
 
-    def sample_indices(self, n: int) -> np.ndarray:
-        """Seeded random selection of ``n`` loaded query samples."""
-        return self._rng.choice(self._loaded_pool(), size=n, replace=True)
+    def next_query(self) -> np.ndarray:
+        """One seeded single-sample query: a read-only 1-element view.
 
-    def next_sample_index(self) -> int:
-        """One single-query draw, served from a pre-drawn index block.
-
-        Emits exactly the same sequence as repeated ``sample_indices(1)``
-        calls for the same seed (one size-``B`` draw of the generator equals
-        ``B`` successive size-1 draws), but amortizes the RNG and pool-array
-        overhead over ``BLOCK_SIZE`` queries — the single-stream scenario
-        calls this once per query. The block is discarded whenever residency
-        changes, so don't interleave residency mutation with an in-flight
-        block if the exact legacy stream matters.
+        Queries are served from a block of ``BLOCK_SIZE`` indices drawn in
+        one RNG call, which yields the same sequence as one size-1 draw per
+        query (a size-``B`` draw of the generator equals ``B`` successive
+        size-1 draws). The single-stream scenario calls this once per query.
+        The block is discarded whenever residency changes, so the stream
+        after a residency change starts a fresh block.
         """
-        if self._block is None or self._block_pos >= len(self._block):
-            self._block = self._rng.choice(
-                self._loaded_pool(), size=BLOCK_SIZE, replace=True
-            )
-            self._block_pos = 0
-        idx = int(self._block[self._block_pos])
-        self._block_pos += 1
-        return idx
+        pos = self._block_pos
+        if pos == BLOCK_SIZE:
+            self._block = self._rng.choice(self._loaded_pool(), size=BLOCK_SIZE, replace=True)
+            self._block.flags.writeable = False
+            pos = 0
+        self._block_pos = pos + 1
+        return self._block[pos : pos + 1]
 
     def get_feeds(self, indices: np.ndarray) -> dict[str, np.ndarray]:
         missing = [int(i) for i in indices if int(i) not in self._loaded]

@@ -8,8 +8,9 @@ submission checker).
 
 Fault tolerance: per-query faults (:class:`~repro.loadgen.faults.QueryFault`,
 NaN or non-positive latencies) are retried within a bounded per-query
-budget. A query that exhausts its retries is *dropped* and counted in the
-log's metadata; when drops exceed the run's drop budget the run stops early
+budget; only a query whose first attempt fails takes the retry path. A
+query that exhausts its retries is *dropped* and counted in the log's
+metadata; when drops exceed the run's drop budget the run stops early
 and is marked partial. Either way the run returns a log the validator will
 flag, instead of crashing the suite.
 """
@@ -18,19 +19,34 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import importlib
 import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clock import VirtualClock
 from .faults import QueryFault
-from .logging import LoadGenLog, QueryRecord
+from .logging import LoadGenLog, RecordColumns
 from .qsl import QuerySampleLibrary
 from .sut import SystemUnderTest
 
-__all__ = ["Scenario", "Mode", "TestSettings", "LoadGenerator", "loadgen_checksum"]
+__all__ = [
+    "Scenario", "Mode", "TestSettings", "LoadGenerator", "CHECKSUM_MODULES", "loadgen_checksum",
+]
+
+# What loadgen_checksum hashes, in this order: every LoadGen module but the
+# SUT (the submitter's side) and validation (the checker's); DESIGN.md §7.
+CHECKSUM_MODULES = (
+    "repro.loadgen",
+    "repro.loadgen.faults",
+    "repro.loadgen.logging",
+    "repro.loadgen.qsl",
+    "repro.loadgen.scenarios",
+)
+
+_NO_SAMPLES = np.empty(0, dtype=np.int64)
+_INVALID = "invalid latency reading {!r}"
 
 
 class Scenario(enum.Enum):
@@ -114,34 +130,41 @@ class LoadGenerator:
         return log
 
     # -- fault-tolerant query issue -----------------------------------------
-    def _issue_with_retries(
-        self, sut: SystemUnderTest, indices: np.ndarray, log: LoadGenLog
-    ) -> float | None:
-        """One query with a bounded retry budget.
+    def _attempt(self, sut: SystemUnderTest, indices: np.ndarray) -> tuple[float | None, str]:
+        """One issue of a query: ``(latency, "")`` if valid, else ``(None, why)``.
 
-        Returns the latency of the first valid attempt, or ``None`` once the
-        budget is exhausted (the caller records a dropped query). Invalid
-        means a raised :class:`QueryFault` or a non-finite / non-positive
-        latency reading in performance mode.
+        Invalid means a raised :class:`QueryFault` or a missing, non-finite
+        or (in performance mode) non-positive latency reading.
         """
-        s = self.settings
-        last_error = "unknown fault"
-        for _ in range(1 + s.query_retry_budget):
-            try:
-                latency = sut.issue_query(indices)
-            except QueryFault as exc:
-                last_error = str(exc)
-                log.metadata["fault_retries"] = log.metadata.get("fault_retries", 0) + 1
-                continue
-            if latency is None or not math.isfinite(latency) or (
-                s.mode == Mode.PERFORMANCE and latency <= 0
-            ):
-                last_error = f"invalid latency reading {latency!r}"
-                log.metadata["fault_retries"] = log.metadata.get("fault_retries", 0) + 1
-                continue
-            return float(latency)
-        log.metadata["dropped_queries"] = log.metadata.get("dropped_queries", 0) + 1
-        log.metadata["last_fault"] = last_error
+        try:
+            latency = sut.issue_query(indices)
+        except QueryFault as exc:
+            return None, str(exc)
+        if latency is None or not math.isfinite(latency) or (
+            self.settings.mode == Mode.PERFORMANCE and latency <= 0
+        ):
+            return None, _INVALID.format(latency)
+        return float(latency), ""
+
+    def _retry(
+        self, sut: SystemUnderTest, indices: np.ndarray, log: LoadGenLog, fault: str
+    ) -> float | None:
+        """The rest of a query whose first attempt failed with ``fault``.
+
+        Counts each failed attempt in ``fault_retries`` and retries within
+        the per-query budget. Returns the first valid latency, or ``None``
+        once the budget is spent (the caller records a dropped query).
+        """
+        meta = log.metadata
+        for _ in range(self.settings.query_retry_budget):
+            meta["fault_retries"] = meta.get("fault_retries", 0) + 1
+            latency, why = self._attempt(sut, indices)
+            if not why:
+                return latency
+            fault = why
+        meta["fault_retries"] = meta.get("fault_retries", 0) + 1
+        meta["dropped_queries"] = meta.get("dropped_queries", 0) + 1
+        meta["last_fault"] = fault
         return None
 
     def _drop_budget_exhausted(self, log: LoadGenLog) -> bool:
@@ -161,19 +184,27 @@ class LoadGenerator:
         log.metadata["total_sample_count"] = n
         all_indices = np.arange(n)
         qsl.load_samples(all_indices)
-        clock = VirtualClock()
         batch = self.settings.accuracy_batch_size
+        now = 0.0  # virtual seconds
+        issue_time, latencies, batches = [], [], []
         for start in range(0, n, batch):
             idx = all_indices[start : start + batch]
-            latency = self._issue_with_retries(sut, idx, log)
+            latency, fault = self._attempt(sut, idx)
+            if fault:
+                latency = self._retry(sut, idx, log, fault)
             if latency is None:
                 if self._drop_budget_exhausted(log):
                     break
                 continue
-            log.records.append(
-                QueryRecord(clock.now(), latency, tuple(int(i) for i in idx))
-            )
-            clock.advance(max(latency, 1e-9))
+            issue_time.append(now)
+            latencies.append(latency)
+            batches.append(idx)
+            now += max(latency, 1e-9)
+        log.records = RecordColumns(
+            issue_time, latencies, np.zeros(len(latencies)),
+            np.concatenate(batches) if batches else _NO_SAMPLES,
+            np.cumsum([0] + [len(b) for b in batches]),
+        )
         evaluate = getattr(sut, "evaluate", None)
         if callable(evaluate):
             log.accuracy = evaluate()
@@ -181,29 +212,42 @@ class LoadGenerator:
     def _run_single_stream(
         self, sut: SystemUnderTest, qsl: QuerySampleLibrary, log: LoadGenLog
     ) -> None:
-        """Inject one sample, wait for completion, repeat (§4.2)."""
+        """Inject one sample, wait for completion, repeat (§4.2).
+
+        Per query: one QSL draw, one ``issue_query`` call, one validity test
+        and one temperature read. Only a query whose first attempt is invalid
+        takes the retry path, which keeps every fault count.
+        """
         s = self.settings
         qsl.load_performance_set()
-        clock = VirtualClock()
-        issued = 0
-        while issued < s.min_query_count or clock.now() < s.min_duration_s:
-            # served from a pre-drawn index block: same seeded sequence as a
-            # per-query sample_indices(1) draw, without per-query RNG overhead
-            idx = qsl.next_sample_index()
-            latency = self._issue_with_retries(sut, np.array([idx], dtype=np.int64), log)
+        issue = sut.issue_query
+        thermal = getattr(getattr(sut, "device", None), "thermal", None)
+        min_queries, min_duration = s.min_query_count, s.min_duration_s
+        now = 0.0  # virtual seconds
+        issue_time, latencies, temperature, samples = [], [], [], []
+        while len(latencies) < min_queries or now < min_duration:
+            query = qsl.next_query()
+            try:
+                latency = issue(query)
+            except QueryFault as exc:
+                latency = self._retry(sut, query, log, str(exc))
+            else:
+                if latency is None or not 0.0 < latency < math.inf:
+                    latency = self._retry(sut, query, log, _INVALID.format(latency))
             if latency is None:
                 if self._drop_budget_exhausted(log):
                     break
                 continue
-            temp = getattr(getattr(sut, "device", None), "thermal", None)
-            log.records.append(
-                QueryRecord(
-                    clock.now(), latency, (int(idx),),
-                    temperature_c=temp.temperature_c if temp else 0.0,
-                )
-            )
-            clock.advance(latency)
-            issued += 1
+            issue_time.append(now)
+            latencies.append(latency)
+            temperature.append(thermal.temperature_c if thermal is not None else 0.0)
+            samples.append(query)
+            now += latency
+        log.records = RecordColumns(
+            issue_time, latencies, temperature,
+            np.concatenate(samples) if samples else _NO_SAMPLES,
+            np.arange(len(latencies) + 1),
+        )
 
     def _run_offline(self, sut: SystemUnderTest, qsl: QuerySampleLibrary, log: LoadGenLog) -> None:
         """Send all samples in one burst; measure aggregate throughput."""
@@ -228,12 +272,15 @@ class LoadGenerator:
 
 
 def loadgen_checksum() -> str:
-    """Hash of this module's source: proves the LoadGen was not modified.
+    """Hash of the LoadGen's source: proves the LoadGen was not modified.
 
     Submitter modification of the LoadGen is forbidden (§4.1); the submission
-    checker compares this value against the one recorded in the run log.
+    checker compares this value against the one recorded in the run log. It
+    covers each of :data:`CHECKSUM_MODULES` in turn, name and source, as one
+    SHA-256 hex digest.
     """
-    import repro.loadgen.scenarios as me
-
-    src = inspect.getsource(me)
-    return hashlib.sha256(src.encode()).hexdigest()
+    digest = hashlib.sha256()
+    for name in CHECKSUM_MODULES:
+        source = inspect.getsource(importlib.import_module(name))
+        digest.update(f"{name}\n{len(source)}\n{source}".encode())
+    return digest.hexdigest()

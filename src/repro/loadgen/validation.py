@@ -4,9 +4,9 @@ Two entry points:
 
 * :func:`validate_log` runs the run-rule checks over an in-memory
   :class:`LoadGenLog` and returns a list of violations; an empty list means
-  the run is rules-compliant. Every record is examined (not a prefix), and
-  violations are reported at the first offending record so repeated runs
-  produce identical output.
+  the run is rules-compliant. Every record is examined (not a prefix), as
+  whole-column array tests, and violations are reported at the first
+  offending record so repeated runs produce identical output.
 
 * :func:`validate_serialized` is what the submission checker and the audit
   actually call: it takes the raw *deserialized JSON payload* of a log file,
@@ -19,6 +19,8 @@ Two entry points:
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .logging import LOG_SCHEMA_VERSION, LoadGenLog
 from .scenarios import loadgen_checksum
@@ -59,15 +61,15 @@ def validate_log(log: LoadGenLog) -> list[str]:
         )
 
     # every record must be physically plausible, wherever it sits in the log
-    for i, r in enumerate(log.records):
-        if not (_finite(r.issue_time) and _finite(r.latency_seconds)):
-            problems.append(f"record {i} contains non-finite timing values")
-            break
+    records = log.records
+    issue, latency = records.issue_time, records.latency_s
+    bad = ~(np.isfinite(issue) & np.isfinite(latency))
+    if bad.any():
+        problems.append(f"record {bad.argmax()} contains non-finite timing values")
     if log.mode == "performance":
-        for i, r in enumerate(log.records):
-            if not _finite(r.latency_seconds) or r.latency_seconds <= 0:
-                problems.append(f"non-positive latency recorded at record {i}")
-                break
+        bad = ~((latency > 0) & np.isfinite(latency))
+        if bad.any():
+            problems.append(f"non-positive latency recorded at record {bad.argmax()}")
 
     if log.mode == "performance" and log.scenario == "single_stream":
         if log.query_count < log.min_query_count:
@@ -80,20 +82,19 @@ def validate_log(log: LoadGenLog) -> list[str]:
                 f"{log.min_duration_s:.0f}s"
             )
         # single-stream issues exactly one sample per query — all records
-        for i, r in enumerate(log.records):
-            if len(r.sample_indices) != 1:
-                problems.append(
-                    f"single-stream query {i} carried {len(r.sample_indices)} samples"
-                )
-                break
+        carried = np.diff(records.sample_offsets)
+        bad = carried != 1
+        if bad.any():
+            i = bad.argmax()
+            problems.append(f"single-stream query {i} carried {carried[i]} samples")
         # timestamps must be strictly increasing with no overlap (the next
-        # query is only issued after the previous one completes)
-        prev_end = -1.0
-        for i, r in enumerate(log.records):
-            if r.issue_time < prev_end - 1e-9:
-                problems.append(f"overlapping queries in single-stream log at record {i}")
-                break
-            prev_end = r.issue_time + r.latency_seconds
+        # query is only issued after the previous one completes): each issue
+        # time against the previous query's end, record 0 against -1 s
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
+            prev_end = np.concatenate(([-1.0], issue[:-1] + latency[:-1]))
+            bad = issue < prev_end - 1e-9
+        if bad.any():
+            problems.append(f"overlapping queries in single-stream log at record {bad.argmax()}")
 
     if log.mode == "performance" and log.scenario == "offline":
         if log.offline_samples <= 0 or log.offline_seconds <= 0:
@@ -126,25 +127,29 @@ def validate_log(log: LoadGenLog) -> list[str]:
                 problems.append(f"accuracy metric {name!r} is non-finite")
         if not log.records:
             problems.append("accuracy run issued no queries")
-        # the whole validation set, each sample exactly once (§4.1)
-        seen: set[int] = set()
-        for i, r in enumerate(log.records):
-            dup = [s for s in r.sample_indices if s in seen]
-            if dup:
-                problems.append(
-                    f"accuracy run repeated sample index {dup[0]} at record {i}"
-                )
-                break
-            seen.update(r.sample_indices)
+        # the whole validation set, each sample exactly once (§4.1): a sample
+        # repeats when a later record carries it again; the count covers the
+        # records before the first repeat
+        flat, offsets = records.sample_indices, records.sample_offsets
+        owner = np.repeat(np.arange(len(records)), np.diff(offsets))
+        values, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+        repeated = owner[first[inverse]] < owner
+        covered = len(values)
+        if repeated.any():
+            j = repeated.argmax()
+            problems.append(
+                f"accuracy run repeated sample index {flat[j]} at record {owner[j]}"
+            )
+            covered = len(np.unique(flat[: offsets[owner[j]]]))
         total = log.metadata.get("total_sample_count")
         if total is None:
             problems.append(
                 "accuracy log missing total_sample_count metadata; dataset "
                 "coverage cannot be verified"
             )
-        elif len(seen) != total:
+        elif covered != total:
             problems.append(
-                f"accuracy run covered {len(seen)} of {total} dataset samples; "
+                f"accuracy run covered {covered} of {total} dataset samples; "
                 f"rules require the entire validation set"
             )
 

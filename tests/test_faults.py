@@ -18,17 +18,16 @@ from repro.datasets import IndexDataset
 from repro.hardware import SimulatedDevice, get_soc
 from repro.loadgen import (
     AccuracySUT,
-    FaultySUT,
     LoadGenerator,
     Mode,
     PerformanceSUT,
-    QueryFailure,
     QuerySampleLibrary,
-    QueryTimeout,
     Scenario,
     TestSettings,
     validate_log,
 )
+
+from faulty_sut import FaultySUT, QueryFailure, QueryTimeout
 
 
 def _perf_sut():

@@ -1,4 +1,4 @@
-"""LoadGen: clock, QSL, scenarios, run-rule enforcement, log validation."""
+"""LoadGen: QSL, scenarios, run-rule enforcement, log validation."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from repro.loadgen import (
     QuerySampleLibrary,
     Scenario,
     TestSettings,
-    VirtualClock,
     loadgen_checksum,
     validate_log,
 )
@@ -34,16 +33,8 @@ def perf_sut():
 FAST = TestSettings(min_query_count=64, min_duration_s=0.05)
 
 
-class TestClock:
-    def test_advance(self):
-        c = VirtualClock()
-        assert c.now() == 0.0
-        c.advance(1.5)
-        assert c.now() == 1.5
-
-    def test_backwards_rejected(self):
-        with pytest.raises(ValueError):
-            VirtualClock().advance(-1)
+def _draws(qsl, n):
+    return [int(qsl.next_query()[0]) for _ in range(n)]
 
 
 class TestQSL:
@@ -60,17 +51,24 @@ class TestQSL:
         a = QuerySampleLibrary(IndexDataset(100), seed=7)
         b = QuerySampleLibrary(IndexDataset(100), seed=7)
         a.load_performance_set(); b.load_performance_set()
-        np.testing.assert_array_equal(a.sample_indices(20), b.sample_indices(20))
+        assert _draws(a, 20) == _draws(b, 20)
 
     def test_sampling_before_load_raises(self):
         with pytest.raises(RuntimeError):
-            QuerySampleLibrary(IndexDataset(10)).sample_indices(1)
+            QuerySampleLibrary(IndexDataset(10)).next_query()
 
     def test_samples_only_from_loaded(self):
         qsl = QuerySampleLibrary(IndexDataset(1000), performance_sample_count=16)
         loaded = set(int(i) for i in qsl.load_performance_set())
-        drawn = set(int(i) for i in qsl.sample_indices(500))
-        assert drawn <= loaded
+        assert set(_draws(qsl, 500)) <= loaded
+
+    def test_query_is_a_read_only_single_sample(self):
+        qsl = QuerySampleLibrary(IndexDataset(100))
+        qsl.load_performance_set()
+        query = qsl.next_query()
+        assert query.shape == (1,) and query.dtype == np.int64
+        with pytest.raises(ValueError):
+            query[0] = 0
 
     def test_unloaded_feed_rejected(self):
         qsl = QuerySampleLibrary(IndexDataset(10))
@@ -99,7 +97,8 @@ class TestSingleStream:
 
     def test_one_sample_per_query(self, perf_sut):
         log = LoadGenerator(FAST).run(perf_sut, QuerySampleLibrary(IndexDataset()))
-        assert all(len(r.sample_indices) == 1 for r in log.records)
+        assert (np.diff(log.records.sample_offsets) == 1).all()
+        assert len(log.records.sample_indices) == log.query_count
 
     def test_log_validates_clean(self, perf_sut):
         log = LoadGenerator(FAST).run(perf_sut, QuerySampleLibrary(IndexDataset()))
@@ -114,7 +113,7 @@ class TestSingleStream:
 
     def test_records_temperature(self, perf_sut):
         log = LoadGenerator(FAST).run(perf_sut, QuerySampleLibrary(IndexDataset()))
-        assert log.records[-1].temperature_c > 0
+        assert log.records.temperature_c[-1] > 0
 
 
 class TestOffline:
@@ -146,7 +145,7 @@ class TestAccuracyMode:
         sut = AccuracySUT(cls_exported, cls_dataset)
         settings = TestSettings(mode=Mode.ACCURACY)
         log = LoadGenerator(settings).run(sut, QuerySampleLibrary(cls_dataset))
-        covered = {i for r in log.records for i in r.sample_indices}
+        covered = set(log.records.sample_indices.tolist())
         assert covered == set(range(len(cls_dataset)))
         assert "top1" in log.accuracy
         assert validate_log(log) == []
@@ -173,7 +172,7 @@ class TestValidation:
 
     def test_overlapping_queries_flagged(self, perf_sut):
         log = self._clean_log(perf_sut)
-        object.__setattr__(log.records[5], "issue_time", 0.0)
+        log.records.issue_time[5] = 0.0
         assert any("overlapping" in p for p in validate_log(log))
 
     def test_settings_validation(self):

@@ -274,22 +274,23 @@ class TestProfiler:
 
 class TestQSLBlockSampling:
     def test_block_draw_matches_per_query_stream(self):
-        """Pre-drawn blocks reproduce the legacy per-query sequence exactly."""
-        a = QuerySampleLibrary(IndexDataset(64), performance_sample_count=32, seed=99)
-        b = QuerySampleLibrary(IndexDataset(64), performance_sample_count=32, seed=99)
-        a.load_performance_set()
-        b.load_performance_set()
+        """Pre-drawn blocks reproduce one size-1 generator draw per query."""
+        qsl = QuerySampleLibrary(IndexDataset(64), performance_sample_count=32, seed=99)
+        qsl.load_performance_set()
+        # the per-query stream, stated here: the same generator loads the
+        # performance set, then draws each query alone from the sorted pool
+        rng = np.random.default_rng(99)
+        pool = np.sort(rng.choice(64, size=32, replace=False))
         # cross the block boundary to cover at least one refill
         n = BLOCK_SIZE + 50
-        legacy = [int(a.sample_indices(1)[0]) for _ in range(n)]
-        blocked = [b.next_sample_index() for _ in range(n)]
-        assert legacy == blocked
+        per_query = [int(rng.choice(pool, size=1, replace=True)[0]) for _ in range(n)]
+        assert [int(qsl.next_query()[0]) for _ in range(n)] == per_query
 
     def test_residency_change_invalidates_block(self):
         qsl = QuerySampleLibrary(IndexDataset(64), performance_sample_count=8, seed=7)
         qsl.load_performance_set()
-        first = qsl.next_sample_index()
-        assert isinstance(first, int)
+        first = qsl.next_query()
+        assert first.shape == (1,)
         qsl.load_samples(np.array([63]))
         assert qsl._block is None  # block discarded on residency change
-        assert 0 <= qsl.next_sample_index() < 64
+        assert 0 <= qsl.next_query()[0] < 64

@@ -2,6 +2,8 @@
 
 import copy
 import dataclasses
+import inspect
+import pkgutil
 
 import pytest
 
@@ -16,6 +18,8 @@ from repro.core import (
     validate_package,
     write_submission,
 )
+from repro.loadgen import loadgen_checksum
+from repro.loadgen.scenarios import CHECKSUM_MODULES
 from repro.staticcheck import RULESET_VERSION
 
 
@@ -213,3 +217,90 @@ class TestAudit:
         report = audit_submission(submission, harness)
         text = report.summary()
         assert "audit result" in text and "question_answering" in text
+
+
+def _edited_source(module_name):
+    """``inspect.getsource`` as it reads after a one-line edit to one module."""
+    getsource = inspect.getsource
+
+    def patched(obj):
+        source = getsource(obj)
+        if getattr(obj, "__name__", None) == module_name:
+            source += "\n# an edit\n"
+        return source
+
+    return patched
+
+
+class TestLoadGenChecksum:
+    """A run under an edited LoadGen module is rejected, in memory and on disk."""
+
+    @pytest.mark.parametrize("module_name", CHECKSUM_MODULES)
+    def test_edited_module_rejected(self, harness, submission, tmp_path, monkeypatch,
+                                    module_name):
+        clean = loadgen_checksum()
+        with monkeypatch.context() as patch:
+            patch.setattr(inspect, "getsource", _edited_source(module_name))
+            edited = loadgen_checksum()
+            # what a run and a bundle made under the edited LoadGen record
+            bad = build_submission(harness, copy.deepcopy(submission.suite), submission.system)
+        assert edited != clean and bad.loadgen_checksum == edited
+        for log in (bad.suite.results[0].accuracy_log, bad.suite.results[0].performance_log):
+            log.metadata["loadgen_checksum"] = edited
+        problems = check_submission(bad)
+        assert any("LoadGen checksum mismatch" in p for p in problems), problems
+        assert sum("loadgen checksum mismatch" in p for p in problems) == 2
+        assert validate_package(write_submission(bad, tmp_path)) == problems
+
+    def test_hashes_every_module_but_the_sut_and_validation(self):
+        import repro.loadgen as loadgen
+
+        modules = {f"repro.loadgen.{m.name}" for m in pkgutil.iter_modules(loadgen.__path__)}
+        assert set(CHECKSUM_MODULES) == {"repro.loadgen"} | modules - {
+            "repro.loadgen.sut", "repro.loadgen.validation"}
+
+
+class TestLogPlacement:
+    """A log is the log its path names: its task, and its kind's mode and scenario."""
+
+    def _both_ways(self, bad, tmp_path):
+        problems = check_submission(bad)
+        assert validate_package(write_submission(bad, tmp_path)) == problems
+        return problems
+
+    def test_relabelled_logs_rejected(self, submission, tmp_path):
+        bad = copy.deepcopy(submission)
+        result = bad.suite.results[0]
+        for log in (result.accuracy_log, result.performance_log):
+            log.task = "image_classification"
+        problems = self._both_ways(bad, tmp_path)
+        for kind in ("accuracy", "performance"):
+            name = f"results/question_answering/{kind}_log.json"
+            assert (f"{name}: records task 'image_classification'; its path holds the "
+                    f"{kind} log of 'question_answering'") in problems, problems
+
+    def test_wrong_scenario_rejected(self, submission, tmp_path):
+        bad = copy.deepcopy(submission)
+        bad.suite.results[0].accuracy_log.scenario = "offline"
+        problems = self._both_ways(bad, tmp_path)
+        assert ("results/question_answering/accuracy_log.json: records scenario 'offline'; "
+                "its path holds the accuracy log of 'question_answering'") in problems
+
+    def test_swapped_logs_rejected(self, submission, tmp_path):
+        bad = copy.deepcopy(submission)
+        result = bad.suite.results[0]
+        result.accuracy_log, result.performance_log = (result.performance_log,
+                                                       result.accuracy_log)
+        problems = self._both_ways(bad, tmp_path)
+        assert ("results/question_answering/accuracy_log.json: records mode 'performance'; "
+                "its path holds the accuracy log of 'question_answering'") in problems
+        assert ("results/question_answering/performance_log.json: records mode 'accuracy'; "
+                "its path holds the performance log of 'question_answering'") in problems
+
+    def test_unknown_log_kind_rejected(self, submission, tmp_path):
+        root = write_submission(submission, tmp_path)
+        path = root / "results" / "question_answering"
+        (path / "warmup_log.json").write_text((path / "performance_log.json").read_text())
+        problems = validate_package(root)
+        assert any(p.startswith("results/question_answering/warmup_log.json: unknown log kind")
+                   for p in problems), problems
