@@ -12,8 +12,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis import full_graph_cache
 from repro.backends import default_backend_for
+from repro.core.harness import full_graph
 from repro.datasets import IndexDataset, create_dataset
 from repro.graph import Executor, export_mobile
 from repro.hardware import SimulatedDevice, get_soc
@@ -30,7 +30,7 @@ def test_ablation_min_duration_rule(benchmark):
     def run():
         soc = get_soc("dimensity_1100")
         be = default_backend_for(soc)
-        g = full_graph_cache("mobilenet_edgetpu")
+        g = full_graph("mobilenet_edgetpu")
         cm = be.compile_single_stream(g, "image_classification")
 
         sut = PerformanceSUT(SimulatedDevice(soc), cm)
@@ -88,7 +88,7 @@ def test_ablation_cooldown_interval(benchmark):
     def run():
         soc = get_soc("exynos_990")
         be = default_backend_for(soc)
-        g = full_graph_cache("deeplab_v3plus")
+        g = full_graph("deeplab_v3plus")
         cm = be.compile_single_stream(g, "semantic_segmentation")
         dev = SimulatedDevice(soc)
         cold = dev.run_query(cm).latency_seconds

@@ -57,12 +57,12 @@ def test_vision_tolerates_int8(benchmark, accuracy_harness):
 @pytest.mark.benchmark(group="insight5")
 def test_fp16_faster_than_fp32_on_gpu(benchmark):
     """Why FP16 at all: GPUs run half precision ~2x faster than FP32."""
-    from repro.analysis import full_graph_cache
+    from repro.core.harness import full_graph
     from repro.hardware import FrameworkProfile, get_soc
     from repro.hardware.scheduler import compile_model
 
     def run():
-        g = full_graph_cache("mobilebert")
+        g = full_graph("mobilebert")
         soc = get_soc("exynos_990")
         fw = FrameworkProfile("probe")
         f16 = compile_model(g, soc, primary="gpu", numerics=Numerics.FP16, framework=fw)

@@ -9,10 +9,10 @@ accelerator-level parallelism (NPU+CPU and HTA+HVX respectively).
 import pytest
 
 from repro.analysis import measure_offline, measure_single_stream, table2_configurations
+from repro.core.harness import full_graph
 from repro.hardware import get_soc
 from repro.hardware.scheduler import offline_throughput
 from repro.backends import default_backend_for
-from repro.analysis import full_graph_cache
 
 from conftest import BENCH_SETTINGS, save_result
 
@@ -78,7 +78,7 @@ def test_alp_beats_single_engine(benchmark):
     """Insight 3: concurrent accelerators raise offline throughput."""
 
     def run():
-        g = full_graph_cache("mobilenet_edgetpu")
+        g = full_graph("mobilenet_edgetpu")
         out = {}
         for soc_name in ("exynos_990", "snapdragon_865plus", "core_i7_1165g7"):
             soc = get_soc(soc_name)

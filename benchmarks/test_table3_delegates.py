@@ -55,14 +55,14 @@ def test_table3_delegate_gap(benchmark):
 @pytest.mark.benchmark(group="table3")
 def test_ablation_sync_overhead_drives_the_gap(benchmark):
     """DESIGN.md ablation 2: zeroing the HAL sync collapses Table 3's gap."""
-    from repro.analysis import full_graph_cache
+    from repro.core.harness import full_graph
     from repro.backends import create_backend
     from repro.hardware import FrameworkProfile, SimulatedDevice, get_soc
     from repro.hardware.scheduler import compile_model
 
     def run():
         soc = get_soc("dimensity_1100")
-        g = full_graph_cache("mobilenet_edgetpu")
+        g = full_graph("mobilenet_edgetpu")
         neuron = create_backend("neuron", soc).compile_single_stream(
             g, "image_classification")
         nnapi = create_backend("nnapi", soc).compile_single_stream(

@@ -9,8 +9,9 @@ Usage:
     python examples/thermal_power_study.py
 """
 
-from repro.analysis import ai_tax_breakdown, full_graph_cache, measure_single_stream
+from repro.analysis import ai_tax_breakdown, measure_single_stream
 from repro.backends import default_backend_for
+from repro.core.harness import full_graph
 from repro.core.tasks import TASK_ORDER
 from repro.hardware import SimulatedDevice, get_soc
 from repro.loadgen import TestSettings
@@ -19,7 +20,7 @@ from repro.loadgen import TestSettings
 def main() -> None:
     soc = get_soc("exynos_990")
     backend = default_backend_for(soc)
-    graph = full_graph_cache("deeplab_v3plus")
+    graph = full_graph("deeplab_v3plus")
     compiled = backend.compile_single_stream(graph, "semantic_segmentation")
     device = SimulatedDevice(soc, ambient_c=22.0)
 

@@ -3,10 +3,8 @@
 from .evaluation import (
     PERF_SETTINGS,
     ai_tax_breakdown,
-    developer_options_comparison,
     figure6_generational_speedups,
     figure7_single_stream,
-    full_graph_cache,
     measure_offline,
     measure_single_stream,
     table2_configurations,
@@ -24,10 +22,8 @@ from .related_work import (
 __all__ = [
     "PERF_SETTINGS",
     "ai_tax_breakdown",
-    "developer_options_comparison",
     "measure_single_stream",
     "measure_offline",
-    "full_graph_cache",
     "figure6_generational_speedups",
     "figure7_single_stream",
     "table2_configurations",

@@ -2,33 +2,25 @@
 
 Every function returns plain data structures (dicts/lists) so the benchmark
 harness in ``benchmarks/`` can both print the paper-style rows and assert
-the shape claims. Performance numbers come from the real LoadGen driving the
-hardware simulator under (reduced) run rules.
+the shape claims. Performance numbers come from the app's own performance-
+mode run (:func:`repro.core.harness.performance_log`) driving the hardware
+simulator under (reduced) run rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import replace
 
 from ..backends.vendors import create_backend, default_backend_for
-from ..graph.converter import export_mobile
-from ..graph.graph import Graph
 from ..hardware.device import SimulatedDevice
 from ..hardware.soc import GENERATION_PAIRS, SOC_CATALOG, get_soc
-from ..loadgen.qsl import QuerySampleLibrary
-from ..loadgen.scenarios import LoadGenerator, Mode, Scenario, TestSettings
-from ..loadgen.sut import PerformanceSUT
-from ..datasets.base import IndexDataset
-from ..models.zoo import create_full_model
+from ..loadgen.scenarios import Mode, Scenario, TestSettings
+from ..core.harness import full_graph, performance_log
 from ..core.tasks import TASK_ORDER, get_task
 
 __all__ = [
     "PERF_SETTINGS",
     "ai_tax_breakdown",
-    "developer_options_comparison",
-    "full_graph_cache",
     "measure_single_stream",
     "measure_offline",
     "figure6_generational_speedups",
@@ -42,14 +34,6 @@ PERF_SETTINGS = TestSettings(
     scenario=Scenario.SINGLE_STREAM, mode=Mode.PERFORMANCE,
     min_query_count=256, min_duration_s=2.0,
 )
-
-_GRAPH_CACHE: dict[str, Graph] = {}
-
-
-def full_graph_cache(model_name: str) -> Graph:
-    if model_name not in _GRAPH_CACHE:
-        _GRAPH_CACHE[model_name] = export_mobile(create_full_model(model_name).graph)
-    return _GRAPH_CACHE[model_name]
 
 
 def _model_for(task: str, version: str) -> str:
@@ -67,15 +51,12 @@ def measure_single_stream(
 ) -> dict:
     """p90 latency / throughput for one (SoC, backend, task) combination."""
     soc = get_soc(soc_name)
-    version = version or soc.benchmark_version
+    model_name = _model_for(task, version or soc.benchmark_version)
     backend = create_backend(backend_name, soc) if backend_name else default_backend_for(soc)
-    graph = full_graph_cache(_model_for(task, version))
-    compiled = backend.compile_single_stream(graph, task)
     device = SimulatedDevice(soc)
-    sut = PerformanceSUT(device, compiled)
-    log = LoadGenerator(settings).run(
-        sut, QuerySampleLibrary(IndexDataset()), task=task, model_name=graph.name
-    )
+    log = performance_log(backend, task, settings, device, model_name=model_name)
+    # the segment count of the model the run compiled; compiling is deterministic
+    compiled = backend.compile_single_stream(full_graph(model_name), task)
     return {
         "soc": soc_name,
         "backend": backend.name,
@@ -96,21 +77,20 @@ def measure_offline(
     version: str | None = None,
     sample_count: int = 24576,
 ) -> dict:
-    """Offline (batched, ALP) throughput for one combination."""
+    """Offline (batched, ALP) throughput for one combination, via the LoadGen."""
     soc = get_soc(soc_name)
-    version = version or soc.benchmark_version
+    model_name = _model_for(task, version or soc.benchmark_version)
     backend = create_backend(backend_name, soc) if backend_name else default_backend_for(soc)
-    graph = full_graph_cache(_model_for(task, version))
-    pipelines = backend.compile_offline(graph, task)
-    result = SimulatedDevice(soc).run_offline(pipelines, sample_count)
+    settings = replace(PERF_SETTINGS, scenario=Scenario.OFFLINE, offline_sample_count=sample_count)
+    log = performance_log(backend, task, settings, SimulatedDevice(soc), model_name=model_name)
     return {
         "soc": soc_name,
         "backend": backend.name,
         "task": task,
-        "offline_fps": result.throughput_fps,
+        "offline_fps": log.throughput_fps(),
         "config": backend.describe(task, scenario="offline"),
-        "pipelines": len(pipelines),
-        "steady_clock_scale": result.steady_clock_scale,
+        "pipelines": len(backend.task_execution(task).offline),
+        "steady_clock_scale": log.metadata["steady_clock_scale"],
     }
 
 
@@ -181,59 +161,6 @@ def table3_delegate_comparison(
     return out
 
 
-def developer_options_comparison(
-    soc_name: str = "dimensity_1100",
-    task: str = "image_classification",
-    settings: TestSettings = PERF_SETTINGS,
-) -> dict[str, dict]:
-    """The three app-development paths of paper Figure 2.
-
-    (a) vendor SDK per SoC — fastest, one app variant per vendor;
-    (b) native framework API (NNAPI) — portable, driver-quality dependent;
-    (c) model bound to the hardware — no runtime at all (zero framework
-        overhead) but zero portability.
-    """
-    from ..hardware.scheduler import FrameworkProfile
-
-    soc = get_soc(soc_name)
-    graph = full_graph_cache(_model_for(task, soc.benchmark_version))
-    vendor = default_backend_for(soc)
-    nnapi = create_backend("nnapi" if soc.vendor == "mediatek" else "tflite", soc)
-
-    rows: dict[str, dict] = {}
-    for label, compiled in (
-        ("(a) vendor SDK", vendor.compile_single_stream(graph, task)),
-        ("(b) NNAPI / framework", nnapi.compile_single_stream(graph, task)),
-    ):
-        device = SimulatedDevice(soc)
-        log = LoadGenerator(settings).run(
-            PerformanceSUT(device, compiled), QuerySampleLibrary(IndexDataset()),
-            task=task, model_name=graph.name,
-        )
-        rows[label] = {
-            "latency_p90_ms": log.percentile_latency() * 1e3,
-            "portable": label.startswith("(b)"),
-        }
-    # (c): compile the model directly against the hardware — no runtime layer
-    cfg = vendor.task_execution(task)
-    from ..hardware.scheduler import compile_model as _compile
-
-    baked = _compile(
-        graph, soc, primary=cfg.primary, secondary=cfg.secondary,
-        numerics=cfg.numerics, framework=FrameworkProfile("hardware-bound"),
-    )
-    device = SimulatedDevice(soc)
-    log = LoadGenerator(settings).run(
-        PerformanceSUT(device, baked), QuerySampleLibrary(IndexDataset()),
-        task=task, model_name=graph.name,
-    )
-    rows["(c) hardware-bound"] = {
-        "latency_p90_ms": log.percentile_latency() * 1e3,
-        "portable": False,
-    }
-    return rows
-
-
 def ai_tax_breakdown(
     soc_name: str,
     task: str,
@@ -248,7 +175,7 @@ def ai_tax_breakdown(
     soc = get_soc(soc_name)
     version = version or soc.benchmark_version
     backend = create_backend(backend_name, soc) if backend_name else default_backend_for(soc)
-    graph = full_graph_cache(_model_for(task, version))
+    graph = full_graph(_model_for(task, version))
     core = backend.compile_single_stream(graph, task)
     e2e = backend.compile_single_stream(graph, task, end_to_end=True)
     core_ms = core.latency_seconds() * 1e3

@@ -114,16 +114,12 @@ def _describe(args) -> int:
 
 
 def _report(args) -> int:
-    from ..analysis import evaluation_report
+    from ..analysis import PERF_SETTINGS, evaluation_report
     from ..loadgen import TestSettings
 
     settings = (
-        TestSettings(min_query_count=64, min_duration_s=0.2) if args.fast else None
+        TestSettings(min_query_count=64, min_duration_s=0.2) if args.fast else PERF_SETTINGS
     )
-    if settings is None:
-        from ..analysis import PERF_SETTINGS
-
-        settings = PERF_SETTINGS
     print(evaluation_report(settings))
     return 0
 

@@ -3,16 +3,21 @@
 Drives both modes per task in the prescribed order (accuracy over the full
 validation set first, then performance; paper §6.1), with cooldown intervals
 between tests. Reference artifacts (scaled models, datasets, quantized
-variants, full-size compiled graphs) are built once and cached.
+variants) are built once per harness; full-size graphs once per process.
+
+Every performance-mode run, the app's and the paper's Figures 6-7 and Tables
+2-3 alike, goes through :func:`performance_log`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from ..backends.base import Backend
 from ..backends.vendors import create_backend, default_backend_for
-from ..datasets.registry import create_dataset
+from ..datasets.base import IndexDataset
+from ..datasets.registry import create_dataset, dataset_size
 from ..graph.converter import export_mobile
 from ..graph.graph import Graph
 from ..hardware.device import SimulatedDevice
@@ -20,7 +25,7 @@ from ..hardware.soc import get_soc
 from ..kernels.numerics import Numerics
 from ..loadgen.logging import LoadGenLog
 from ..loadgen.qsl import QuerySampleLibrary
-from ..loadgen.scenarios import LoadGenerator, Mode, Scenario
+from ..loadgen.scenarios import LoadGenerator, Mode, Scenario, TestSettings
 from ..loadgen.sut import AccuracySUT, PerformanceSUT
 from ..models.common import ModelBundle
 from ..models.zoo import create_full_model, create_reference_model
@@ -29,7 +34,46 @@ from .results import BenchmarkResult, SuiteResult
 from .rules import DEFAULT_RULES, RunRules
 from .tasks import FULL_TASK_ORDER, TaskSpec, get_task, tasks_for_version
 
-__all__ = ["ReferenceArtifacts", "BenchmarkHarness"]
+__all__ = ["ReferenceArtifacts", "BenchmarkHarness", "full_graph", "performance_log"]
+
+
+@functools.cache
+def full_graph(model_name: str) -> Graph:
+    """The exported full-size graph of ``model_name``, built once per process.
+
+    Exported graphs are frozen (read-only params), so every harness and every
+    analysis run shares one copy.
+    """
+    return export_mobile(create_full_model(model_name).graph)
+
+
+def performance_log(
+    backend: Backend,
+    task: str,
+    settings: TestSettings,
+    device: SimulatedDevice,
+    *,
+    model_name: str,
+    samples: int = 1024,
+) -> LoadGenLog:
+    """One performance-mode LoadGen run of ``task`` on ``model_name``'s full graph.
+
+    Compiles single-stream or offline pipelines by ``settings.scenario``. A
+    performance SUT reads only a query's batch size, so the QSL draws over
+    ``samples`` content-free indices, seeded by ``settings.seed``.
+    """
+    graph = full_graph(model_name)
+    if settings.scenario is Scenario.OFFLINE:
+        kind, model, pipelines = "offline", None, backend.compile_offline(graph, task)
+    else:
+        kind, model, pipelines = "perf", backend.compile_single_stream(graph, task), None
+    sut = PerformanceSUT(
+        device, model, pipelines, name=f"{kind}/{backend.soc.name}/{backend.name}"
+    )
+    qsl = QuerySampleLibrary(
+        IndexDataset(samples), settings.performance_sample_count, seed=settings.seed
+    )
+    return LoadGenerator(settings).run(sut, qsl, task=task, model_name=model_name)
 
 
 @dataclass
@@ -59,7 +103,6 @@ class BenchmarkHarness:
         self.dataset_sizes = dataset_sizes or {}
         self.seed = seed
         self._artifacts: dict[str, ReferenceArtifacts] = {}
-        self._full_graphs: dict[str, Graph] = {}
 
     # -- artifact construction ----------------------------------------------
     def model_for(self, task: str) -> str:
@@ -93,12 +136,7 @@ class BenchmarkHarness:
         return art.quantized[numerics]
 
     def full_graph(self, task: str) -> Graph:
-        model_name = self.model_for(task)
-        if model_name not in self._full_graphs:
-            self._full_graphs[model_name] = export_mobile(
-                create_full_model(model_name).graph
-            )
-        return self._full_graphs[model_name]
+        return full_graph(self.model_for(task))
 
     # -- individual runs ------------------------------------------------------
     def run_accuracy(self, task: str, numerics: Numerics) -> LoadGenLog:
@@ -122,20 +160,15 @@ class BenchmarkHarness:
         self, task: str, backend: Backend, device: SimulatedDevice,
         scenario: Scenario = Scenario.SINGLE_STREAM,
     ) -> LoadGenLog:
-        """Performance mode on the full-size graph, single-stream or offline."""
-        graph = self.full_graph(task)
-        where = f"{backend.soc.name}/{backend.name}"
-        if scenario is Scenario.OFFLINE:
-            sut = PerformanceSUT(device, None, backend.compile_offline(graph, task),
-                                 name=f"offline/{where}")
-        else:
-            sut = PerformanceSUT(device, backend.compile_single_stream(graph, task),
-                                 name=f"perf/{where}")
-        settings = self.rules.loadgen_settings(scenario, Mode.PERFORMANCE)
-        art = self.artifacts(task)
-        return LoadGenerator(settings).run(
-            sut, QuerySampleLibrary(art.dataset, settings.performance_sample_count),
-            task=task, model_name=self.model_for(task),
+        """Performance mode on the full-size graph, single-stream or offline.
+
+        The QSL spans as many indices as the task's dataset has samples.
+        """
+        dataset = get_task(task).dataset
+        return performance_log(
+            backend, task, self.rules.loadgen_settings(scenario, Mode.PERFORMANCE), device,
+            model_name=self.model_for(task),
+            samples=dataset_size(dataset, self.dataset_sizes.get(dataset)),
         )
 
     # -- the suite ------------------------------------------------------------

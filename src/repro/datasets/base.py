@@ -78,8 +78,8 @@ class IndexDataset(TaskDataset):
     """Content-free dataset for performance-only runs.
 
     Performance mode never reads sample bytes from the simulator's
-    perspective — the LoadGen only draws seeded indices — so analysis code
-    can avoid generating full synthetic datasets when it only needs timing.
+    perspective — the LoadGen only draws seeded indices — so performance-mode
+    runs draw over one of these instead of generating the synthetic dataset.
     """
 
     name = "index-only"

@@ -11,7 +11,7 @@ from .speech import SyntheticSpeech
 from .squad import SyntheticSQuAD
 from .superres import SyntheticSuperRes
 
-__all__ = ["DATASET_REGISTRY", "DEFAULT_SIZES", "create_dataset"]
+__all__ = ["DATASET_REGISTRY", "DEFAULT_SIZES", "create_dataset", "dataset_size"]
 
 DATASET_REGISTRY = {
     "imagenet": SyntheticImageNet,
@@ -35,6 +35,11 @@ DEFAULT_SIZES = {
 }
 
 
+def dataset_size(name: str, size: int | None = None) -> int:
+    """The sample count of dataset ``name``: ``size``, or its default."""
+    return size or DEFAULT_SIZES[name]
+
+
 def create_dataset(
     name: str,
     oracle_graph: Graph | None,
@@ -52,7 +57,7 @@ def create_dataset(
     """
     if name not in DATASET_REGISTRY:
         raise KeyError(f"unknown dataset {name!r}; available: {sorted(DATASET_REGISTRY)}")
-    gen_kwargs = {"size": size or DEFAULT_SIZES[name]}
+    gen_kwargs = {"size": dataset_size(name, size)}
     if seed is not None:
         gen_kwargs["seed"] = seed
     if name == "squad":

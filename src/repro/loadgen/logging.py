@@ -183,7 +183,7 @@ class LoadGenLog:
         elif self.scenario == "single_stream":
             out[self._percentile_key()] = round(self.percentile_latency() * 1e3, 6)
             out["latency_mean_ms"] = round(float(self.latencies().mean()) * 1e3, 6)
-        else:
+        elif self.offline_seconds > 0:  # else the validator reports the missing duration
             out["throughput_fps"] = round(self.throughput_fps(), 3)
         return out
 

@@ -13,7 +13,11 @@ from repro.analysis import (
     table3_delegate_comparison,
     table4_grid,
 )
+from repro.backends import default_backend_for
 from repro.core.app import build_parser, main
+from repro.core.harness import full_graph
+from repro.core.tasks import get_task
+from repro.hardware import SimulatedDevice, get_soc
 from repro.loadgen import Scenario, TestSettings
 
 
@@ -73,6 +77,19 @@ class TestAnalysis:
         row = measure_offline("exynos_990", sample_count=2048)
         assert row["offline_fps"] > 0
         assert row["pipelines"] == 2  # NPU + CPU (Table 2 ALP)
+
+    @pytest.mark.parametrize("soc_name", sorted(table2_configurations()))
+    def test_measure_offline_equals_direct_burst(self, soc_name):
+        """Table 2's offline row through the LoadGen is the simulator's own burst."""
+        soc = get_soc(soc_name)
+        model = get_task("image_classification").models[soc.benchmark_version]
+        pipelines = default_backend_for(soc).compile_offline(full_graph(model),
+                                                            "image_classification")
+        direct = SimulatedDevice(soc).run_offline(pipelines, 24576)
+        row = measure_offline(soc_name)
+        assert row["offline_fps"].hex() == direct.throughput_fps.hex()
+        assert row["steady_clock_scale"].hex() == direct.steady_clock_scale.hex()
+        assert row["pipelines"] == len(pipelines)
 
     def test_table2_grid_complete(self):
         grid = table2_configurations("v0.7")

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis import full_graph_cache
 from repro.backends import (
     Backend,
     BACKEND_FACTORIES,
@@ -12,6 +11,7 @@ from repro.backends import (
     create_backend,
     default_backend_for,
 )
+from repro.core.harness import full_graph
 from repro.hardware import SOC_CATALOG, get_soc
 from repro.kernels import Numerics
 
@@ -98,35 +98,35 @@ class TestTaskConfigs:
 
 class TestCompilation:
     def test_single_stream_compiles(self):
-        g = full_graph_cache("mobilenet_edgetpu")
+        g = full_graph("mobilenet_edgetpu")
         be = default_backend_for(get_soc("exynos_2100"))
         cm = be.compile_single_stream(g, "image_classification")
         assert cm.numerics == Numerics.INT8
         assert any(s.accelerator.name == "npu" for s in cm.segments)
 
     def test_offline_alp_pipelines(self):
-        g = full_graph_cache("mobilenet_edgetpu")
+        g = full_graph("mobilenet_edgetpu")
         be = default_backend_for(get_soc("snapdragon_865plus"))
         pipes = be.compile_offline(g, "image_classification")
         assert [p.segments[0].accelerator.name for p in pipes] == ["hta", "hvx"]
 
     def test_reference_backend_is_slowest(self):
         """The FP32 CPU reference backend must be slower than vendor SDKs."""
-        g = full_graph_cache("mobilenet_edgetpu")
+        g = full_graph("mobilenet_edgetpu")
         soc = get_soc("dimensity_1100")
         ref = create_backend("tflite", soc).compile_single_stream(g, "image_classification")
         vend = create_backend("neuron", soc).compile_single_stream(g, "image_classification")
         assert ref.latency_seconds() > 3 * vend.latency_seconds()
 
     def test_nnapi_slower_than_neuron(self):
-        g = full_graph_cache("mobilenet_edgetpu")
+        g = full_graph("mobilenet_edgetpu")
         soc = get_soc("dimensity_1100")
         nnapi = create_backend("nnapi", soc).compile_single_stream(g, "image_classification")
         neuron = create_backend("neuron", soc).compile_single_stream(g, "image_classification")
         assert nnapi.latency_seconds() > neuron.latency_seconds()
 
     def test_detection_pays_postprocess_tax(self):
-        g = full_graph_cache("mobiledet_ssd")
+        g = full_graph("mobiledet_ssd")
         be = default_backend_for(get_soc("dimensity_1100"))
         cm = be.compile_single_stream(g, "object_detection")
         assert cm.postprocess_cpu_ops > 0
@@ -134,7 +134,7 @@ class TestCompilation:
     def test_derate_keeps_framework_op_exclusions(self):
         """A per-task kernel derate scales throughput only: the v0.7 ENN
         runtime's concat exclusion still splits DeepLab into more segments."""
-        g = full_graph_cache("deeplab_v3plus")
+        g = full_graph("deeplab_v3plus")
         soc = get_soc("exynos_990")
         config = BACKEND_FACTORIES["enn"](soc)
         task = "semantic_segmentation"

@@ -9,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis import full_graph_cache
 from repro.backends import default_backend_for
+from repro.core.harness import full_graph
 from repro.core.tasks import get_task
 from repro.datasets import IndexDataset
 from repro.hardware import SimulatedDevice, get_soc
@@ -38,7 +38,7 @@ from faulty_sut import FaultySUT
 def _perf_sut():
     soc = get_soc("dimensity_1100")
     be = default_backend_for(soc)
-    g = full_graph_cache("mobilenet_edgetpu")
+    g = full_graph("mobilenet_edgetpu")
     cm = be.compile_single_stream(g, "image_classification")
     pipes = be.compile_offline(g, "image_classification")
     return PerformanceSUT(SimulatedDevice(soc), cm, pipes)
@@ -798,7 +798,7 @@ PARITY_FAULTS = {  # FaultySUT options, settings overrides
 
 def _pair_sut(soc_name, task):
     soc = get_soc(soc_name)
-    graph = full_graph_cache(get_task(task).models[soc.benchmark_version])
+    graph = full_graph(get_task(task).models[soc.benchmark_version])
     return PerformanceSUT(SimulatedDevice(soc),
                           default_backend_for(soc).compile_single_stream(graph, task))
 

@@ -1,8 +1,13 @@
 """Core: task registry, run rules, harness wiring."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.core.harness as harness_module
+from repro.backends import default_backend_for
 from repro.core import (
     DEFAULT_RULES,
     QUICK_RULES,
@@ -14,8 +19,21 @@ from repro.core import (
     get_task,
     tasks_for_version,
 )
+from repro.core.harness import full_graph
+from repro.datasets import IndexDataset
+from repro.hardware import SimulatedDevice, get_soc
 from repro.kernels import Numerics
-from repro.loadgen import Mode, Scenario, TestSettings
+from repro.loadgen import (
+    LoadGenerator,
+    Mode,
+    PerformanceSUT,
+    QuerySampleLibrary,
+    Scenario,
+    TestSettings,
+    validate_log,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 class TestTasks:
@@ -152,3 +170,99 @@ class TestHarness:
     def test_v07_task_on_v10_harness_rejected(self, harness):
         with pytest.raises(KeyError):
             BenchmarkHarness(version="v0.7").model_for("nonexistent_task")
+
+
+def _hexed(value):
+    """``value`` with every float as its ``float.hex``: equality is bit equality."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _hexed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_hexed(v) for v in value]
+    return value
+
+
+def _inline_run_performance(harness, task, backend, device, scenario):
+    """``BenchmarkHarness.run_performance`` as it was stated before
+    ``performance_log``: its own SUT, and a QSL over the task's real dataset
+    at the QSL's default seed."""
+    graph = harness.full_graph(task)
+    where = f"{backend.soc.name}/{backend.name}"
+    if scenario is Scenario.OFFLINE:
+        sut = PerformanceSUT(device, None, backend.compile_offline(graph, task),
+                             name=f"offline/{where}")
+    else:
+        sut = PerformanceSUT(device, backend.compile_single_stream(graph, task),
+                             name=f"perf/{where}")
+    settings = harness.rules.loadgen_settings(scenario, Mode.PERFORMANCE)
+    return LoadGenerator(settings).run(
+        sut, QuerySampleLibrary(harness.artifacts(task).dataset, settings.performance_sample_count),
+        task=task, model_name=harness.model_for(task),
+    )
+
+
+class TestPerformanceLog:
+    """One performance-mode path: ``performance_log`` over one full-graph cache."""
+
+    @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+    def test_harness_run_matches_inline_run(self, harness, scenario):
+        """Bit for bit the run the harness stated inline, QSL over the real dataset."""
+        backend = default_backend_for(get_soc("dimensity_1100"))
+        task = "image_classification"
+        device, inline_device = SimulatedDevice(backend.soc), SimulatedDevice(backend.soc)
+        log = harness.run_performance(task, backend, device, scenario)
+        inline = _inline_run_performance(harness, task, backend, inline_device, scenario)
+        assert len(inline.records) or inline.offline_seconds > 0
+        np.testing.assert_array_equal(log.records.sample_indices, inline.records.sample_indices)
+        assert log.metadata == inline.metadata
+        assert _hexed(log.to_dict()) == _hexed(inline.to_dict())
+        assert device.total_energy_joules.hex() == inline_device.total_energy_joules.hex()
+        assert validate_log(log) == []
+
+    def test_qsl_seed_follows_run_rules(self):
+        rules = RunRules(loadgen=TestSettings(seed=123, min_query_count=128, min_duration_s=5.0))
+        harness = BenchmarkHarness(version="v1.0", rules=rules, dataset_sizes={"imagenet": 64})
+        backend = default_backend_for(get_soc("dimensity_1100"))
+        log = harness.run_performance("image_classification", backend,
+                                      SimulatedDevice(backend.soc))
+        qsl = QuerySampleLibrary(IndexDataset(64), rules.loadgen.performance_sample_count,
+                                 seed=123)
+        qsl.load_performance_set()
+        drawn = np.concatenate([qsl.next_query() for _ in range(log.query_count)])
+        assert log.seed == 123
+        np.testing.assert_array_equal(log.records.sample_indices, drawn)
+
+    def test_performance_only_run_builds_no_accuracy_artifacts(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a performance-mode run built an accuracy artifact")
+
+        monkeypatch.setattr(harness_module, "create_dataset", refuse)
+        monkeypatch.setattr(harness_module, "create_reference_model", refuse)
+        harness = BenchmarkHarness(version="v1.0", rules=QUICK_RULES)
+        backend = default_backend_for(get_soc("dimensity_1100"))
+        for scenario in Scenario:
+            log = harness.run_performance("image_classification", backend,
+                                          SimulatedDevice(backend.soc), scenario)
+            assert validate_log(log) == []
+
+    def test_full_graph_shared_and_frozen(self):
+        a = BenchmarkHarness(version="v1.0").full_graph("object_detection")
+        b = BenchmarkHarness(version="v1.0").full_graph("object_detection")
+        assert a is b is full_graph("mobiledet_ssd")
+        assert a.frozen
+
+    def test_one_performance_sut_call_site(self):
+        """Only ``performance_log`` builds a performance SUT in the program."""
+        sites = []
+        for path in sorted(SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and "PerformanceSUT" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    owner = [f.name for f in functions
+                             if f.lineno <= node.lineno <= f.end_lineno]
+                    sites.append((str(path.relative_to(SRC)), owner))
+        assert sites == [("core/harness.py", ["performance_log"])]

@@ -1,41 +1,9 @@
-"""Ecosystem-challenge behaviours (paper §2): developer options, test
-conditions, and seed robustness of the quality-gate mechanism."""
+"""Ecosystem-challenge behaviours (paper §2): test conditions and seed
+robustness of the quality-gate mechanism."""
 
 import pytest
 
-from repro.analysis import developer_options_comparison, measure_single_stream
 from repro.core import DEFAULT_RULES, RuleViolation
-from repro.loadgen import TestSettings
-
-FAST = TestSettings(min_query_count=64, min_duration_s=0.2)
-
-
-class TestDeveloperOptions:
-    """Figure 2: the three app-development code paths."""
-
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return developer_options_comparison(settings=FAST)
-
-    def test_three_paths(self, rows):
-        assert set(rows) == {"(a) vendor SDK", "(b) NNAPI / framework",
-                             "(c) hardware-bound"}
-
-    def test_hardware_bound_fastest(self, rows):
-        """Binding to hardware removes every runtime layer — fastest path."""
-        baked = rows["(c) hardware-bound"]["latency_p90_ms"]
-        assert baked <= rows["(a) vendor SDK"]["latency_p90_ms"]
-        assert baked <= rows["(b) NNAPI / framework"]["latency_p90_ms"]
-
-    def test_framework_path_portable_but_slower(self, rows):
-        """NNAPI scales across vendors but pays the HAL (paper §2.3)."""
-        assert rows["(b) NNAPI / framework"]["portable"]
-        assert (rows["(b) NNAPI / framework"]["latency_p90_ms"]
-                > rows["(a) vendor SDK"]["latency_p90_ms"])
-
-    def test_only_framework_path_is_portable(self, rows):
-        portables = [k for k, v in rows.items() if v["portable"]]
-        assert portables == ["(b) NNAPI / framework"]
 
 
 class TestAmbientConditions:
@@ -50,13 +18,13 @@ class TestAmbientConditions:
     def test_warmer_room_cannot_be_faster(self):
         """Within the allowed band, 25 degC never beats 20 degC — the reason
         the rules pin the room temperature at all."""
-        from repro.analysis import full_graph_cache
+        from repro.core.harness import full_graph
         from repro.backends import default_backend_for
         from repro.hardware import SimulatedDevice, get_soc
 
         soc = get_soc("exynos_990")
         be = default_backend_for(soc)
-        g = full_graph_cache("deeplab_v3plus")
+        g = full_graph("deeplab_v3plus")
         cm = be.compile_single_stream(g, "semantic_segmentation")
 
         def p90_after_warmup(ambient):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis import ai_tax_breakdown, full_graph_cache
+from repro.analysis import ai_tax_breakdown
 from repro.backends import PREPROCESS_CPU_OPS, default_backend_for
 from repro.core import (
     QUICK_RULES,
@@ -15,6 +15,7 @@ from repro.core import (
     check_submission,
     write_submission,
 )
+from repro.core.harness import full_graph
 from repro.graph import Executor
 from repro.hardware import get_soc
 from repro.loadgen import LoadGenLog, validate_log
@@ -67,7 +68,7 @@ class TestCrossLayerEqualization:
 class TestEndToEndMeasurement:
     def test_e2e_adds_preprocessing(self):
         be = default_backend_for(get_soc("snapdragon_865plus"))
-        g = full_graph_cache("mobilenet_edgetpu")
+        g = full_graph("mobilenet_edgetpu")
         core = be.compile_single_stream(g, "image_classification")
         e2e = be.compile_single_stream(g, "image_classification", end_to_end=True)
         assert core.preprocess_cpu_ops == 0

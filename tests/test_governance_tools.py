@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import full_graph_cache, measure_single_stream
+from repro.analysis import measure_single_stream
 from repro.backends import create_backend, default_backend_for
 from repro.core import (
     QUICK_RULES,
@@ -12,6 +12,7 @@ from repro.core import (
     build_submission,
     check_submission,
 )
+from repro.core.harness import full_graph
 from repro.graph import export_mobile, graph_summary
 from repro.hardware import get_soc
 from repro.loadgen import TestSettings
@@ -92,7 +93,7 @@ class TestApplePreview:
 
     def test_ane_runs_resize(self):
         """The ANE supports bilinear resize: DeepLab fragments less there."""
-        g = full_graph_cache("deeplab_v3plus")
+        g = full_graph("deeplab_v3plus")
         apple = default_backend_for(get_soc("apple_a14")).compile_single_stream(
             g, "semantic_segmentation")
         mtk = create_backend("neuron", get_soc("dimensity_1100")).compile_single_stream(

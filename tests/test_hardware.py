@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import full_graph_cache
 from repro.backends import default_backend_for
+from repro.core.harness import full_graph
 from repro.core.tasks import TASK_ORDER, get_task
 from repro.graph import export_mobile
 from repro.hardware import (
@@ -84,7 +84,7 @@ class TestCatalog:
 
 class TestPartitioning:
     def test_classification_splits_at_softmax(self):
-        g = full_graph_cache("mobilenet_edgetpu")
+        g = full_graph("mobilenet_edgetpu")
         soc = get_soc("dimensity_1100")
         segs = partition_graph(g, soc.accelerator("apu"), soc.accelerator("cpu"),
                                Numerics.UINT8)
@@ -94,14 +94,14 @@ class TestPartitioning:
         assert segs[1].num_ops == 1  # just the final softmax ("probs")
 
     def test_fp32_stays_off_npu(self):
-        g = full_graph_cache("mobilenet_edgetpu")
+        g = full_graph("mobilenet_edgetpu")
         soc = get_soc("dimensity_1100")
         segs = partition_graph(g, soc.accelerator("apu"), soc.accelerator("cpu"),
                                Numerics.FP32)
         assert all(s.accelerator.name == "cpu" for s in segs)
 
     def test_dilated_convs_fall_back(self):
-        g = full_graph_cache("deeplab_v3plus")
+        g = full_graph("deeplab_v3plus")
         soc = get_soc("dimensity_1100")
         segs = partition_graph(g, soc.accelerator("apu"), soc.accelerator("cpu"),
                                Numerics.UINT8, secondary=soc.accelerator("gpu"))
@@ -109,7 +109,7 @@ class TestPartitioning:
         assert any("rate6" in op or "rate12" in op for op in gpu_ops)
 
     def test_framework_exclusions(self):
-        g = full_graph_cache("deeplab_v3plus")
+        g = full_graph("deeplab_v3plus")
         soc = get_soc("exynos_990")
         with_excl = partition_graph(
             g, soc.accelerator("npu"), soc.accelerator("cpu"), Numerics.INT8,
@@ -129,7 +129,7 @@ class TestPartitioning:
                             soc.accelerator("cpu"), Numerics.UINT8)
 
     def test_mass_conservation(self):
-        g = full_graph_cache("mobilenet_edgetpu")
+        g = full_graph("mobilenet_edgetpu")
         soc = get_soc("exynos_2100")
         segs = partition_graph(g, soc.accelerator("npu"), soc.accelerator("cpu"),
                                Numerics.INT8)
@@ -140,7 +140,7 @@ class TestPartitioning:
 class TestCompiledModel:
     @pytest.fixture()
     def compiled(self):
-        g = full_graph_cache("mobilenet_edgetpu")
+        g = full_graph("mobilenet_edgetpu")
         soc = get_soc("dimensity_1100")
         return compile_model(g, soc, primary="apu", numerics=Numerics.UINT8, framework=FW)
 
@@ -158,7 +158,7 @@ class TestCompiledModel:
         assert hot > compiled.latency_seconds()
 
     def test_framework_overhead_additive(self):
-        g = full_graph_cache("mobilenet_edgetpu")
+        g = full_graph("mobilenet_edgetpu")
         soc = get_soc("dimensity_1100")
         slow_fw = FrameworkProfile("slow", per_inference_ms=5.0)
         fast = compile_model(g, soc, primary="apu", numerics=Numerics.UINT8, framework=FW)
@@ -179,7 +179,7 @@ class TestCompiledModel:
             compiled.segments[0].macs = 0.0
 
     def test_offline_throughput_sums_pipelines(self):
-        g = full_graph_cache("mobilenet_edgetpu")
+        g = full_graph("mobilenet_edgetpu")
         soc = get_soc("snapdragon_865plus")
         pipes = [
             compile_model(g, soc, primary=p, numerics=Numerics.UINT8, framework=FW)
@@ -236,7 +236,7 @@ def sweep_models():
         backend = default_backend_for(soc)
         for task in TASK_ORDER:
             spec = get_task(task)
-            graph = full_graph_cache(spec.models[soc.benchmark_version])
+            graph = full_graph(spec.models[soc.benchmark_version])
             yield soc, backend.compile_single_stream(graph, task)
             if spec.offline_scenario:
                 for pipeline in backend.compile_offline(graph, task):
@@ -269,7 +269,7 @@ class TestPreparedQueries:
 
     def test_reused_results_equal_a_fresh_device(self, monkeypatch):
         soc = get_soc("snapdragon_865plus")
-        graph = full_graph_cache("mobilenet_edgetpu")
+        graph = full_graph("mobilenet_edgetpu")
         a, b = (compile_model(graph, soc, primary=p, numerics=Numerics.UINT8, framework=FW)
                 for p in ("hta", "hvx"))
         calls = []
@@ -339,7 +339,7 @@ class TestThermal:
 
 class TestPowerAndDevice:
     def test_energy_positive_and_capped(self):
-        g = full_graph_cache("deeplab_v3plus")
+        g = full_graph("deeplab_v3plus")
         soc = get_soc("dimensity_1100")
         cm = compile_model(g, soc, primary="apu", numerics=Numerics.UINT8, framework=FW)
         pm = PowerModel(soc)
@@ -349,7 +349,7 @@ class TestPowerAndDevice:
         assert e.average_watts <= soc.tdp_watts + 1e-9
 
     def test_device_accumulates(self):
-        g = full_graph_cache("mobilenet_edgetpu")
+        g = full_graph("mobilenet_edgetpu")
         soc = get_soc("dimensity_1100")
         cm = compile_model(g, soc, primary="apu", numerics=Numerics.UINT8, framework=FW)
         dev = SimulatedDevice(soc)
@@ -361,7 +361,7 @@ class TestPowerAndDevice:
 
     def test_sustained_load_throttles(self):
         """Long single-stream runs drift latencies upward (run-rule rationale)."""
-        g = full_graph_cache("deeplab_v3plus")
+        g = full_graph("deeplab_v3plus")
         soc = get_soc("exynos_990")
         cm = compile_model(g, soc, primary="npu", numerics=Numerics.INT8,
                            framework=FW, secondary="gpu")
@@ -375,7 +375,7 @@ class TestPowerAndDevice:
     def test_factory_reset(self):
         """A factory reset is a fresh device: it repeats a cold run's first query."""
         soc = get_soc("dimensity_1100")
-        cm = compile_model(full_graph_cache("mobilenet_edgetpu"), soc, primary="apu",
+        cm = compile_model(full_graph("mobilenet_edgetpu"), soc, primary="apu",
                            numerics=Numerics.UINT8, framework=FW)
         dev = SimulatedDevice(soc)
         cold = dev.run_query(cm)

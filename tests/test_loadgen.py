@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis import full_graph_cache
 from repro.backends import default_backend_for
+from repro.core.harness import full_graph
 from repro.datasets import IndexDataset
 from repro.hardware import SimulatedDevice, get_soc
 from repro.loadgen import (
@@ -24,7 +24,7 @@ from repro.loadgen import (
 def perf_sut():
     soc = get_soc("dimensity_1100")
     be = default_backend_for(soc)
-    g = full_graph_cache("mobilenet_edgetpu")
+    g = full_graph("mobilenet_edgetpu")
     cm = be.compile_single_stream(g, "image_classification")
     pipes = be.compile_offline(g, "image_classification")
     return PerformanceSUT(SimulatedDevice(soc), cm, pipes)

@@ -106,7 +106,7 @@ class TestExperimentalCLI:
 
 class TestOfflineLogDetails:
     def test_offline_summary_and_serialization(self):
-        from repro.analysis import full_graph_cache
+        from repro.core.harness import full_graph
         from repro.backends import default_backend_for
         from repro.datasets import IndexDataset
         from repro.hardware import SimulatedDevice, get_soc
@@ -117,7 +117,7 @@ class TestOfflineLogDetails:
 
         soc = get_soc("exynos_2100")
         be = default_backend_for(soc)
-        g = full_graph_cache("mobilenet_edgetpu")
+        g = full_graph("mobilenet_edgetpu")
         sut = PerformanceSUT(
             SimulatedDevice(soc),
             be.compile_single_stream(g, "image_classification"),

@@ -169,10 +169,10 @@ class TestFailureInjection:
         assert any("dropped" in p for p in problems)
 
     def test_partition_rejects_missing_accelerator(self):
-        from repro.analysis import full_graph_cache
+        from repro.core.harness import full_graph
         from repro.hardware import FrameworkProfile, compile_model, get_soc
 
-        g = full_graph_cache("mobilenet_edgetpu")
+        g = full_graph("mobilenet_edgetpu")
         soc = get_soc("core_i7_1165g7")  # laptops have no NPU
         with pytest.raises(KeyError):
             compile_model(g, soc, primary="npu", numerics=Numerics.INT8,

@@ -286,6 +286,17 @@ class TestLogPlacement:
         assert ("results/question_answering/accuracy_log.json: records scenario 'offline'; "
                 "its path holds the accuracy log of 'question_answering'") in problems
 
+    def test_offline_relabelled_performance_log_rejected(self, submission, tmp_path):
+        """A log that says offline but carries no burst is reported, not raised."""
+        bad = copy.deepcopy(submission)
+        bad.suite.results[0].performance_log.scenario = "offline"
+        problems = self._both_ways(bad, tmp_path)
+        assert ("results/question_answering/performance_log.json: records scenario "
+                "'offline'; its path holds the performance log of 'question_answering'"
+                ) in problems, problems
+        assert ("results/question_answering/performance_log.json: offline log missing "
+                "sample count or duration") in problems, problems
+
     def test_swapped_logs_rejected(self, submission, tmp_path):
         bad = copy.deepcopy(submission)
         result = bad.suite.results[0]

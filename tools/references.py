@@ -264,7 +264,7 @@ def _query_row(result) -> list[float]:
 
 def simulator_trace(soc_name: str, task: str) -> dict[str, list[float]]:
     """Every float of one fixed performance-mode sequence on ``soc_name``."""
-    from repro.analysis import full_graph_cache
+    from repro.core.harness import full_graph
     from repro.backends import default_backend_for
     from repro.core.tasks import get_task
     from repro.hardware import SimulatedDevice, get_soc
@@ -272,7 +272,7 @@ def simulator_trace(soc_name: str, task: str) -> dict[str, list[float]]:
 
     soc = get_soc(soc_name)
     backend = default_backend_for(soc)
-    graph = full_graph_cache(get_task(task).models[soc.benchmark_version])
+    graph = full_graph(get_task(task).models[soc.benchmark_version])
     single = backend.compile_single_stream(graph, task)
     pipelines = backend.compile_offline(graph, task)
     device = SimulatedDevice(soc)
