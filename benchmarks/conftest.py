@@ -13,13 +13,8 @@ import pathlib
 import pytest
 
 from repro.core import QUICK_RULES, BenchmarkHarness
-from repro.loadgen import TestSettings
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-# real-but-reduced LoadGen rules for the performance benchmarks: long enough
-# to include the thermal tail, short enough to keep the suite quick
-BENCH_SETTINGS = TestSettings(min_query_count=512, min_duration_s=5.0)
 
 
 def save_result(name: str, payload) -> None:

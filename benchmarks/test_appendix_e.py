@@ -12,9 +12,8 @@ from repro.analysis import ai_tax_breakdown, measure_single_stream
 from repro.core import QUICK_RULES, BenchmarkHarness
 from repro.core.tasks import TASK_ORDER
 from repro.kernels import Numerics
-from repro.loadgen import TestSettings
 
-from conftest import BENCH_SETTINGS, save_result
+from conftest import save_result
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +77,8 @@ def test_ios_preview(benchmark):
     """The A14 + Core ML path produces flagship-class v1.0-task numbers."""
 
     def run():
-        settings = TestSettings(min_query_count=256, min_duration_s=2.0)
         return {
-            task: measure_single_stream("apple_a14", task, version="v1.0",
-                                        settings=settings)
+            task: measure_single_stream("apple_a14", task, version="v1.0")
             for task in TASK_ORDER
         }
 
@@ -91,7 +88,7 @@ def test_ios_preview(benchmark):
     for task, r in rows.items():
         print(f"{task:<26} {r['latency_p90_ms']:7.2f} ms  {r['config']}")
     flagship = {
-        task: measure_single_stream("dimensity_1100", task, settings=BENCH_SETTINGS)
+        task: measure_single_stream("dimensity_1100", task)
         for task in TASK_ORDER
     }
     for task in TASK_ORDER:

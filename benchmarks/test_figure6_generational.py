@@ -14,15 +14,12 @@ import pytest
 from repro.analysis import figure6_generational_speedups
 from repro.core.tasks import TASK_ORDER
 
-from conftest import BENCH_SETTINGS, save_result
+from conftest import save_result
 
 
 @pytest.mark.benchmark(group="figure6")
 def test_figure6_speedups(benchmark):
-    speedups = benchmark.pedantic(
-        figure6_generational_speedups, kwargs={"settings": BENCH_SETTINGS},
-        rounds=1, iterations=1,
-    )
+    speedups = benchmark.pedantic(figure6_generational_speedups, rounds=1, iterations=1)
     save_result("figure6_generational", speedups)
 
     print("\nFigure 6 — v0.7 -> v1.0 single-stream speedups")

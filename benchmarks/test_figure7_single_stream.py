@@ -14,7 +14,7 @@ import pytest
 from repro.analysis import figure7_single_stream
 from repro.core.tasks import TASK_ORDER
 
-from conftest import BENCH_SETTINGS, save_result
+from conftest import save_result
 
 SMARTPHONES = ["exynos_990", "snapdragon_865plus", "dimensity_820"]
 
@@ -22,7 +22,7 @@ SMARTPHONES = ["exynos_990", "snapdragon_865plus", "dimensity_820"]
 @pytest.mark.benchmark(group="figure7")
 def test_figure7_rankings(benchmark):
     panel = benchmark.pedantic(
-        figure7_single_stream, kwargs={"version": "v0.7", "settings": BENCH_SETTINGS},
+        figure7_single_stream, kwargs={"version": "v0.7"},
         rounds=1, iterations=1,
     )
     save_result("figure7_single_stream", panel)
@@ -55,7 +55,7 @@ def test_figure7_rankings(benchmark):
     # same general trend holds in v1.0 (paper: "similar trends"): every
     # chipset's successor improves on every task, and the spread between
     # chipsets narrows (each offers "unique differentiable value")
-    panel_v10 = figure7_single_stream("v1.0", settings=BENCH_SETTINGS)
+    panel_v10 = figure7_single_stream("v1.0")
     v10_phones = ["exynos_2100", "snapdragon_888", "dimensity_1100"]
     successor = dict(zip(SMARTPHONES, v10_phones))
     for old, new in successor.items():

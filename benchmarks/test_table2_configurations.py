@@ -14,7 +14,7 @@ from repro.hardware import get_soc
 from repro.hardware.scheduler import offline_throughput
 from repro.backends import default_backend_for
 
-from conftest import BENCH_SETTINGS, save_result
+from conftest import save_result
 
 # the exact cells the paper prints (Table 2, v0.7 round)
 PAPER_CELLS = {
@@ -111,8 +111,7 @@ def test_offline_faster_than_single_stream_everywhere(benchmark):
     def run():
         out = {}
         for soc in ("exynos_990", "snapdragon_865plus", "dimensity_820"):
-            ss = measure_single_stream(soc, "image_classification",
-                                       settings=BENCH_SETTINGS)
+            ss = measure_single_stream(soc, "image_classification")
             off = measure_offline(soc, "image_classification")
             out[soc] = {"single_stream_fps": ss["throughput_fps"],
                         "offline_fps": off["offline_fps"]}

@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis import table3_delegate_comparison
 
-from conftest import BENCH_SETTINGS, save_result
+from conftest import save_result
 
 PAPER = {
     "image_classification": (2.48, 2.23, 10.08),
@@ -25,10 +25,7 @@ PAPER = {
 
 @pytest.mark.benchmark(group="table3")
 def test_table3_delegate_gap(benchmark):
-    t3 = benchmark.pedantic(
-        table3_delegate_comparison, kwargs={"settings": BENCH_SETTINGS},
-        rounds=1, iterations=1,
-    )
+    t3 = benchmark.pedantic(table3_delegate_comparison, rounds=1, iterations=1)
     save_result("table3_delegates", t3)
 
     print("\nTable 3 — Dimensity 1100, NNAPI vs Neuron delegate")

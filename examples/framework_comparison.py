@@ -11,9 +11,7 @@ Usage:
 
 from repro.analysis import measure_single_stream
 from repro.core.tasks import TASK_ORDER
-from repro.loadgen import TestSettings
 
-SETTINGS = TestSettings(min_query_count=256, min_duration_s=2.0)
 BACKENDS = ["tflite", "nnapi", "neuron"]
 
 
@@ -23,9 +21,7 @@ def main() -> None:
     for task in TASK_ORDER:
         row = {}
         for backend in BACKENDS:
-            r = measure_single_stream(
-                "dimensity_1100", task, backend_name=backend, settings=SETTINGS
-            )
+            r = measure_single_stream("dimensity_1100", task, backend_name=backend)
             row[backend] = r["latency_p90_ms"]
         gain = (row["nnapi"] / row["neuron"] - 1) * 100
         print(

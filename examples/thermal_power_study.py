@@ -14,7 +14,6 @@ from repro.backends import default_backend_for
 from repro.core.harness import full_graph
 from repro.core.tasks import TASK_ORDER
 from repro.hardware import SimulatedDevice, get_soc
-from repro.loadgen import TestSettings
 
 
 def main() -> None:
@@ -42,13 +41,12 @@ def main() -> None:
           f"die {rested.temperature_c:.1f} C — cold-start behaviour restored")
 
     print("\nper-task energy (single-stream, cold start), v0.7 smartphones")
-    settings = TestSettings(min_query_count=128, min_duration_s=1.0)
     print(f"{'task':<26}" + "".join(
         f"{s:>22}" for s in ("exynos_990", "snapdragon_865plus", "dimensity_820")))
     for task in TASK_ORDER:
         cells = []
         for soc_name in ("exynos_990", "snapdragon_865plus", "dimensity_820"):
-            r = measure_single_stream(soc_name, task, settings=settings)
+            r = measure_single_stream(soc_name, task)
             cells.append(f"{r['energy_per_query_mj']:>19.2f} mJ")
         print(f"{task:<26}" + "".join(cells))
     print("\nsmartphone chipsets cap near 3 W TDP (paper App. E), which is the")

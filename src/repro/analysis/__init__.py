@@ -1,7 +1,6 @@
 """Evaluation-artifact regeneration: the paper's figures and tables as code."""
 
 from .evaluation import (
-    PERF_SETTINGS,
     ai_tax_breakdown,
     figure6_generational_speedups,
     figure7_single_stream,
@@ -20,7 +19,6 @@ from .related_work import (
 )
 
 __all__ = [
-    "PERF_SETTINGS",
     "ai_tax_breakdown",
     "measure_single_stream",
     "measure_offline",

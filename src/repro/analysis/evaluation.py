@@ -3,23 +3,20 @@
 Every function returns plain data structures (dicts/lists) so the benchmark
 harness in ``benchmarks/`` can both print the paper-style rows and assert
 the shape claims. Performance numbers come from the app's own performance-
-mode run (:func:`repro.core.harness.performance_log`) driving the hardware
-simulator under (reduced) run rules.
+mode run (:meth:`repro.core.harness.BenchmarkHarness.run_performance`)
+driving the hardware simulator under the default run rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..backends.vendors import create_backend, default_backend_for
 from ..hardware.device import SimulatedDevice
 from ..hardware.soc import GENERATION_PAIRS, SOC_CATALOG, get_soc
-from ..loadgen.scenarios import Mode, Scenario, TestSettings
-from ..core.harness import full_graph, performance_log
-from ..core.tasks import TASK_ORDER, get_task
+from ..loadgen.scenarios import Scenario
+from ..core.harness import BenchmarkHarness
+from ..core.tasks import TASK_ORDER
 
 __all__ = [
-    "PERF_SETTINGS",
     "ai_tax_breakdown",
     "measure_single_stream",
     "measure_offline",
@@ -29,39 +26,26 @@ __all__ = [
     "table3_delegate_comparison",
 ]
 
-# reduced-but-real run rules for analysis: same LoadGen code path, less load
-PERF_SETTINGS = TestSettings(
-    scenario=Scenario.SINGLE_STREAM, mode=Mode.PERFORMANCE,
-    min_query_count=256, min_duration_s=2.0,
-)
-
-
-def _model_for(task: str, version: str) -> str:
-    model = get_task(task).models[version]
-    assert model is not None
-    return model
-
 
 def measure_single_stream(
     soc_name: str,
     task: str,
     backend_name: str | None = None,
     version: str | None = None,
-    settings: TestSettings = PERF_SETTINGS,
 ) -> dict:
     """p90 latency / throughput for one (SoC, backend, task) combination."""
     soc = get_soc(soc_name)
-    model_name = _model_for(task, version or soc.benchmark_version)
+    harness = BenchmarkHarness(version=version or soc.benchmark_version)
     backend = create_backend(backend_name, soc) if backend_name else default_backend_for(soc)
     device = SimulatedDevice(soc)
-    log = performance_log(backend, task, settings, device, model_name=model_name)
+    log = harness.run_performance(task, backend, device)
     # the segment count of the model the run compiled; compiling is deterministic
-    compiled = backend.compile_single_stream(full_graph(model_name), task)
+    compiled = backend.compile_single_stream(harness.full_graph(task), task)
     return {
         "soc": soc_name,
         "backend": backend.name,
         "task": task,
-        "latency_p90_ms": log.percentile_latency(settings.latency_percentile) * 1e3,
+        "latency_p90_ms": log.percentile_latency(harness.rules.loadgen.latency_percentile) * 1e3,
         "latency_mean_ms": float(log.latencies().mean()) * 1e3,
         "throughput_fps": log.throughput_fps(),
         "config": backend.describe(task),
@@ -75,14 +59,12 @@ def measure_offline(
     task: str = "image_classification",
     backend_name: str | None = None,
     version: str | None = None,
-    sample_count: int = 24576,
 ) -> dict:
     """Offline (batched, ALP) throughput for one combination, via the LoadGen."""
     soc = get_soc(soc_name)
-    model_name = _model_for(task, version or soc.benchmark_version)
+    harness = BenchmarkHarness(version=version or soc.benchmark_version)
     backend = create_backend(backend_name, soc) if backend_name else default_backend_for(soc)
-    settings = replace(PERF_SETTINGS, scenario=Scenario.OFFLINE, offline_sample_count=sample_count)
-    log = performance_log(backend, task, settings, SimulatedDevice(soc), model_name=model_name)
+    log = harness.run_performance(task, backend, SimulatedDevice(soc), Scenario.OFFLINE)
     return {
         "soc": soc_name,
         "backend": backend.name,
@@ -94,24 +76,19 @@ def measure_offline(
     }
 
 
-def figure6_generational_speedups(
-    settings: TestSettings = PERF_SETTINGS,
-) -> dict[str, dict[str, float]]:
+def figure6_generational_speedups() -> dict[str, dict[str, float]]:
     """Per-vendor per-task v0.7 -> v1.0 latency speedups (Figure 6)."""
     speedups: dict[str, dict[str, float]] = {}
     for vendor, (old_soc, new_soc) in GENERATION_PAIRS.items():
         speedups[vendor] = {}
         for task in TASK_ORDER:
-            old = measure_single_stream(old_soc, task, settings=settings)
-            new = measure_single_stream(new_soc, task, settings=settings)
+            old = measure_single_stream(old_soc, task)
+            new = measure_single_stream(new_soc, task)
             speedups[vendor][task] = old["latency_p90_ms"] / new["latency_p90_ms"]
     return speedups
 
 
-def figure7_single_stream(
-    version: str = "v0.7",
-    settings: TestSettings = PERF_SETTINGS,
-) -> dict[str, dict[str, dict]]:
+def figure7_single_stream(version: str = "v0.7") -> dict[str, dict[str, dict]]:
     """Per-smartphone-chipset single-stream results (Figure 7 panels)."""
     socs = [
         name for name, soc in SOC_CATALOG.items()
@@ -119,10 +96,7 @@ def figure7_single_stream(
     ]
     out: dict[str, dict[str, dict]] = {}
     for soc_name in socs:
-        out[soc_name] = {
-            task: measure_single_stream(soc_name, task, settings=settings)
-            for task in TASK_ORDER
-        }
+        out[soc_name] = {task: measure_single_stream(soc_name, task) for task in TASK_ORDER}
     return out
 
 
@@ -141,18 +115,15 @@ def table2_configurations(version: str = "v0.7") -> dict[str, dict[str, str]]:
     return grid
 
 
-def table3_delegate_comparison(
-    soc_name: str = "dimensity_1100",
-    settings: TestSettings = PERF_SETTINGS,
-) -> dict[str, dict[str, float]]:
+def table3_delegate_comparison(soc_name: str = "dimensity_1100") -> dict[str, dict[str, float]]:
     """NNAPI vs Neuron delegate latencies on the vision tasks (Table 3)."""
     tasks = ["image_classification", "object_detection", "semantic_segmentation"]
     out: dict[str, dict[str, float]] = {}
     for backend_name in ("nnapi", "neuron"):
         out[backend_name] = {
-            task: measure_single_stream(
-                soc_name, task, backend_name=backend_name, settings=settings
-            )["latency_p90_ms"]
+            task: measure_single_stream(soc_name, task, backend_name=backend_name)[
+                "latency_p90_ms"
+            ]
             for task in tasks
         }
     out["improvement_pct"] = {
@@ -173,9 +144,8 @@ def ai_tax_breakdown(
     pre-processing included, and the tax as a percentage of end-to-end time.
     """
     soc = get_soc(soc_name)
-    version = version or soc.benchmark_version
     backend = create_backend(backend_name, soc) if backend_name else default_backend_for(soc)
-    graph = full_graph(_model_for(task, version))
+    graph = BenchmarkHarness(version=version or soc.benchmark_version).full_graph(task)
     core = backend.compile_single_stream(graph, task)
     e2e = backend.compile_single_stream(graph, task, end_to_end=True)
     core_ms = core.latency_seconds() * 1e3

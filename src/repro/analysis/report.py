@@ -11,10 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.tasks import TASK_ORDER
-from ..loadgen.scenarios import TestSettings
 from .charts import bar_chart, grouped_bar_chart
 from .evaluation import (
-    PERF_SETTINGS,
     figure6_generational_speedups,
     figure7_single_stream,
     measure_offline,
@@ -33,12 +31,12 @@ _SHORT = {
 }
 
 
-def evaluation_report(settings: TestSettings = PERF_SETTINGS) -> str:
+def evaluation_report() -> str:
     """Render the full §7 evaluation from live simulator runs."""
     parts: list[str] = []
 
     # Figure 6
-    speedups = figure6_generational_speedups(settings=settings)
+    speedups = figure6_generational_speedups()
     flat = [s for row in speedups.values() for s in row.values()]
     parts.append("=" * 72)
     parts.append("Figure 6 — v0.7 -> v1.0 latency speedups "
@@ -50,7 +48,7 @@ def evaluation_report(settings: TestSettings = PERF_SETTINGS) -> str:
     ))
 
     # Figure 7
-    panel = figure7_single_stream("v0.7", settings=settings)
+    panel = figure7_single_stream("v0.7")
     parts.append("=" * 72)
     parts.append("Figure 7 — v0.7 single-stream throughput (fps, higher is better)")
     parts.append(grouped_bar_chart(
@@ -80,7 +78,7 @@ def evaluation_report(settings: TestSettings = PERF_SETTINGS) -> str:
                            title="offline classification throughput:"))
 
     # Table 3
-    t3 = table3_delegate_comparison(settings=settings)
+    t3 = table3_delegate_comparison()
     parts.append("=" * 72)
     parts.append("Table 3 — Dimensity 1100: NNAPI vs Neuron delegate (p90 ms)")
     for task in ("image_classification", "object_detection", "semantic_segmentation"):

@@ -48,10 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     lst = sub.add_parser("list", help="list devices, backends and models")
     lst.add_argument("what", choices=["socs", "backends", "models", "tasks"])
 
-    rep = sub.add_parser("report", help="regenerate the paper's evaluation "
-                                        "section from live simulator runs")
-    rep.add_argument("--fast", action="store_true",
-                     help="fewer queries per measurement")
+    sub.add_parser("report", help="regenerate the paper's evaluation "
+                                  "section from live simulator runs")
 
     card = sub.add_parser("describe", help="print a model card")
     card.add_argument("model", choices=available_models())
@@ -114,13 +112,9 @@ def _describe(args) -> int:
 
 
 def _report(args) -> int:
-    from ..analysis import PERF_SETTINGS, evaluation_report
-    from ..loadgen import TestSettings
+    from ..analysis import evaluation_report
 
-    settings = (
-        TestSettings(min_query_count=64, min_duration_s=0.2) if args.fast else PERF_SETTINGS
-    )
-    print(evaluation_report(settings))
+    print(evaluation_report())
     return 0
 
 

@@ -6,7 +6,7 @@ between tests. Reference artifacts (scaled models, datasets, quantized
 variants) are built once per harness; full-size graphs once per process.
 
 Every performance-mode run, the app's and the paper's Figures 6-7 and Tables
-2-3 alike, goes through :func:`performance_log`.
+2-3 alike, goes through :meth:`BenchmarkHarness.run_performance`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from ..hardware.soc import get_soc
 from ..kernels.numerics import Numerics
 from ..loadgen.logging import LoadGenLog
 from ..loadgen.qsl import QuerySampleLibrary
-from ..loadgen.scenarios import LoadGenerator, Mode, Scenario, TestSettings
+from ..loadgen.scenarios import LoadGenerator, Mode, Scenario
 from ..loadgen.sut import AccuracySUT, PerformanceSUT
 from ..models.common import ModelBundle
 from ..models.zoo import create_full_model, create_reference_model
@@ -34,7 +34,7 @@ from .results import BenchmarkResult, SuiteResult
 from .rules import DEFAULT_RULES, RunRules
 from .tasks import FULL_TASK_ORDER, TaskSpec, get_task, tasks_for_version
 
-__all__ = ["ReferenceArtifacts", "BenchmarkHarness", "full_graph", "performance_log"]
+__all__ = ["ReferenceArtifacts", "BenchmarkHarness", "full_graph"]
 
 
 @functools.cache
@@ -45,35 +45,6 @@ def full_graph(model_name: str) -> Graph:
     analysis run shares one copy.
     """
     return export_mobile(create_full_model(model_name).graph)
-
-
-def performance_log(
-    backend: Backend,
-    task: str,
-    settings: TestSettings,
-    device: SimulatedDevice,
-    *,
-    model_name: str,
-    samples: int = 1024,
-) -> LoadGenLog:
-    """One performance-mode LoadGen run of ``task`` on ``model_name``'s full graph.
-
-    Compiles single-stream or offline pipelines by ``settings.scenario``. A
-    performance SUT reads only a query's batch size, so the QSL draws over
-    ``samples`` content-free indices, seeded by ``settings.seed``.
-    """
-    graph = full_graph(model_name)
-    if settings.scenario is Scenario.OFFLINE:
-        kind, model, pipelines = "offline", None, backend.compile_offline(graph, task)
-    else:
-        kind, model, pipelines = "perf", backend.compile_single_stream(graph, task), None
-    sut = PerformanceSUT(
-        device, model, pipelines, name=f"{kind}/{backend.soc.name}/{backend.name}"
-    )
-    qsl = QuerySampleLibrary(
-        IndexDataset(samples), settings.performance_sample_count, seed=settings.seed
-    )
-    return LoadGenerator(settings).run(sut, qsl, task=task, model_name=model_name)
 
 
 @dataclass
@@ -162,14 +133,25 @@ class BenchmarkHarness:
     ) -> LoadGenLog:
         """Performance mode on the full-size graph, single-stream or offline.
 
-        The QSL spans as many indices as the task's dataset has samples.
+        A performance SUT reads only a query's batch size, so the QSL draws,
+        seeded by the run rules, over as many content-free indices as the
+        task's dataset has samples.
         """
-        dataset = get_task(task).dataset
-        return performance_log(
-            backend, task, self.rules.loadgen_settings(scenario, Mode.PERFORMANCE), device,
-            model_name=self.model_for(task),
-            samples=dataset_size(dataset, self.dataset_sizes.get(dataset)),
+        graph = self.full_graph(task)
+        if scenario is Scenario.OFFLINE:
+            kind, model, pipelines = "offline", None, backend.compile_offline(graph, task)
+        else:
+            kind, model, pipelines = "perf", backend.compile_single_stream(graph, task), None
+        sut = PerformanceSUT(
+            device, model, pipelines, name=f"{kind}/{backend.soc.name}/{backend.name}"
         )
+        settings = self.rules.loadgen_settings(scenario, Mode.PERFORMANCE)
+        dataset = get_task(task).dataset
+        qsl = QuerySampleLibrary(
+            IndexDataset(dataset_size(dataset, self.dataset_sizes.get(dataset))),
+            settings.performance_sample_count, seed=settings.seed,
+        )
+        return LoadGenerator(settings).run(sut, qsl, task=task, model_name=self.model_for(task))
 
     # -- the suite ------------------------------------------------------------
     def run_suite(

@@ -8,6 +8,7 @@ drifts latencies upward exactly the way the run rules anticipate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .power import PowerModel, QueryEnergy
 from .scheduler import CompiledModel, offline_throughput
@@ -17,8 +18,7 @@ from .thermal import ThermalModel
 __all__ = ["QueryResult", "OfflineResult", "SimulatedDevice"]
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     latency_seconds: float
     energy: QueryEnergy
     temperature_c: float

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.analysis import (
-    PERF_SETTINGS,
     measure_offline,
     measure_single_stream,
     mlperf_feature_selfcheck,
@@ -14,11 +13,12 @@ from repro.analysis import (
     table4_grid,
 )
 from repro.backends import default_backend_for
+from repro.core import DEFAULT_RULES, BenchmarkHarness
 from repro.core.app import build_parser, main
 from repro.core.harness import full_graph
 from repro.core.tasks import get_task
 from repro.hardware import SimulatedDevice, get_soc
-from repro.loadgen import Scenario, TestSettings
+from repro.loadgen import Scenario
 
 
 class TestCLI:
@@ -62,21 +62,43 @@ class TestCLI:
                   "--tasks", "question_answering"])
 
 
-FAST = TestSettings(min_query_count=32, min_duration_s=0.01)
+def _harness_run(soc_name, scenario=Scenario.SINGLE_STREAM):
+    """The app's own performance-mode run of classification on a fresh device."""
+    soc = get_soc(soc_name)
+    device = SimulatedDevice(soc)
+    log = BenchmarkHarness(version=soc.benchmark_version).run_performance(
+        "image_classification", default_backend_for(soc), device, scenario)
+    return log, device
 
 
 class TestAnalysis:
     def test_measure_single_stream_fields(self):
-        row = measure_single_stream("dimensity_1100", "image_classification",
-                                    settings=FAST)
+        row = measure_single_stream("dimensity_1100", "image_classification")
         assert row["latency_p90_ms"] > 0
         assert row["config"].startswith("UINT8")
         assert row["segments"] >= 1
 
+    @pytest.mark.parametrize("soc_name", ["exynos_990", "dimensity_1100"])
+    def test_measure_single_stream_is_the_harness_run(self, soc_name):
+        """Figures 6-7 and Table 3 read the app's run at the default run rules."""
+        log, device = _harness_run(soc_name)
+        expected = {
+            "latency_p90_ms": log.percentile_latency(DEFAULT_RULES.loadgen.latency_percentile)
+            * 1e3,
+            "latency_mean_ms": float(log.latencies().mean()) * 1e3,
+            "energy_per_query_mj": device.total_energy_joules / log.query_count * 1e3,
+        }
+        row = measure_single_stream(soc_name, "image_classification")
+        assert {k: row[k].hex() for k in expected} == {k: v.hex() for k, v in expected.items()}
+
     def test_measure_offline(self):
-        row = measure_offline("exynos_990", sample_count=2048)
+        row = measure_offline("exynos_990")
         assert row["offline_fps"] > 0
         assert row["pipelines"] == 2  # NPU + CPU (Table 2 ALP)
+
+    def test_measure_offline_is_the_harness_run(self):
+        log, _ = _harness_run("exynos_990", Scenario.OFFLINE)
+        assert measure_offline("exynos_990")["offline_fps"].hex() == log.throughput_fps().hex()
 
     @pytest.mark.parametrize("soc_name", sorted(table2_configurations()))
     def test_measure_offline_equals_direct_burst(self, soc_name):
@@ -99,7 +121,7 @@ class TestAnalysis:
             assert "image_classification_offline" in row
 
     def test_table3_improvements_positive(self):
-        t3 = table3_delegate_comparison(settings=FAST)
+        t3 = table3_delegate_comparison()
         for task, pct in t3["improvement_pct"].items():
             assert pct > 0, f"Neuron must beat NNAPI on {task}"
 

@@ -45,8 +45,8 @@ class TestGroupedBarChart:
 
 
 class TestReportCLI:
-    def test_report_fast(self, capsys):
-        assert main(["report", "--fast"]) == 0
+    def test_report(self, capsys):
+        assert main(["report"]) == 0
         out = capsys.readouterr().out
         assert "Figure 6" in out
         assert "Figure 7" in out

@@ -184,9 +184,8 @@ def _hexed(value):
 
 
 def _inline_run_performance(harness, task, backend, device, scenario):
-    """``BenchmarkHarness.run_performance`` as it was stated before
-    ``performance_log``: its own SUT, and a QSL over the task's real dataset
-    at the QSL's default seed."""
+    """``BenchmarkHarness.run_performance`` stated inline: its own SUT, and a
+    QSL over the task's real dataset at the QSL's default seed."""
     graph = harness.full_graph(task)
     where = f"{backend.soc.name}/{backend.name}"
     if scenario is Scenario.OFFLINE:
@@ -203,7 +202,7 @@ def _inline_run_performance(harness, task, backend, device, scenario):
 
 
 class TestPerformanceLog:
-    """One performance-mode path: ``performance_log`` over one full-graph cache."""
+    """One performance-mode path: ``run_performance`` over one full-graph cache."""
 
     @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
     def test_harness_run_matches_inline_run(self, harness, scenario):
@@ -253,7 +252,7 @@ class TestPerformanceLog:
         assert a.frozen
 
     def test_one_performance_sut_call_site(self):
-        """Only ``performance_log`` builds a performance SUT in the program."""
+        """Only ``run_performance`` builds a performance SUT in the program."""
         sites = []
         for path in sorted(SRC.rglob("*.py")):
             tree = ast.parse(path.read_text())
@@ -265,4 +264,4 @@ class TestPerformanceLog:
                     owner = [f.name for f in functions
                              if f.lineno <= node.lineno <= f.end_lineno]
                     sites.append((str(path.relative_to(SRC)), owner))
-        assert sites == [("core/harness.py", ["performance_log"])]
+        assert sites == [("core/harness.py", ["run_performance"])]

@@ -1,13 +1,15 @@
 """Every ``from repro... import name`` and ``import repro...`` in the examples,
 the paper benchmarks, the tools and the repo benchmark (``perfbench/``)
-resolves. Nothing in the tier-1 suite runs those scripts, so a renamed or
-deleted public name would otherwise only surface when someone runs one.
-The scripts are parsed, never executed."""
+resolves, and every keyword a script passes to an imported name is one of its
+parameters. Nothing in the tier-1 suite runs those scripts, so a renamed or
+deleted public name or parameter would otherwise only surface when someone
+runs one. The scripts are parsed, never executed."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -41,6 +43,31 @@ def test_repro_imports_resolve(path):
             except ModuleNotFoundError:
                 missing.append(f"{module}.{name}")
     assert not missing, f"{path.name} imports names that do not exist: {missing}"
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}-{p.name}")
+def test_repro_keywords_exist(path):
+    """Each keyword in a call of a name imported ``from repro...`` is a parameter
+    of that name's signature, unless the signature takes ``**kwargs``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module \
+                and node.module.split(".")[0] == "repro":
+            module = importlib.import_module(node.module)
+            imported.update({alias.asname or alias.name: getattr(module, alias.name, None)
+                             for alias in node.names})
+    unknown = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and callable(obj := imported.get(node.func.id))):
+            continue
+        params = inspect.signature(obj).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            continue
+        unknown += [f"{node.func.id}({kw.arg}=) at line {node.lineno}"
+                    for kw in node.keywords if kw.arg is not None and kw.arg not in params]
+    assert not unknown, f"{path.name} passes keywords that do not exist: {unknown}"
 
 
 def test_scan_finds_scripts():

@@ -15,7 +15,6 @@ from repro.core import (
 from repro.core.harness import full_graph
 from repro.graph import export_mobile, graph_summary
 from repro.hardware import get_soc
-from repro.loadgen import TestSettings
 from repro.models import create_full_model
 
 
@@ -81,14 +80,10 @@ class TestGraphSummary:
 
 
 class TestApplePreview:
-    FAST = TestSettings(min_query_count=64, min_duration_s=0.2)
-
     def test_competitive_vision_latency(self):
         """The A14 preview lands in the v1.0 flagship neighbourhood."""
-        a14 = measure_single_stream("apple_a14", "image_classification",
-                                    version="v1.0", settings=self.FAST)
-        d1100 = measure_single_stream("dimensity_1100", "image_classification",
-                                      settings=self.FAST)
+        a14 = measure_single_stream("apple_a14", "image_classification", version="v1.0")
+        d1100 = measure_single_stream("dimensity_1100", "image_classification")
         assert 0.5 < a14["latency_p90_ms"] / d1100["latency_p90_ms"] < 2.0
 
     def test_ane_runs_resize(self):

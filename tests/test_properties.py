@@ -194,10 +194,8 @@ class TestDeterminism:
 
     def test_performance_run_bit_stable(self):
         from repro.analysis import measure_single_stream
-        from repro.loadgen import TestSettings
 
-        fast = TestSettings(min_query_count=64, min_duration_s=0.1)
-        a = measure_single_stream("exynos_2100", "image_classification", settings=fast)
-        b = measure_single_stream("exynos_2100", "image_classification", settings=fast)
+        a = measure_single_stream("exynos_2100", "image_classification")
+        b = measure_single_stream("exynos_2100", "image_classification")
         assert a["latency_p90_ms"] == b["latency_p90_ms"]
         assert a["energy_per_query_mj"] == b["energy_per_query_mj"]
